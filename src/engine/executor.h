@@ -21,12 +21,12 @@ namespace wimpi::engine {
 // Since the pipeline/executor split, the executor is a thin wrapper over
 // the pipeline path: it only sets options, and every parallel phase a plan
 // runs goes through exec::RunMorsels/RunChunks as a parallel::PipelineSpec
-// dispatched to the ambient PipelineScheduler (the default delegates to
-// the global TaskScheduler). The same plans run unchanged under the
-// concurrent query service (src/service), which swaps in a fair scheduler
-// to interleave many queries' pipelines — answers stay bit-identical at a
-// given (num_threads, morsel_rows), enforced by the 22-query equivalence
-// tests in both modes.
+// dispatched to the ambient PipelineScheduler (by default the single
+// permanent lane of a process-wide fair scheduler). The same plans run
+// unchanged under the concurrent query service (src/service), which gives
+// each query its own lane so many queries' pipelines interleave — answers
+// stay bit-identical at a given (num_threads, morsel_rows), enforced by the
+// 22-query equivalence tests in both modes.
 //
 // Stats stay race-free without atomics: worker threads never touch the
 // QueryStats — each operator's parallel phase collects per-morsel partial

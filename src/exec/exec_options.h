@@ -31,11 +31,12 @@ struct ExecOptions {
   // computation (e.g. the cluster fault path) should cancel.
   const parallel::CancellationToken* cancellation = nullptr;
   // Where the plan's parallel phases (pipelines) are scheduled. Null (the
-  // default) means parallel::PipelineScheduler::Default(): morsel loops on
-  // the process-wide TaskScheduler, exactly the single-query engine. The
-  // query service installs a per-query fair scheduler here so pipelines
-  // from many concurrent queries interleave over the shared pool. Morsel
-  // boundaries (and therefore answers) are scheduler-independent.
+  // default) means parallel::PipelineScheduler::Default(), the one
+  // permanent lane of a process-wide fair scheduler over the global pool.
+  // The query service installs a per-query lane of its own fair scheduler
+  // here so pipelines from many concurrent queries interleave over the
+  // shared pool. Morsel boundaries (and therefore answers) are
+  // scheduler-independent.
   parallel::PipelineScheduler* pipeline_scheduler = nullptr;
   // Plan-quality observability (DESIGN.md §13). When non-null, operators
   // that record OpStats also ask this estimator for a predicted output

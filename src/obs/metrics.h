@@ -143,7 +143,7 @@ class MetricsRegistry {
   std::map<std::string, std::map<std::string, std::string>> infos_;
 };
 
-// Global switch for the ThreadPool/TaskScheduler instrumentation hooks.
+// Global switch for the ThreadPool instrumentation hooks.
 // Off by default: pool hot paths then skip every clock read. Flipped by
 // ScopedProfiling (ProfileOptions.pool_metrics) or directly by tools.
 bool PoolMetricsEnabled();

@@ -23,8 +23,8 @@ struct ProfileOptions {
   bool operator_profile = true;
   // Record per-morsel / per-task spans into TraceSink (chrome://tracing).
   bool trace = false;
-  // Enable the ThreadPool/TaskScheduler metric hooks (task latency, queue
-  // wait, per-worker busy/idle) in MetricsRegistry::Global().
+  // Enable the ThreadPool metric hooks (task latency, queue wait,
+  // per-worker busy/idle) in MetricsRegistry::Global().
   bool pool_metrics = false;
   // Count hardware events (cycles, instructions, LLC traffic, branch
   // misses, task time) for the query and attribute per-operator deltas, so

@@ -2,14 +2,13 @@
 #define WIMPI_PARALLEL_CANCELLATION_H_
 
 #include <atomic>
-#include <exception>
 #include <stdexcept>
 #include <string>
 
 namespace wimpi::parallel {
 
 // Cooperative cancellation flag shared between a driver and the morsel
-// loops / task graphs working on its behalf. Cancel() may be called from
+// loops working on its behalf. Cancel() may be called from
 // any thread; workers poll cancelled() before claiming each unit of work,
 // so an abandoned computation (e.g. a distributed query whose last live
 // node just failed) stops after at most one in-flight morsel per worker
@@ -36,35 +35,14 @@ class CancellationToken {
   std::atomic<bool> cancelled_{false};
 };
 
-// Worker-thread failure with execution context attached (task label,
-// morsel index, graph node id). The scheduler layers wrap foreign
-// exceptions exactly once: an escaping TaskError is forwarded as-is, so
-// the innermost (most specific) context wins.
+// Worker-thread failure with execution context attached (operator label,
+// morsel index and row range). Foreign exceptions are wrapped exactly
+// once: an escaping TaskError is forwarded as-is, so the innermost (most
+// specific) context wins.
 class TaskError : public std::runtime_error {
  public:
   explicit TaskError(const std::string& what) : std::runtime_error(what) {}
 };
-
-// Rethrows a captured worker failure as an exception owned solely by the
-// calling thread. The object inside `error` may still be referenced by
-// pool workers that have not yet dropped their copy of the shared
-// loop/graph state; rethrowing it directly lets whichever side releases
-// the last reference delete the object — on a worker, concurrently with
-// the caller reading what(), through the runtime's exception refcounting,
-// which synchronizes outside the memory model tools can see. Escaping a
-// fresh copy keeps the exception's lifetime on the caller's side of the
-// pool boundary.
-[[noreturn]] inline void RethrowDetached(const std::exception_ptr& error) {
-  try {
-    std::rethrow_exception(error);
-  } catch (const TaskError& e) {
-    throw TaskError(e.what());
-  } catch (const std::exception& e) {
-    throw TaskError(e.what());
-  }
-  // Unreachable: capture sites wrap every foreign exception in a
-  // TaskError, so the handlers above are exhaustive.
-}
 
 }  // namespace wimpi::parallel
 

@@ -2,8 +2,7 @@
 
 #include <string>
 
-#include "obs/profiler.h"
-#include "obs/timeline/sampler.h"
+#include "parallel/fair_scheduler.h"
 
 namespace wimpi::parallel {
 
@@ -24,30 +23,17 @@ void RunPipelineMorsel(const std::function<void(const Morsel&)>& body,
   }
 }
 
-namespace {
-
-// The pre-service execution path, unchanged: one query at a time, morsel
-// loops on the process-wide scheduler. Leaked singleton (like
-// TaskScheduler::Global()) so it is never destroyed while workers run.
-class DefaultScheduler : public PipelineScheduler {
- public:
-  void RunPipeline(const PipelineSpec& spec) override {
-    // Timeline attribution: the single-query path publishes on lane 0
-    // (query id 0 = "the one query"). One relaxed load when the sampler
-    // is off — the same budget as every other obs hook.
-    obs::timeline::ScopedPipelineActivity activity(
-        /*lane=*/0, obs::CurrentOpLabel(), /*query_id=*/0);
-    TaskScheduler::Global().RunMorsels(spec.total_rows, spec.morsel_rows,
-                                       spec.max_threads, *spec.body,
-                                       spec.cancel);
-  }
-};
-
-}  // namespace
-
 PipelineScheduler& PipelineScheduler::Default() {
-  static DefaultScheduler* scheduler = new DefaultScheduler;
-  return *scheduler;
+  // One permanently open priority-1 lane on a process-wide fair scheduler
+  // over the global pool. Its lane id is 0, which the timeline reads as
+  // "the single-query path" (query id 0). Leaked, like
+  // TaskScheduler::Global(), so it is never destroyed while workers run.
+  static LaneScheduler* lane = [] {
+    auto* fair = new FairPipelineScheduler(&TaskScheduler::Global().pool());
+    fair->next_lane_id_ = 0;
+    return new LaneScheduler(fair, fair->OpenLane(1.0, new CancellationToken));
+  }();
+  return *lane;
 }
 
 }  // namespace wimpi::parallel

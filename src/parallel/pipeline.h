@@ -31,10 +31,11 @@ struct PipelineSpec {
 
 // Where a query's pipelines go to be executed. The operator library hands
 // every parallel phase to the scheduler installed in the ambient
-// exec::ExecOptions; with none installed it uses Default(), which runs the
-// morsel loop on TaskScheduler::Global() exactly as the pre-service engine
-// did. The service's FairPipelineScheduler implements this interface to
-// interleave many queries' morsel tasks over the same shared pool.
+// exec::ExecOptions; with none installed it uses Default(). Both are lanes
+// of a FairPipelineScheduler (parallel/fair_scheduler.h), the one code
+// path that claims and dispatches morsels: the service opens one lane per
+// query on its scheduler, Default() is the single permanent lane of a
+// process-wide one.
 //
 // Contract every implementation must honour (it is what keeps answers
 // bit-identical across schedulers): morsel boundaries come from
@@ -52,16 +53,17 @@ class PipelineScheduler {
   // skipped after cancellation / a body error).
   virtual void RunPipeline(const PipelineSpec& spec) = 0;
 
-  // Process-default scheduler (single-query behaviour): delegates to
-  // TaskScheduler::Global().RunMorsels.
+  // Process-default scheduler (single-query behaviour): a permanently open
+  // priority-1 lane (timeline lane 0) of a process-wide
+  // FairPipelineScheduler over TaskScheduler::Global().pool().
   static PipelineScheduler& Default();
 };
 
 // Runs one morsel body, converting any escaping exception into a TaskError
 // that names the operator and morsel (an incoming TaskError is forwarded
-// untouched — it already carries the most specific context). Shared by the
-// default and the fair scheduler so failure attribution is identical on
-// both paths.
+// untouched — it already carries the most specific context). Used by the
+// fair scheduler's parallel and inline paths alike, so failure attribution
+// does not depend on which one ran the morsel.
 void RunPipelineMorsel(const std::function<void(const Morsel&)>& body,
                        const Morsel& m, const char* label);
 

@@ -1,17 +1,8 @@
 #include "parallel/task_scheduler.h"
 
-#include <atomic>
-#include <condition_variable>
-#include <cstdio>
-#include <exception>
-#include <mutex>
-#include <string>
+#include <algorithm>
 
 #include "common/logging.h"
-#include "obs/profiler.h"
-#include "obs/trace.h"
-#include "obs/tracing/span.h"
-#include "parallel/pipeline.h"
 
 namespace wimpi::parallel {
 
@@ -33,197 +24,6 @@ std::vector<Morsel> SplitMorsels(int64_t total, int64_t morsel_rows) {
 TaskScheduler& TaskScheduler::Global() {
   static TaskScheduler* scheduler = new TaskScheduler(0);
   return *scheduler;
-}
-
-// Worker-thread failures must be attributable without a debugger:
-// RunPipelineMorsel (parallel/pipeline.cc, shared with the service's fair
-// scheduler) wraps foreign exceptions into TaskErrors naming the operator
-// and morsel.
-
-void TaskScheduler::RunMorsels(int64_t total, int64_t morsel_rows, int threads,
-                               const std::function<void(const Morsel&)>& body,
-                               const CancellationToken* cancel) {
-  const std::vector<Morsel> morsels = SplitMorsels(total, morsel_rows);
-  if (morsels.empty()) return;
-  const char* label = obs::CurrentOpLabel();
-  if (threads <= 1 || morsels.size() == 1) {
-    for (const Morsel& m : morsels) {
-      if (cancel != nullptr && cancel->cancelled()) return;
-      RunPipelineMorsel(body, m, label);
-    }
-    return;
-  }
-  // Profiler hooks, both no-ops unless a profiled run enabled them: the
-  // open operator scope learns this phase's fan-out, and with tracing on
-  // every morsel becomes one chrome://tracing span on the worker (or
-  // caller) thread that ran it.
-  obs::NoteParallelPhase(threads, static_cast<int>(morsels.size()));
-  if (obs::TraceSink::Global().enabled()) {
-    // Capture the caller's span context so every morsel span, on whichever
-    // worker thread it runs, becomes a child of the open operator span.
-    const obs::SpanContext parent = obs::CurrentSpanContext();
-    pool_.ParallelFor(
-        static_cast<int64_t>(morsels.size()),
-        [&, parent](int64_t i) {
-          const Morsel& m = morsels[static_cast<size_t>(i)];
-          char args[64];
-          std::snprintf(args, sizeof(args), "{\"morsel\":%d,\"rows\":%lld}",
-                        m.index, static_cast<long long>(m.rows()));
-          obs::ScopedSpanContext adopt(parent);
-          obs::Span span(std::string(label), "morsel", args);
-          RunPipelineMorsel(body, m, label);
-        },
-        threads, cancel);
-    return;
-  }
-  pool_.ParallelFor(
-      static_cast<int64_t>(morsels.size()),
-      [&](int64_t i) { RunPipelineMorsel(
-                           body, morsels[static_cast<size_t>(i)], label); },
-      threads, cancel);
-}
-
-namespace {
-
-// Dataflow state for one RunTaskGraph call. Pool tasks capture it by
-// shared_ptr so nothing they touch after a node body returns lives on the
-// caller's stack (`nodes` is only dereferenced before the node's finish is
-// counted, and the caller cannot return before every finish is counted).
-struct GraphState {
-  const std::vector<std::function<void()>>* nodes = nullptr;
-  ThreadPool* pool = nullptr;
-  const CancellationToken* cancel = nullptr;
-  // Submitter's span context; node spans on any thread parent under it.
-  obs::SpanContext ctx;
-  std::vector<std::atomic<int>> pending;
-  std::vector<std::vector<int>> dependents;
-  std::exception_ptr error;
-  std::atomic<bool> abort{false};
-  int finished = 0;
-  std::mutex mu;
-  std::condition_variable done_cv;
-  explicit GraphState(int n) : pending(n), dependents(n) {}
-};
-
-// Executes node `start`, then walks newly-ready successors: one continues
-// inline (keeps the chain hot), the rest are farmed out to the pool so
-// independent branches really overlap.
-void RunNodeChain(const std::shared_ptr<GraphState>& state, int start) {
-  int i = start;
-  while (i >= 0) {
-    if (!state->abort.load(std::memory_order_relaxed) &&
-        (state->cancel == nullptr || !state->cancel->cancelled())) {
-      try {
-        obs::ScopedSpanContext adopt(state->ctx);
-        obs::Span span("graph-node", "pool");
-        (*state->nodes)[i]();
-      } catch (...) {
-        // First-error semantics, with the failing node attached so graph
-        // failures are attributable (foreign exceptions only; a TaskError
-        // from a nested morsel loop keeps its narrower context).
-        std::exception_ptr error;
-        try {
-          throw;
-        } catch (const TaskError&) {
-          error = std::current_exception();
-        } catch (const std::exception& e) {
-          error = std::make_exception_ptr(
-              TaskError("[graph node " + std::to_string(i) + "] " + e.what()));
-        } catch (...) {
-          error = std::make_exception_ptr(TaskError(
-              "[graph node " + std::to_string(i) + "] unknown exception"));
-        }
-        std::lock_guard<std::mutex> lock(state->mu);
-        if (!state->error) state->error = error;
-        state->abort.store(true, std::memory_order_relaxed);
-      }
-    }
-    int inline_next = -1;
-    for (const int dep : state->dependents[i]) {
-      if (state->pending[dep].fetch_sub(1, std::memory_order_acq_rel) == 1) {
-        if (inline_next < 0) {
-          inline_next = dep;
-        } else {
-          state->pool->Submit([state, dep] { RunNodeChain(state, dep); });
-        }
-      }
-    }
-    {
-      // Notify under the lock: the caller may destroy the cv the moment the
-      // predicate holds, which is only reachable after this unlock.
-      std::lock_guard<std::mutex> lock(state->mu);
-      ++state->finished;
-      state->done_cv.notify_one();
-    }
-    i = inline_next;
-  }
-}
-
-}  // namespace
-
-void TaskScheduler::RunTaskGraph(
-    const std::vector<std::function<void()>>& nodes,
-    const std::vector<std::vector<int>>& deps,
-    const CancellationToken* cancel) {
-  const int n = static_cast<int>(nodes.size());
-  WIMPI_CHECK_EQ(deps.size(), nodes.size());
-  if (n == 0) return;
-
-  auto state = std::make_shared<GraphState>(n);
-  state->nodes = &nodes;
-  state->pool = &pool_;
-  state->cancel = cancel;
-  if (obs::TraceSink::Global().enabled()) {
-    state->ctx = obs::CurrentSpanContext();
-  }
-  for (int i = 0; i < n; ++i) {
-    state->pending[i].store(static_cast<int>(deps[i].size()),
-                            std::memory_order_relaxed);
-    for (const int d : deps[i]) {
-      WIMPI_CHECK(d >= 0 && d < n) << "task graph dep out of range";
-      state->dependents[d].push_back(i);
-    }
-  }
-
-  // Reject cycles up front (Kahn's algorithm) so a malformed graph fails
-  // loudly instead of deadlocking the caller.
-  {
-    std::vector<int> indegree(n);
-    std::vector<int> ready;
-    for (int i = 0; i < n; ++i) {
-      indegree[i] = static_cast<int>(deps[i].size());
-      if (indegree[i] == 0) ready.push_back(i);
-    }
-    int visited = 0;
-    while (!ready.empty()) {
-      const int i = ready.back();
-      ready.pop_back();
-      ++visited;
-      for (const int dep : state->dependents[i]) {
-        if (--indegree[dep] == 0) ready.push_back(dep);
-      }
-    }
-    WIMPI_CHECK_EQ(visited, n) << "task graph contains a cycle";
-  }
-
-  // Launch every root: the first on the caller's thread, the rest on the
-  // pool. (From inside a pool worker everything still completes — chains
-  // just interleave with whatever the queue holds.)
-  std::vector<int> roots;
-  for (int i = 0; i < n; ++i) {
-    if (deps[i].empty()) roots.push_back(i);
-  }
-  for (size_t r = 1; r < roots.size(); ++r) {
-    const int root = roots[r];
-    pool_.Submit([state, root] { RunNodeChain(state, root); });
-  }
-  RunNodeChain(state, roots[0]);
-
-  std::unique_lock<std::mutex> lock(state->mu);
-  state->done_cv.wait(lock, [&] { return state->finished >= n; });
-  // Detached copy: submitted chains may still hold `state` (and through it
-  // the captured exception) until the pool recycles them.
-  if (state->error) RethrowDetached(state->error);
 }
 
 }  // namespace wimpi::parallel

@@ -2,11 +2,8 @@
 #define WIMPI_PARALLEL_TASK_SCHEDULER_H_
 
 #include <cstdint>
-#include <functional>
-#include <memory>
 #include <vector>
 
-#include "parallel/cancellation.h"
 #include "parallel/thread_pool.h"
 
 namespace wimpi::parallel {
@@ -33,9 +30,10 @@ struct Morsel {
 // ragged). Independent of thread count.
 std::vector<Morsel> SplitMorsels(int64_t total, int64_t morsel_rows);
 
-// Schedules morsel loops and task graphs onto a ThreadPool. The engine uses
-// one process-wide instance (Global()) so repeated queries reuse the same
-// workers; tests may build private instances.
+// Owner of the process-wide worker pool. Every morsel the engine runs is
+// dispatched onto it by a FairPipelineScheduler (parallel/fair_scheduler.h):
+// PipelineScheduler::Default() for single queries, the query service's
+// scheduler for concurrent ones.
 class TaskScheduler {
  public:
   // `num_threads` <= 0 means hardware concurrency.
@@ -47,29 +45,6 @@ class TaskScheduler {
   static TaskScheduler& Global();
 
   ThreadPool& pool() { return pool_; }
-
-  // Runs body(morsel) for every morsel of [0, total) on up to `threads`
-  // threads (including the caller). Morsel boundaries depend only on
-  // `total` and `morsel_rows`, never on `threads`.
-  //
-  // A body exception aborts the loop (remaining morsels are skipped) and
-  // is rethrown on the caller as a TaskError naming the operator label and
-  // the morsel it came from. When `cancel` is given and fires, in-flight
-  // morsels finish, the rest are skipped, and RunMorsels returns normally
-  // — the cancelling driver owns the token and discards the partial work.
-  void RunMorsels(int64_t total, int64_t morsel_rows, int threads,
-                  const std::function<void(const Morsel&)>& body,
-                  const CancellationToken* cancel = nullptr);
-
-  // Runs a pipeline expressed as a task graph: node i starts once every
-  // node in deps[i] has finished; independent nodes run concurrently.
-  // CHECK-fails on cycles (some node never becomes ready). A node
-  // exception is rethrown as a TaskError naming the node; a fired `cancel`
-  // token makes not-yet-started nodes no-ops (the graph still "completes"
-  // so the caller never blocks).
-  void RunTaskGraph(const std::vector<std::function<void()>>& nodes,
-                    const std::vector<std::vector<int>>& deps,
-                    const CancellationToken* cancel = nullptr);
 
  private:
   ThreadPool pool_;

@@ -1,8 +1,6 @@
 #include "parallel/thread_pool.h"
 
 #include <algorithm>
-#include <atomic>
-#include <exception>
 #include <string>
 
 #include "obs/clock.h"
@@ -69,18 +67,6 @@ void ThreadPool::PublishQueueDepth() {
   queue_depth_->Set(static_cast<double>(queue_.size()));
 }
 
-void ThreadPool::Enqueue(std::function<void()> fn) {
-  QueuedTask task;
-  task.fn = std::move(fn);
-  const bool instrumented = obs::PoolMetricsEnabled();
-  if (instrumented) task.enqueue_us = obs::NowMicros();
-  // Carry the submitter's span context across the thread boundary so the
-  // worker's task span joins the submitter's trace.
-  if (obs::TraceSink::Global().enabled()) task.ctx = obs::CurrentSpanContext();
-  queue_.push_back(std::move(task));
-  if (instrumented) PublishQueueDepth();
-}
-
 void ThreadPool::WorkerLoop(int worker_index) {
   t_on_worker_thread = true;
   WorkerMetrics metrics;
@@ -101,8 +87,8 @@ void ThreadPool::WorkerLoop(int worker_index) {
     if (!instrumented) {
       task.fn();
       // Flight recorder is always on (one relaxed load + a few relaxed
-      // stores); pool tasks are coarse units (drain slots, parallel-for
-      // helpers), so this is nowhere near the per-morsel path.
+      // stores); pool tasks are coarse units (fair-scheduler drain slots),
+      // so this is nowhere near the per-morsel path.
       obs::flight::FlightRecorder::Record(obs::flight::EventKind::kPoolTask,
                                           0, worker_index, 0);
       continue;
@@ -129,112 +115,23 @@ void ThreadPool::WorkerLoop(int worker_index) {
 }
 
 std::future<void> ThreadPool::Submit(std::function<void()> fn) {
-  auto task = std::make_shared<std::packaged_task<void()>>(std::move(fn));
-  std::future<void> result = task->get_future();
+  auto packaged =
+      std::make_shared<std::packaged_task<void()>>(std::move(fn));
+  std::future<void> result = packaged->get_future();
+  QueuedTask task;
+  task.fn = [packaged] { (*packaged)(); };
+  const bool instrumented = obs::PoolMetricsEnabled();
+  if (instrumented) task.enqueue_us = obs::NowMicros();
+  // Carry the submitter's span context across the thread boundary so the
+  // worker's task span joins the submitter's trace.
+  if (obs::TraceSink::Global().enabled()) task.ctx = obs::CurrentSpanContext();
   {
     std::lock_guard<std::mutex> lock(mu_);
-    Enqueue([task] { (*task)(); });
+    queue_.push_back(std::move(task));
+    if (instrumented) PublishQueueDepth();
   }
   cv_.notify_one();
   return result;
-}
-
-void ThreadPool::ParallelFor(int64_t n, const std::function<void(int64_t)>& fn,
-                             int max_workers,
-                             const CancellationToken* cancel) {
-  if (n <= 0) return;
-  // From inside a worker (or with a trivial range) run inline: a task that
-  // fans out must never wait on the pool it occupies.
-  if (n == 1 || OnWorkerThread()) {
-    for (int64_t i = 0; i < n; ++i) {
-      if (cancel != nullptr && cancel->cancelled()) return;
-      fn(i);
-    }
-    return;
-  }
-
-  // Shared claim/progress state for this loop. Kept on the heap so helper
-  // tasks stay valid even if they start after the caller has returned
-  // (impossible here — the caller waits — but cheap insurance against
-  // future refactors).
-  struct LoopState {
-    std::atomic<int64_t> next{0};
-    std::exception_ptr error;
-    bool abort = false;
-    int64_t done = 0;
-    std::mutex mu;
-    std::condition_variable done_cv;
-  };
-  auto state = std::make_shared<LoopState>();
-
-  auto drain = [state, &fn, n, cancel] {
-    for (;;) {
-      const int64_t i = state->next.fetch_add(1, std::memory_order_relaxed);
-      if (i >= n) return;
-      const bool cancelled = cancel != nullptr && cancel->cancelled();
-      {
-        std::lock_guard<std::mutex> lock(state->mu);
-        if (state->abort || cancelled) {
-          // Still count the claimed iteration so `done` reaches the number
-          // of claimed-and-finished items the caller waits for.
-          ++state->done;
-          state->done_cv.notify_one();
-          continue;
-        }
-      }
-      try {
-        fn(i);
-      } catch (...) {
-        // Attribute the failure to its iteration; TaskError already carries
-        // narrower context (morsel/op or graph node) from the layer above.
-        std::exception_ptr error;
-        try {
-          throw;
-        } catch (const TaskError&) {
-          error = std::current_exception();
-        } catch (const std::exception& e) {
-          error = std::make_exception_ptr(TaskError(
-              "[parallel-for i=" + std::to_string(i) + "] " + e.what()));
-        } catch (...) {
-          error = std::make_exception_ptr(TaskError(
-              "[parallel-for i=" + std::to_string(i) +
-              "] unknown exception"));
-        }
-        std::lock_guard<std::mutex> lock(state->mu);
-        if (!state->error) state->error = error;
-        state->abort = true;
-      }
-      {
-        // Notify under the lock: the caller destroys the loop state as soon
-        // as the predicate holds, which it cannot observe before unlock.
-        std::lock_guard<std::mutex> lock(state->mu);
-        ++state->done;
-        state->done_cv.notify_one();
-      }
-    }
-  };
-
-  int helpers = size();
-  if (max_workers > 0) helpers = std::min(helpers, max_workers - 1);
-  helpers = static_cast<int>(
-      std::min<int64_t>(helpers, n - 1));  // caller takes a share
-  for (int h = 0; h < helpers; ++h) {
-    std::lock_guard<std::mutex> lock(mu_);
-    Enqueue(drain);
-  }
-  if (helpers > 0) cv_.notify_all();
-
-  drain();  // caller participates
-
-  // All n iterations were claimed once `drain` returned on every thread;
-  // wait until each claimed iteration has finished executing.
-  {
-    std::unique_lock<std::mutex> lock(state->mu);
-    state->done_cv.wait(lock, [&] { return state->done >= n; });
-    // Detached copy: helper tasks may still hold `state` (and through it
-    // the captured exception) until the pool recycles them.
-    if (state->error) RethrowDetached(state->error);
-  }
 }
 
 }  // namespace wimpi::parallel

@@ -11,7 +11,6 @@
 #include <vector>
 
 #include "obs/tracing/span.h"
-#include "parallel/cancellation.h"
 
 namespace wimpi::obs {
 class Gauge;
@@ -20,9 +19,9 @@ class Gauge;
 namespace wimpi::parallel {
 
 // A fixed set of worker threads draining a shared task queue (the classic
-// condvar-guarded deque; a morsel-driven scheduler on top of this gets the
-// load-balancing benefits of work stealing without per-thread deques,
-// because tasks are already small and uniform).
+// condvar-guarded deque; the morsel-driven FairPipelineScheduler on top of
+// this gets the load-balancing benefits of work stealing without
+// per-thread deques, because morsels are already small and uniform).
 //
 // Idle workers (and an idle query service above them) consume no CPU:
 // every wait in this file blocks on cv_ under mu_ — there is no polling
@@ -31,11 +30,10 @@ namespace wimpi::parallel {
 // existing queue-wait histogram, so a saturated (or wedged) service is
 // visible from a metrics snapshot.
 //
-// Blocking rules that keep nested use deadlock-free:
-//  * Submit() never blocks (it only enqueues).
-//  * ParallelFor() called from a worker thread runs entirely inline on that
-//    thread instead of waiting on the pool, so a task that fans out again
-//    can never wait for a worker slot it is itself occupying.
+// Submit() never blocks (it only enqueues), so nested use is
+// deadlock-free as long as no task waits on the pool it runs on; the fair
+// scheduler guarantees that by running pipelines started from a worker
+// inline (OnWorkerThread()).
 class ThreadPool {
  public:
   // `num_threads` <= 0 means std::thread::hardware_concurrency().
@@ -49,21 +47,6 @@ class ThreadPool {
 
   // Enqueues `fn`; the future carries any exception it throws.
   std::future<void> Submit(std::function<void()> fn);
-
-  // Runs fn(i) for every i in [0, n). The calling thread participates, up
-  // to `max_workers - 1` pool workers help (<= 0 means the whole pool).
-  // Iterations are claimed dynamically (morsel-driven); the first exception
-  // is rethrown on the caller after all claimed iterations finish, and
-  // unclaimed iterations are abandoned. Foreign exceptions are rethrown as
-  // TaskError with the failing iteration index attached (an escaping
-  // TaskError already carries context and is forwarded unchanged).
-  //
-  // `cancel` (optional) is polled before each claimed iteration runs: once
-  // cancelled, remaining iterations are skipped and ParallelFor returns
-  // normally — the caller owns the token and knows the work is partial.
-  void ParallelFor(int64_t n, const std::function<void(int64_t)>& fn,
-                   int max_workers = 0,
-                   const CancellationToken* cancel = nullptr);
 
   // True when the current thread is one of this process's pool workers
   // (any pool). Operators use it to refuse nested re-parallelization.
@@ -81,8 +64,7 @@ class ThreadPool {
   };
 
   void WorkerLoop(int worker_index);
-  void Enqueue(std::function<void()> fn);  // caller must hold mu_
-  void PublishQueueDepth();                // caller must hold mu_
+  void PublishQueueDepth();  // caller must hold mu_
 
   std::mutex mu_;
   std::condition_variable cv_;

@@ -47,7 +47,7 @@ struct TicketState {
   int64_t admit_us = 0;
   int64_t finish_us = 0;
   int64_t driver_cpu_us = 0;  // driver thread CPU across ExecuteQuery
-  LaneUsage usage;            // lane totals (tasks, rows, worker CPU)
+  parallel::LaneUsage usage;  // lane totals (tasks, rows, worker CPU)
   flight::QueryResourceReport report;
 
   TicketPhase phase = TicketPhase::kQueued;
@@ -66,7 +66,7 @@ struct TicketState {
 struct ServiceCore {
   ServiceOptions opts;
   AdmissionController admission;
-  FairPipelineScheduler scheduler;
+  parallel::FairPipelineScheduler scheduler;
   SloTracker slo;
 
   mutable std::mutex mu;
@@ -312,7 +312,7 @@ struct ServiceCore {
                                         t->deadline_us, t->query_id);
     Status status;
     {
-      LaneScheduler lane_sched(&scheduler, lane);
+      parallel::LaneScheduler lane_sched(&scheduler, lane);
       exec::ExecOptions eopts;
       eopts.num_threads = t->threads;
       eopts.morsel_rows = opts.morsel_rows;

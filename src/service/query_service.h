@@ -21,9 +21,10 @@
 // so every answer the service produces is bit-identical to running the same
 // plan in isolation (tests/service_test.cc verifies all 22 TPC-H queries).
 //
-// Nothing here is on the default engine path: engine::Executor and every
-// existing test/bench run exactly as before unless a caller constructs a
-// QueryService.
+// The single-query path (engine::Executor with no service) dispatches
+// through the same FairPipelineScheduler, on PipelineScheduler::Default()'s
+// one permanent lane; everything else here (admission, queueing, drivers,
+// SLOs) exists only once a caller constructs a QueryService.
 
 #include <cstdint>
 #include <deque>
@@ -37,8 +38,8 @@
 #include "exec/counters.h"
 #include "exec/relation.h"
 #include "obs/flight/resource_report.h"
+#include "parallel/fair_scheduler.h"
 #include "service/admission.h"
-#include "service/fair_scheduler.h"
 #include "service/slo_tracker.h"
 
 namespace wimpi::parallel {
@@ -87,8 +88,9 @@ struct ServiceOptions {
   // ("service.session.<id>.latency_us"). Off by default: thousands of
   // sessions would otherwise each allocate a registry histogram.
   bool track_session_metrics = false;
-  // Pool the fair scheduler drains into; null means the process-wide
-  // TaskScheduler pool.
+  // Pool the fair scheduler drains into; null means
+  // parallel::TaskScheduler::Global().pool(), which the single-query
+  // default lane shares.
   parallel::ThreadPool* pool = nullptr;
   // Per-priority-class latency objectives; tracking is off until an
   // objective is set (slo.default_objective_us > 0 or a per-class entry).

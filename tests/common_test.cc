@@ -1,3 +1,4 @@
+#include <ostream>
 #include <set>
 
 #include "common/cli.h"
@@ -73,6 +74,14 @@ struct LikeCase {
   const char* pattern;
   bool expect;
 };
+
+// gtest names each case after its printed parameter. Without this overload it
+// hex-dumps the struct — two string pointers and padding — so the case names
+// changed from one process to the next.
+void PrintTo(const LikeCase& c, std::ostream* os) {
+  *os << "'" << c.value << "' LIKE '" << c.pattern << "' = "
+      << (c.expect ? "true" : "false");
+}
 
 class LikeTest : public ::testing::TestWithParam<LikeCase> {};
 

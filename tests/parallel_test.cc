@@ -1,9 +1,11 @@
-// Unit tests for the parallel subsystem (thread pool, morsel scheduler,
-// task graphs) and 1-vs-N-thread equivalence of the parallel operator
-// paths. Thread counts here exceed the host's core count on purpose: the
-// determinism guarantees must hold regardless of physical parallelism.
+// Unit tests for the parallel subsystem (thread pool, the fair morsel
+// scheduler behind PipelineScheduler::Default()) and 1-vs-N-thread
+// equivalence of the parallel operator paths. Thread counts here exceed
+// the host's core count on purpose: the determinism guarantees must hold
+// regardless of physical parallelism.
 #include <atomic>
 #include <cmath>
+#include <functional>
 #include <future>
 #include <memory>
 #include <random>
@@ -19,8 +21,9 @@
 #include "gtest/gtest.h"
 #include "obs/metrics.h"
 #include "parallel/cancellation.h"
+#include "parallel/fair_scheduler.h"
+#include "parallel/pipeline.h"
 #include "parallel/steal.h"
-#include "parallel/task_scheduler.h"
 #include "parallel/thread_pool.h"
 #include "storage/column.h"
 
@@ -28,9 +31,46 @@ namespace wimpi {
 namespace {
 
 using parallel::Morsel;
+using parallel::PipelineScheduler;
 using parallel::SplitMorsels;
-using parallel::TaskScheduler;
 using parallel::ThreadPool;
+
+using MorselBody = std::function<void(const Morsel&)>;
+
+// Runs one pipeline of [0, total) in `morsel_rows` morsels on up to
+// `threads` threads through `sched`.
+void RunPipeline(PipelineScheduler& sched, int64_t total, int64_t morsel_rows,
+                 int threads, const MorselBody& body,
+                 const parallel::CancellationToken* cancel = nullptr) {
+  parallel::PipelineSpec spec;
+  spec.total_rows = total;
+  spec.morsel_rows = morsel_rows;
+  spec.max_threads = threads;
+  spec.body = &body;
+  spec.cancel = cancel;
+  sched.RunPipeline(spec);
+}
+
+// The shape of PipelineScheduler::Default() on a private pool: one open
+// priority-1 lane of a FairPipelineScheduler.
+class PrivateLane {
+ public:
+  explicit PrivateLane(int workers = 4)
+      : pool_(workers),
+        fair_(&pool_),
+        lane_(fair_.OpenLane(1.0, &lane_token_)),
+        sched_(&fair_, lane_) {}
+  ~PrivateLane() { fair_.CloseLane(lane_); }
+
+  PipelineScheduler& sched() { return sched_; }
+
+ private:
+  ThreadPool pool_;
+  parallel::CancellationToken lane_token_;
+  parallel::FairPipelineScheduler fair_;
+  int lane_;
+  parallel::LaneScheduler sched_;
+};
 
 // ---------- ThreadPool ----------
 
@@ -70,39 +110,34 @@ TEST(ThreadPoolTest, SubmitPropagatesExceptionThroughFuture) {
   ok.get();
 }
 
-TEST(ThreadPoolTest, ParallelForCoversEveryIndexExactlyOnce) {
-  ThreadPool pool(4);
-  const int64_t n = 10000;
-  std::vector<std::atomic<int>> hits(n);
-  pool.ParallelFor(n, [&](int64_t i) { hits[i].fetch_add(1); });
-  for (int64_t i = 0; i < n; ++i) {
-    ASSERT_EQ(hits[i].load(), 1) << "index " << i;
-  }
-}
-
 TEST(ThreadPoolTest, ParallelForRethrowsFirstException) {
-  ThreadPool pool(4);
+  // One-row morsels, the micro kernels' all-core shape: the first failure
+  // reaches the caller.
+  PrivateLane lane;
   std::atomic<int> ran{0};
-  EXPECT_THROW(
-      pool.ParallelFor(1000,
-                       [&](int64_t i) {
-                         ran.fetch_add(1);
-                         if (i == 37) throw std::runtime_error("boom");
-                       }),
-      std::runtime_error);
-  // Pool remains usable afterwards.
-  pool.ParallelFor(100, [&](int64_t) { ran.fetch_add(1); });
-  EXPECT_GE(ran.load(), 100);
+  EXPECT_THROW(RunPipeline(lane.sched(), 1000, 1, 4,
+                           [&](const Morsel& m) {
+                             ran.fetch_add(1);
+                             if (m.index == 37) {
+                               throw std::runtime_error("boom");
+                             }
+                           }),
+               std::runtime_error);
+  // The scheduler and its pool remain usable afterwards.
+  ran.store(0);
+  RunPipeline(lane.sched(), 100, 1, 4,
+              [&](const Morsel&) { ran.fetch_add(1); });
+  EXPECT_EQ(ran.load(), 100);
 }
 
 TEST(ThreadPoolTest, NestedParallelForDoesNotDeadlock) {
   // A worker that fans out again must not wait for a pool slot it is
-  // occupying itself — nested loops run inline on the worker.
-  ThreadPool pool(2);
+  // occupying itself — nested pipelines run inline on the worker.
+  PrivateLane lane(/*workers=*/2);
   std::atomic<int64_t> total{0};
-  pool.ParallelFor(8, [&](int64_t) {
-    EXPECT_TRUE(ThreadPool::OnWorkerThread() || true);
-    pool.ParallelFor(16, [&](int64_t) { total.fetch_add(1); });
+  RunPipeline(lane.sched(), 8, 1, 4, [&](const Morsel&) {
+    RunPipeline(lane.sched(), 16, 1, 4,
+                [&](const Morsel&) { total.fetch_add(1); });
   });
   EXPECT_EQ(total.load(), 8 * 16);
 }
@@ -167,94 +202,67 @@ TEST(SplitMorselsTest, EmptyAndSingle) {
 }
 
 TEST(TaskSchedulerTest, RunMorselsVisitsEachMorselOnce) {
-  TaskScheduler sched(4);
   const int64_t total = 1 << 16;
   const int64_t morsel_rows = 1000;
   const auto expected = SplitMorsels(total, morsel_rows);
   std::vector<std::atomic<int>> seen(expected.size());
   for (int threads : {1, 2, 4, 7}) {
     for (auto& s : seen) s.store(0);
-    sched.RunMorsels(total, morsel_rows, threads, [&](const Morsel& m) {
-      ASSERT_LT(static_cast<size_t>(m.index), expected.size());
-      EXPECT_EQ(m.begin, expected[m.index].begin);
-      EXPECT_EQ(m.end, expected[m.index].end);
-      seen[m.index].fetch_add(1);
-    });
+    RunPipeline(PipelineScheduler::Default(), total, morsel_rows, threads,
+                [&](const Morsel& m) {
+                  ASSERT_LT(static_cast<size_t>(m.index), expected.size());
+                  EXPECT_EQ(m.begin, expected[m.index].begin);
+                  EXPECT_EQ(m.end, expected[m.index].end);
+                  seen[m.index].fetch_add(1);
+                });
     for (size_t i = 0; i < seen.size(); ++i) {
       ASSERT_EQ(seen[i].load(), 1) << "threads=" << threads << " morsel " << i;
     }
   }
 }
 
-// ---------- Task graphs ----------
-
-TEST(TaskSchedulerTest, TaskGraphHonorsDependencies) {
-  TaskScheduler sched(4);
-  // Diamond: 0 -> {1, 2} -> 3.
-  std::atomic<int> order{0};
-  std::vector<int> finished_at(4, -1);
-  std::vector<std::function<void()>> nodes;
-  for (int i = 0; i < 4; ++i) {
-    nodes.push_back([&, i] { finished_at[i] = order.fetch_add(1); });
-  }
-  sched.RunTaskGraph(nodes, {{}, {0}, {0}, {1, 2}});
-  EXPECT_LT(finished_at[0], finished_at[1]);
-  EXPECT_LT(finished_at[0], finished_at[2]);
-  EXPECT_LT(finished_at[1], finished_at[3]);
-  EXPECT_LT(finished_at[2], finished_at[3]);
-}
-
-TEST(TaskSchedulerTest, TaskGraphPropagatesExceptions) {
-  TaskScheduler sched(2);
-  std::vector<std::function<void()>> nodes;
-  nodes.push_back([] {});
-  nodes.push_back([] { throw std::runtime_error("node failed"); });
-  nodes.push_back([] {});
-  EXPECT_THROW(sched.RunTaskGraph(nodes, {{}, {0}, {1}}),
-               std::runtime_error);
-}
-
 // ---------- Cooperative cancellation ----------
 
 TEST(CancellationTest, ParallelForStopsClaimingIterations) {
-  ThreadPool pool(4);
+  PrivateLane lane;
   parallel::CancellationToken cancel;
   std::atomic<int> ran{0};
-  // Cancel from inside the loop: remaining un-claimed iterations are
+  // Cancel from inside the pipeline: remaining un-claimed morsels are
   // skipped, in-flight bodies finish, and the call returns normally.
-  pool.ParallelFor(
-      100000,
-      [&](int64_t i) {
+  RunPipeline(
+      lane.sched(), 100000, 1, 4,
+      [&](const Morsel& m) {
         ran.fetch_add(1);
-        if (i == 10) cancel.Cancel();
+        if (m.index == 10) cancel.Cancel();
       },
-      /*max_workers=*/4, &cancel);
+      &cancel);
   EXPECT_GE(ran.load(), 1);
   EXPECT_LT(ran.load(), 100000);
-  // Pool stays usable; a fresh token runs everything.
+  // The lane stays usable; a fresh token runs everything.
   cancel.Reset();
   ran.store(0);
-  pool.ParallelFor(64, [&](int64_t) { ran.fetch_add(1); }, 4, &cancel);
+  RunPipeline(lane.sched(), 64, 1, 4, [&](const Morsel&) { ran.fetch_add(1); },
+              &cancel);
   EXPECT_EQ(ran.load(), 64);
 }
 
 TEST(CancellationTest, PreCancelledTokenSkipsInlinePathToo) {
-  ThreadPool pool(2);
+  PrivateLane lane(/*workers=*/2);
   parallel::CancellationToken cancel;
   cancel.Cancel();
   std::atomic<int> ran{0};
-  // n == 1 takes the inline path; it must honour the token as well.
-  pool.ParallelFor(1, [&](int64_t) { ran.fetch_add(1); }, 2, &cancel);
-  pool.ParallelFor(1000, [&](int64_t) { ran.fetch_add(1); }, 2, &cancel);
+  const MorselBody count = [&](const Morsel&) { ran.fetch_add(1); };
+  // One morsel takes the inline path; it must honour the token as well.
+  RunPipeline(lane.sched(), 1, 1, 2, count, &cancel);
+  RunPipeline(lane.sched(), 1000, 1, 2, count, &cancel);
   EXPECT_EQ(ran.load(), 0);
 }
 
 TEST(CancellationTest, RunMorselsStopsEarly) {
-  TaskScheduler sched(4);
   parallel::CancellationToken cancel;
   std::atomic<int> ran{0};
-  sched.RunMorsels(
-      1 << 20, 256, 4,
+  RunPipeline(
+      PipelineScheduler::Default(), 1 << 20, 256, 4,
       [&](const Morsel& m) {
         ran.fetch_add(1);
         if (m.index == 3) cancel.Cancel();
@@ -264,46 +272,14 @@ TEST(CancellationTest, RunMorselsStopsEarly) {
   EXPECT_LT(ran.load(), (1 << 20) / 256);
 }
 
-TEST(CancellationTest, RunTaskGraphSkipsAfterCancel) {
-  TaskScheduler sched(2);
-  parallel::CancellationToken cancel;
-  std::atomic<int> ran{0};
-  std::vector<std::function<void()>> nodes;
-  nodes.push_back([&] {
-    ran.fetch_add(1);
-    cancel.Cancel();
-  });
-  for (int i = 0; i < 4; ++i) {
-    nodes.push_back([&] { ran.fetch_add(1); });
-  }
-  // A chain after the cancelling node: successors must be skipped.
-  sched.RunTaskGraph(nodes, {{}, {0}, {1}, {2}, {3}}, &cancel);
-  EXPECT_EQ(ran.load(), 1);
-}
-
 // ---------- Worker exception context ----------
 
-TEST(TaskErrorTest, ParallelForWrapsWithIterationIndex) {
-  ThreadPool pool(4);
-  try {
-    pool.ParallelFor(100, [&](int64_t i) {
-      if (i == 37) throw std::runtime_error("boom");
-    });
-    FAIL() << "expected TaskError";
-  } catch (const parallel::TaskError& e) {
-    EXPECT_NE(std::string(e.what()).find("[parallel-for i=37]"),
-              std::string::npos)
-        << e.what();
-    EXPECT_NE(std::string(e.what()).find("boom"), std::string::npos);
-  }
-}
-
 TEST(TaskErrorTest, RunMorselsWrapsWithOpLabelAndMorselRange) {
-  TaskScheduler sched(4);
   try {
-    sched.RunMorsels(10000, 100, 4, [&](const Morsel& m) {
-      if (m.index == 7) throw std::runtime_error("bad morsel");
-    });
+    RunPipeline(PipelineScheduler::Default(), 10000, 100, 4,
+                [&](const Morsel& m) {
+                  if (m.index == 7) throw std::runtime_error("bad morsel");
+                });
     FAIL() << "expected TaskError";
   } catch (const parallel::TaskError& e) {
     const std::string what = e.what();
@@ -311,34 +287,18 @@ TEST(TaskErrorTest, RunMorselsWrapsWithOpLabelAndMorselRange) {
               std::string::npos)
         << what;
     EXPECT_NE(what.find("bad morsel"), std::string::npos);
-    // Single-wrap: the inner morsel context survives; no outer
-    // parallel-for frame is stacked on top.
-    EXPECT_EQ(what.find("[parallel-for"), std::string::npos) << what;
-  }
-}
-
-TEST(TaskErrorTest, RunTaskGraphWrapsWithNodeIndex) {
-  TaskScheduler sched(2);
-  std::vector<std::function<void()>> nodes;
-  nodes.push_back([] {});
-  nodes.push_back([] { throw std::runtime_error("node failed"); });
-  try {
-    sched.RunTaskGraph(nodes, {{}, {0}});
-    FAIL() << "expected TaskError";
-  } catch (const parallel::TaskError& e) {
-    EXPECT_NE(std::string(e.what()).find("[graph node 1]"),
-              std::string::npos)
-        << e.what();
-    EXPECT_NE(std::string(e.what()).find("node failed"), std::string::npos);
+    // Single-wrap: exactly one context frame, the morsel's.
+    EXPECT_EQ(what.find('['), what.rfind('[')) << what;
   }
 }
 
 TEST(TaskErrorTest, IsARuntimeErrorForExistingCallers) {
   // Call sites that catch std::runtime_error keep working unchanged.
-  ThreadPool pool(2);
-  EXPECT_THROW(
-      pool.ParallelFor(100, [](int64_t) { throw std::runtime_error("x"); }),
-      std::runtime_error);
+  const MorselBody fail = [](const Morsel&) {
+    throw std::runtime_error("x");
+  };
+  EXPECT_THROW(RunPipeline(PipelineScheduler::Default(), 100, 1, 2, fail),
+               std::runtime_error);
 }
 
 // ---------- Operator equivalence: 1 thread vs many ----------

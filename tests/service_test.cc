@@ -20,8 +20,8 @@
 #include "obs/flight/flight_recorder.h"
 #include "obs/flight/slow_query_log.h"
 #include "obs/metrics.h"
+#include "parallel/fair_scheduler.h"
 #include "service/admission.h"
-#include "service/fair_scheduler.h"
 #include "service/query_service.h"
 #include "tpch/dbgen.h"
 #include "tpch/queries.h"
@@ -266,7 +266,7 @@ TEST(QueryServiceTest, TimeoutFiresDeadlineExceeded) {
 // high-priority lane's pass trails the low-priority one for the same work.
 TEST(FairPipelineSchedulerTest, StrideAccountsPassByPriority) {
   parallel::ThreadPool pool(2);
-  service::FairPipelineScheduler sched(&pool);
+  parallel::FairPipelineScheduler sched(&pool);
   parallel::CancellationToken c1, c2;
   const int lane1 = sched.OpenLane(1.0, &c1);
   const int lane2 = sched.OpenLane(2.0, &c2);
@@ -286,15 +286,44 @@ TEST(FairPipelineSchedulerTest, StrideAccountsPassByPriority) {
   EXPECT_EQ(count.load(), 16);
 
   const auto passes = sched.LanePassesForTest();
-  EXPECT_DOUBLE_EQ(passes.at(lane1), 8 * service::kStrideBase);
-  EXPECT_DOUBLE_EQ(passes.at(lane2), 8 * service::kStrideBase / 2.0);
+  EXPECT_DOUBLE_EQ(passes.at(lane1), 8 * parallel::kStrideBase);
+  EXPECT_DOUBLE_EQ(passes.at(lane2), 8 * parallel::kStrideBase / 2.0);
 
-  service::LaneUsage usage;
+  parallel::LaneUsage usage;
   sched.CloseLane(lane1, &usage);
   EXPECT_EQ(usage.pipelines, 1);
   EXPECT_EQ(usage.tasks, 8);
   EXPECT_EQ(usage.rows, 8 * 64);
   sched.CloseLane(lane2);
+}
+
+// spec.cancel is honoured on its own: a pipeline token other than the
+// lane's stops the pipeline's unclaimed morsels on the parallel path, the
+// call returns normally, and the lane itself stays live.
+TEST(FairPipelineSchedulerTest, PipelineTokenSkipsUnclaimedMorsels) {
+  parallel::ThreadPool pool(4);
+  parallel::FairPipelineScheduler sched(&pool);
+  parallel::CancellationToken lane_token, pipeline_token;
+  const int lane = sched.OpenLane(1.0, &lane_token);
+
+  constexpr int kMorsels = 4096;
+  std::atomic<int> ran{0};
+  const std::function<void(const parallel::Morsel&)> body =
+      [&](const parallel::Morsel& m) {
+        ran.fetch_add(1);
+        if (m.index == 3) pipeline_token.Cancel();
+      };
+  parallel::PipelineSpec spec;
+  spec.total_rows = kMorsels;
+  spec.morsel_rows = 1;
+  spec.max_threads = 4;
+  spec.body = &body;
+  spec.cancel = &pipeline_token;
+  sched.RunPipeline(lane, spec);
+  EXPECT_GE(ran.load(), 4);
+  EXPECT_LT(ran.load(), kMorsels);
+  EXPECT_FALSE(lane_token.cancelled());
+  sched.CloseLane(lane);
 }
 
 TEST(AdmissionControllerTest, ReserveReleaseAndFitsBudget) {

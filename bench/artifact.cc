@@ -9,6 +9,7 @@
 #include <sstream>
 #include <thread>
 
+#include "common/file_util.h"
 #include "common/json.h"
 #include "obs/perf_counters.h"
 
@@ -91,17 +92,9 @@ bool WriteArtifact(const std::string& path, const RunArtifact& a) {
   }
   w.EndObject().EndObject();
 
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "[bench] cannot write artifact %s\n", path.c_str());
-    return false;
-  }
-  const std::string& json = w.str();
-  const size_t written = std::fwrite(json.data(), 1, json.size(), f);
-  std::fputc('\n', f);
-  std::fclose(f);
-  if (written != json.size()) {
-    std::fprintf(stderr, "[bench] short write to %s\n", path.c_str());
+  std::string error;
+  if (!WriteTextFile(path, w.str() + "\n", &error)) {
+    std::fprintf(stderr, "[bench] artifact: %s\n", error.c_str());
     return false;
   }
   std::fprintf(stderr, "[bench] wrote artifact %s\n", path.c_str());

@@ -13,7 +13,6 @@
 #include "common/cli.h"
 #include "common/file_util.h"
 #include "common/table_printer.h"
-#include "obs/export/event_log.h"
 #include "obs/trace.h"
 #include "paper_data.h"
 
@@ -28,13 +27,11 @@ int main(int argc, char** argv) {
   // Output paths are validated before any work happens: a typo'd directory
   // should fail in milliseconds, not after the whole benchmark.
   const std::string trace_path = cli.GetString("trace", "");
-  const std::string events_path = cli.GetString("events", "");
-  for (const std::string& path : {trace_path, events_path}) {
-    std::string path_error;
-    if (!path.empty() && !wimpi::ValidateWritablePath(path, &path_error)) {
-      std::fprintf(stderr, "[bench] %s\n", path_error.c_str());
-      return 1;
-    }
+  std::string path_error;
+  if (!trace_path.empty() &&
+      !wimpi::ValidateWritablePath(trace_path, &path_error)) {
+    std::fprintf(stderr, "[bench] %s\n", path_error.c_str());
+    return 1;
   }
 
   const wimpi::engine::Database db = LoadDb(physical_sf);
@@ -139,24 +136,20 @@ int main(int argc, char** argv) {
   // seed-derived fault plan. Answers stay bit-identical to the clean run;
   // only modeled time and the recovery counters change. ---
   const uint64_t fault_seed = static_cast<uint64_t>(cli.GetInt("faults", 0));
-  if ((!trace_path.empty() || !events_path.empty()) && fault_seed == 0) {
+  if (!trace_path.empty() && fault_seed == 0) {
     std::fprintf(stderr,
-                 "[bench] --trace/--events export the degraded-mode "
-                 "timeline; pass --faults <seed> as well\n");
+                 "[bench] --trace exports the degraded-mode timeline; pass "
+                 "--faults <seed> as well\n");
     return 1;
   }
   std::map<int, wimpi::cluster::DistributedRun> fault_runs;
   if (fault_seed != 0) {
-    // Telemetry export (--trace/--events): the degraded-mode runs record
-    // span trees and structured events; results and modeled times are
-    // bit-identical either way.
+    // Telemetry export (--trace): the degraded-mode runs record span
+    // trees; results and modeled times are bit-identical either way. A
+    // path ending in ".jsonl" gets one event per line instead.
     if (!trace_path.empty()) {
       wimpi::obs::TraceSink::Global().Clear();
       wimpi::obs::TraceSink::Global().set_enabled(true);
-    }
-    if (!events_path.empty()) {
-      wimpi::obs::EventLog::Global().Clear();
-      wimpi::obs::EventLog::Global().set_enabled(true);
     }
     wimpi::cluster::ClusterOptions fopts;
     fopts.num_nodes = 24;
@@ -188,12 +181,6 @@ int main(int argc, char** argv) {
       wimpi::obs::TraceSink::Global().set_enabled(false);
       if (!wimpi::obs::TraceSink::Global().WriteFile(trace_path)) return 1;
       std::fprintf(stderr, "[bench] wrote trace %s\n", trace_path.c_str());
-    }
-    if (!events_path.empty()) {
-      wimpi::obs::EventLog::Global().set_enabled(false);
-      if (!wimpi::obs::EventLog::Global().WriteFile(events_path)) return 1;
-      std::fprintf(stderr, "[bench] wrote event log %s\n",
-                   events_path.c_str());
     }
   }
 

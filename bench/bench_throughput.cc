@@ -39,6 +39,7 @@
 
 #include "bench_util.h"
 #include "common/cli.h"
+#include "common/file_util.h"
 #include "common/table_printer.h"
 #include "engine/executor.h"
 #include "obs/export/exposition.h"
@@ -260,13 +261,10 @@ int main(int argc, char** argv) {
     return 1;
   }
   if (!expo_path.empty()) {
-    const std::string text = wimpi::obs::ExpositionFormat::WriteGlobal();
-    std::FILE* f = std::fopen(expo_path.c_str(), "w");
-    if (f == nullptr ||
-        std::fwrite(text.data(), 1, text.size(), f) != text.size() ||
-        std::fclose(f) != 0) {
-      std::fprintf(stderr, "FAIL: cannot write exposition %s\n",
-                   expo_path.c_str());
+    std::string error;
+    if (!wimpi::WriteTextFile(
+            expo_path, wimpi::obs::ExpositionFormat::WriteGlobal(), &error)) {
+      std::fprintf(stderr, "FAIL: exposition: %s\n", error.c_str());
       return 1;
     }
   }

@@ -20,13 +20,13 @@
 // fails the bench (the test suite enforces the same at SF 0.01).
 #include <cstdint>
 #include <cstdio>
-#include <fstream>
 #include <map>
 #include <string>
 #include <vector>
 
 #include "bench_util.h"
 #include "common/cli.h"
+#include "common/file_util.h"
 #include "common/json.h"
 #include "common/table_printer.h"
 #include "engine/executor.h"
@@ -226,11 +226,7 @@ int main(int argc, char** argv) {
 
   // ---- Dump for wimpi_timeline_check ----
   if (!dump_path.empty()) {
-    std::ofstream out(dump_path, std::ios::trunc);
-    if (!out.is_open()) {
-      std::fprintf(stderr, "FAIL: cannot write %s\n", dump_path.c_str());
-      return 1;
-    }
+    std::string out;
     {
       wimpi::JsonWriter w;
       w.BeginObject()
@@ -241,7 +237,8 @@ int main(int argc, char** argv) {
           .Key("peak_gbps").Double(host_spec.peak_gbps)
           .Key("saturation_gbps").Double(host_spec.saturation_gbps)
           .EndObject();
-      out << w.str() << '\n';
+      out += w.str();
+      out += '\n';
     }
     for (const int q : queries) {
       wimpi::JsonWriter w;
@@ -272,9 +269,15 @@ int main(int argc, char** argv) {
         w.Key("measured").String("unknown");
       }
       w.EndObject();
-      out << w.str() << '\n';
+      out += w.str();
+      out += '\n';
       const auto sit = slices.find(q);
-      if (sit != slices.end()) out << sit->second.ToJsonl();
+      if (sit != slices.end()) out += sit->second.ToJsonl();
+    }
+    std::string error;
+    if (!wimpi::WriteTextFile(dump_path, out, &error)) {
+      std::fprintf(stderr, "FAIL: %s\n", error.c_str());
+      return 1;
     }
   }
 

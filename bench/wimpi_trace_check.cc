@@ -1,17 +1,44 @@
-// Validates an exported distributed trace (and optionally an event log):
-// the CI smoke gate behind `bench_table3_sf10 --trace/--events` and
-// `bench_chaos --trace`. Checks that the JSON parses, that every span's
-// parent resolves inside the same trace, that retry attempts chain to the
-// attempt they retried, that every flow arrow has both ends, and that each
-// event-log line is valid JSON. Fine-grained recovery traces get three
-// more causality checks: every cluster.steal instant must hang off the
-// thief's stolen segment (or its partition span), every steal instant must
-// have a matching victim->thief flow arrow, and per partition the
-// cluster.ckpt "morsels" args must sum to the partition span's morsel
-// count — the trace-level form of the checkpoint invariant (every morsel
-// acknowledged exactly once). Exits nonzero with a message on the first
-// structural problem, so a refactor that silently drops spans or breaks
-// causality fails the build.
+// Validates an exported Chrome trace: the CI gate behind the traced
+// cluster runs and the flight-recorder dumps. The first argument names
+// what the trace must contain, and each mode fails on a trace of the
+// other kind (a cluster trace has no flight.query spans, a flight dump
+// no cluster.attempt spans).
+//
+//   wimpi_trace_check cluster <trace.json>
+//
+// A distributed cluster trace (`bench_table3_sf10 --trace`, `bench_chaos
+// --trace`): every span's parent resolves inside the same trace, retry
+// attempts chain to the attempt they retried, and every flow arrow has
+// both ends. Fine-grained recovery traces get three more causality
+// checks: every cluster.steal instant must hang off the thief's stolen
+// segment (or its partition span), every steal instant must have a
+// matching victim->thief flow arrow, and per partition the cluster.ckpt
+// "morsels" args must sum to the partition span's morsel count — the
+// trace-level form of the checkpoint invariant (every morsel acknowledged
+// exactly once).
+//
+//   wimpi_trace_check flight <dump.json> [--slow-log <path>]
+//                     [--expo <path>] [--min-slow N]
+//
+// A flight-recorder dump (`bench_throughput --flight-dump`):
+//   * it contains at least one flight.query span, on the query-lane pid;
+//   * per query, lifecycle instants are causally ordered
+//     (submit <= admit <= finish) and fall inside that query's span;
+//   * flight.pipeline spans nest inside their query's span window.
+// Checks on the slow-query log (--slow-log):
+//   * every line is JSON with the full resource-report key set;
+//   * wall >= queue wait, cpu == driver + worker cpu, and total CPU time
+//     never exceeds threads x wall (with slack for clock granularity);
+//   * at least one slow query's id also appears in the dump (each trigger
+//     writes its own dump file — the base path, then ".1", ".2", ... —
+//     and only the base path is checked here, so later slow queries may
+//     live in sibling dumps; but the checked dump must cover its trigger);
+//   * at least --min-slow entries (straggler injection must be visible).
+// Checks on the exposition (--expo): parses via ExpositionFormat with
+// HELP/TYPE metadata, and slo.* burn-rate/attainment samples are present.
+//
+// Exits nonzero with a [trace-check] message on the first violation, so a
+// refactor that silently drops spans or breaks causality fails the build.
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -24,10 +51,50 @@
 
 #include "common/cli.h"
 #include "common/json.h"
+#include "obs/export/exposition.h"
+#include "obs/trace.h"
 
 namespace {
 
 using wimpi::JsonValue;
+
+// Tolerance for lifecycle instants vs the query span they belong to: the
+// span and its events are stamped by different NowMicros() calls.
+constexpr double kWindowSlackUs = 2000;
+// CPU time vs threads x wall slack: CLOCK_THREAD_CPUTIME_ID granularity
+// plus scheduler noise on loaded hosts.
+constexpr double kCpuSlack = 1.25;
+
+bool Fail(const std::string& msg) {
+  std::fprintf(stderr, "[trace-check] FAIL: %s\n", msg.c_str());
+  return false;
+}
+
+bool ReadText(const std::string& path, std::string* text) {
+  std::ifstream in(path);
+  if (!in) return Fail("cannot read " + path);
+  std::ostringstream buf;
+  buf << in.rdbuf();
+  *text = buf.str();
+  return true;
+}
+
+// Parses the Chrome trace at `path` into *doc and returns its traceEvents
+// array, or nullptr (after Fail) when it cannot.
+const JsonValue* LoadTraceEvents(const std::string& path, JsonValue* doc) {
+  std::string text, error;
+  if (!ReadText(path, &text)) return nullptr;
+  if (!JsonValue::Parse(text, doc, &error)) {
+    Fail(path + " does not parse: " + error);
+    return nullptr;
+  }
+  const JsonValue* events = doc->Find("traceEvents");
+  if (events == nullptr || !events->is_array()) {
+    Fail(path + " has no traceEvents array");
+    return nullptr;
+  }
+  return events;
+}
 
 uint64_t HexField(const JsonValue& args, const char* key) {
   const JsonValue* v = args.Find(key);
@@ -35,26 +102,10 @@ uint64_t HexField(const JsonValue& args, const char* key) {
   return std::strtoull(v->AsString().c_str(), nullptr, 16);
 }
 
-bool Fail(const std::string& msg) {
-  std::fprintf(stderr, "[trace-check] FAIL: %s\n", msg.c_str());
-  return false;
-}
-
-bool CheckTrace(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) return Fail("cannot read " + path);
-  std::ostringstream text;
-  text << in.rdbuf();
-
+bool CheckClusterTrace(const std::string& path) {
   JsonValue doc;
-  std::string error;
-  if (!JsonValue::Parse(text.str(), &doc, &error)) {
-    return Fail(path + " does not parse: " + error);
-  }
-  const JsonValue* events = doc.Find("traceEvents");
-  if (events == nullptr || !events->is_array()) {
-    return Fail(path + " has no traceEvents array");
-  }
+  const JsonValue* events = LoadTraceEvents(path, &doc);
+  if (events == nullptr) return false;
 
   // Everything the fine-grained causality checks need about one span.
   struct SpanInfo {
@@ -215,11 +266,124 @@ bool CheckTrace(const std::string& path) {
   return true;
 }
 
-bool CheckEventLog(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) return Fail("cannot read " + path);
+struct QueryWindow {
+  double start_us = 0;
+  double end_us = 0;
+  bool has_span = false;
+  double submit_us = -1;
+  double admit_us = -1;
+  double finish_us = -1;
+};
+
+bool CheckFlightDump(const std::string& path,
+                     std::set<int64_t>* dumped_queries) {
+  JsonValue doc;
+  const JsonValue* events = LoadTraceEvents(path, &doc);
+  if (events == nullptr) return false;
+
+  // Pass 1: query spans establish each query's [submit, finish] window.
+  std::map<int64_t, QueryWindow> windows;
+  int query_spans = 0, pipeline_spans = 0, instants = 0;
+  for (const JsonValue& e : events->AsArray()) {
+    if (!e.is_object()) return Fail("non-object trace event");
+    if (e.GetString("cat", "") != "flight.query") continue;
+    if (e.GetString("ph", "") != "X") continue;
+    const JsonValue* args = e.Find("args");
+    if (args == nullptr) return Fail("flight.query span without args");
+    const int64_t q = static_cast<int64_t>(args->GetDouble("query", -1));
+    if (q < 0) return Fail("flight.query span without query id");
+    if (e.GetDouble("pid", 0) != wimpi::obs::kTracePidQueryLanes) {
+      return Fail("flight.query span of query " + std::to_string(q) +
+                  " is not on the query-lane pid");
+    }
+    QueryWindow& w = windows[q];
+    w.start_us = e.GetDouble("ts", 0);
+    w.end_us = w.start_us + e.GetDouble("dur", 0);
+    w.has_span = true;
+    ++query_spans;
+    dumped_queries->insert(q);
+  }
+  if (query_spans == 0) return Fail(path + " contains no flight.query spans");
+
+  // Pass 2: instants and pipeline spans against their query's window.
+  for (const JsonValue& e : events->AsArray()) {
+    const std::string cat = e.GetString("cat", "");
+    const JsonValue* args = e.Find("args");
+    const int64_t q =
+        args != nullptr ? static_cast<int64_t>(args->GetDouble("query", 0))
+                        : 0;
+    if (q > 0) dumped_queries->insert(q);
+    if (cat == "flight.event") {
+      ++instants;
+      const auto it = windows.find(q);
+      // Events for queries whose span fell outside the dump window (e.g.
+      // still running at dump time) have nothing to check against.
+      if (it == windows.end() || !it->second.has_span) continue;
+      const double ts = e.GetDouble("ts", 0);
+      QueryWindow& w = it->second;
+      const std::string name = e.GetString("name", "");
+      // Lifecycle events must fall inside the span they define.
+      if (name == "query.submit" || name == "query.admit" ||
+          name == "query.finish" || name == "queue.enter" ||
+          name == "morsel.batch" || name == "pipeline.start" ||
+          name == "pipeline.end") {
+        if (ts < w.start_us - kWindowSlackUs ||
+            ts > w.end_us + kWindowSlackUs) {
+          return Fail("event '" + name + "' of query " + std::to_string(q) +
+                      " at ts " + std::to_string(ts) +
+                      " outside its span [" + std::to_string(w.start_us) +
+                      ", " + std::to_string(w.end_us) + "]");
+        }
+      }
+      if (name == "query.submit") w.submit_us = ts;
+      if (name == "query.admit") w.admit_us = ts;
+      if (name == "query.finish" || name == "query.reject" ||
+          name == "query.cancel_queued") {
+        w.finish_us = ts;
+      }
+    } else if (cat == "flight.pipeline" && e.GetString("ph", "") == "X") {
+      ++pipeline_spans;
+      const auto it = windows.find(q);
+      if (it == windows.end() || !it->second.has_span) continue;
+      const double ts = e.GetDouble("ts", 0);
+      const double end = ts + e.GetDouble("dur", 0);
+      if (ts < it->second.start_us - kWindowSlackUs ||
+          end > it->second.end_us + kWindowSlackUs) {
+        return Fail("pipeline span of query " + std::to_string(q) +
+                    " escapes its query span");
+      }
+    }
+  }
+
+  // Causal order per query: submit <= admit <= finish for every query
+  // whose lifecycle is fully inside the dump.
+  for (const auto& [q, w] : windows) {
+    if (w.submit_us >= 0 && w.admit_us >= 0 && w.admit_us < w.submit_us) {
+      return Fail("query " + std::to_string(q) + " admitted before submit");
+    }
+    if (w.admit_us >= 0 && w.finish_us >= 0 && w.finish_us < w.admit_us) {
+      return Fail("query " + std::to_string(q) + " finished before admit");
+    }
+    if (w.submit_us >= 0 && w.finish_us >= 0 && w.finish_us < w.submit_us) {
+      return Fail("query " + std::to_string(q) + " finished before submit");
+    }
+  }
+
+  std::fprintf(stderr,
+               "[trace-check] %s OK: %d query span(s), %d pipeline "
+               "span(s), %d instant(s)\n",
+               path.c_str(), query_spans, pipeline_spans, instants);
+  return true;
+}
+
+bool CheckSlowLog(const std::string& path, int min_slow,
+                  const std::set<int64_t>& dumped_queries) {
+  std::string text;
+  if (!ReadText(path, &text)) return false;
+  std::istringstream in(text);
   std::string line;
   int n = 0;
+  int in_dump = 0;
   while (std::getline(in, line)) {
     if (line.empty()) continue;
     ++n;
@@ -229,15 +393,89 @@ bool CheckEventLog(const std::string& path) {
       return Fail(path + " line " + std::to_string(n) +
                   " does not parse: " + error);
     }
-    for (const char* key : {"ts_us", "level", "component", "event"}) {
+    for (const char* key :
+         {"ts_us", "query", "label", "status", "trigger", "wall_us",
+          "queue_wait_us", "exec_us", "cpu_us", "driver_cpu_us",
+          "worker_cpu_us", "pipelines", "tasks", "rows", "threads"}) {
       if (doc.Find(key) == nullptr) {
         return Fail(path + " line " + std::to_string(n) + " misses '" +
                     std::string(key) + "'");
       }
     }
+    const double wall = doc.GetDouble("wall_us", 0);
+    const double queue_wait = doc.GetDouble("queue_wait_us", 0);
+    const double cpu = doc.GetDouble("cpu_us", 0);
+    const double driver = doc.GetDouble("driver_cpu_us", 0);
+    const double worker = doc.GetDouble("worker_cpu_us", 0);
+    const double threads = doc.GetDouble("threads", 1);
+    if (queue_wait > wall) {
+      return Fail(path + " line " + std::to_string(n) +
+                  ": queue wait exceeds wall time");
+    }
+    if (cpu != driver + worker) {
+      return Fail(path + " line " + std::to_string(n) +
+                  ": cpu_us != driver_cpu_us + worker_cpu_us");
+    }
+    // A query cannot burn more CPU than all its threads running for its
+    // whole wall time (the accounting would be double-counting).
+    if (cpu > threads * wall * kCpuSlack + 1000) {
+      return Fail(path + " line " + std::to_string(n) + ": cpu " +
+                  std::to_string(cpu) + "us exceeds " +
+                  std::to_string(threads) + " threads x wall " +
+                  std::to_string(wall) + "us");
+    }
+    const int64_t q = static_cast<int64_t>(doc.GetDouble("query", 0));
+    if (dumped_queries.count(q) != 0) ++in_dump;
   }
-  if (n == 0) return Fail(path + " is empty");
-  std::fprintf(stderr, "[trace-check] %s OK: %d event(s)\n", path.c_str(), n);
+  // Each trigger writes its own dump (base path, then ".1", ".2", ...);
+  // only the base dump was parsed, so later slow queries may live in
+  // sibling dumps — but at least one entry must appear in the checked
+  // dump (a dump containing none of them means the trigger dumped the
+  // wrong window).
+  if (n > 0 && in_dump == 0) {
+    return Fail("no slow query has events in the flight dump");
+  }
+  if (n < min_slow) {
+    return Fail(path + " has " + std::to_string(n) + " entr(ies), expected " +
+                std::to_string(min_slow) + "+");
+  }
+  std::fprintf(stderr, "[trace-check] %s OK: %d slow quer(ies)\n",
+               path.c_str(), n);
+  return true;
+}
+
+bool CheckExposition(const std::string& path) {
+  std::string text;
+  if (!ReadText(path, &text)) return false;
+
+  std::vector<wimpi::obs::ExpositionSample> samples;
+  std::map<std::string, wimpi::obs::ExpositionMeta> meta;
+  std::string error;
+  if (!wimpi::obs::ExpositionFormat::Parse(text, &samples, &meta,
+                                           &error)) {
+    return Fail(path + " does not parse: " + error);
+  }
+  int slo = 0, helped = 0;
+  bool burn = false, attain = false;
+  for (const auto& s : samples) {
+    if (s.name.rfind("wimpi_slo_", 0) == 0) {
+      ++slo;
+      if (s.name.find("burn_rate") != std::string::npos) burn = true;
+      if (s.name.find("attainment") != std::string::npos) attain = true;
+    }
+  }
+  for (const auto& [name, m] : meta) {
+    (void)name;
+    if (!m.help.empty() && !m.type.empty()) ++helped;
+  }
+  if (slo == 0) return Fail(path + " has no slo.* samples");
+  if (!burn) return Fail(path + " has no SLO burn-rate sample");
+  if (!attain) return Fail(path + " has no SLO attainment sample");
+  if (helped == 0) return Fail(path + " has no HELP/TYPE metadata");
+  std::fprintf(stderr,
+               "[trace-check] %s OK: %zu sample(s), %d slo sample(s), "
+               "%d documented famil(ies)\n",
+               path.c_str(), samples.size(), slo, helped);
   return true;
 }
 
@@ -245,15 +483,25 @@ bool CheckEventLog(const std::string& path) {
 
 int main(int argc, char** argv) {
   const wimpi::CommandLine cli(argc, argv);
-  if (cli.positional().empty()) {
-    std::fprintf(stderr,
-                 "usage: wimpi_trace_check <trace.json> [--events <path>]\n");
-    return 2;
+  const std::vector<std::string>& args = cli.positional();
+  const std::string mode = args.size() == 2 ? args[0] : "";
+  if (mode == "cluster") return CheckClusterTrace(args[1]) ? 0 : 1;
+  if (mode == "flight") {
+    const std::string slow_path = cli.GetString("slow-log", "");
+    const std::string expo_path = cli.GetString("expo", "");
+    const int min_slow = static_cast<int>(cli.GetInt("min-slow", 1));
+    std::set<int64_t> dumped_queries;
+    if (!CheckFlightDump(args[1], &dumped_queries)) return 1;
+    if (!slow_path.empty() &&
+        !CheckSlowLog(slow_path, min_slow, dumped_queries)) {
+      return 1;
+    }
+    if (!expo_path.empty() && !CheckExposition(expo_path)) return 1;
+    return 0;
   }
-  const std::string trace_path = cli.positional()[0];
-  const std::string events_path = cli.GetString("events", "");
-
-  if (!CheckTrace(trace_path)) return 1;
-  if (!events_path.empty() && !CheckEventLog(events_path)) return 1;
-  return 0;
+  std::fprintf(stderr,
+               "usage: wimpi_trace_check cluster <trace.json>\n"
+               "       wimpi_trace_check flight <dump.json> "
+               "[--slow-log <path>] [--expo <path>] [--min-slow N]\n");
+  return 2;
 }

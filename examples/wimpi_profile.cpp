@@ -62,15 +62,11 @@
 
 namespace {
 
-bool WriteTextFile(const std::string& path, const std::string& text) {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "cannot write %s\n", path.c_str());
-    return false;
-  }
-  std::fwrite(text.data(), 1, text.size(), f);
-  std::fclose(f);
-  return true;
+bool WriteOutput(const std::string& path, const std::string& text) {
+  std::string error;
+  if (wimpi::WriteTextFile(path, text, &error)) return true;
+  std::fprintf(stderr, "%s\n", error.c_str());
+  return false;
 }
 
 // One sparkline row: `values` bucketed onto a pure-ASCII intensity ramp
@@ -327,12 +323,12 @@ int main(int argc, char** argv) {
                 wimpi::obs::ExpositionFormat::WriteGlobal().c_str());
   }
   if (!prom_path.empty()) {
-    if (!WriteTextFile(prom_path, wimpi::obs::ExpositionFormat::WriteGlobal()))
+    if (!WriteOutput(prom_path, wimpi::obs::ExpositionFormat::WriteGlobal()))
       return 1;
     std::printf("\nWrote Prometheus exposition to %s\n", prom_path.c_str());
   }
   if (!json_path.empty()) {
-    if (!WriteTextFile(json_path, "{\"queries\":{" + profiles_json + "}}\n"))
+    if (!WriteOutput(json_path, "{\"queries\":{" + profiles_json + "}}\n"))
       return 1;
     std::printf("\nWrote profile JSON to %s\n", json_path.c_str());
   }
@@ -352,7 +348,7 @@ int main(int argc, char** argv) {
       out += '\n';
       out += qtl.ToJsonl();
     }
-    if (!WriteTextFile(timeline_json, out)) return 1;
+    if (!WriteOutput(timeline_json, out)) return 1;
     std::printf("\nWrote timeline JSONL for %zu quer(ies) to %s\n",
                 timelines.size(), timeline_json.c_str());
   }

@@ -27,8 +27,8 @@
 //                        [--slo-us 250000]
 //
 // The service view also renders the always-on telemetry (ISSUE #7): SLO
-// attainment/burn-rate per priority class, flight-recorder totals, the
-// eventlog.dropped counter, and the tail of the slow-query log.
+// attainment/burn-rate per priority class, flight-recorder totals, and
+// the tail of the slow-query log.
 #include <atomic>
 #include <chrono>
 #include <cstdint>
@@ -154,19 +154,16 @@ int RunServiceTop(const wimpi::CommandLine& cli) {
       slo_t.Print(std::cout);
     }
 
-    // Flight recorder + structured-log health, from the same registry a
-    // scraper would read.
+    // Flight recorder health, from the same registry a scraper would read.
     const auto& rec = wimpi::obs::flight::FlightRecorder::Global();
     std::printf(
         "flight: %s, %lld events in %zu ring(s) (%lld overwritten) | "
-        "triggers: latency %.0f, status %.0f, fault %.0f | dumps %.0f | "
-        "eventlog dropped %.0f\n",
+        "triggers: latency %.0f, status %.0f, fault %.0f | dumps %.0f\n",
         rec.enabled() ? "on" : "off",
         static_cast<long long>(rec.TotalRecorded()), rec.ring_count(),
         static_cast<long long>(rec.TotalDropped()),
         scalar("flight.trigger.latency"), scalar("flight.trigger.status"),
-        scalar("flight.trigger.fault"), scalar("flight.dumps"),
-        scalar("eventlog.dropped"));
+        scalar("flight.trigger.fault"), scalar("flight.dumps"));
 
     // Tail of the slow-query log: the most recent triggered queries.
     const auto slow = wimpi::obs::flight::SlowQueryLog::Global().Snapshot();

@@ -31,8 +31,8 @@ export TSAN_OPTIONS="halt_on_error=1 ${TSAN_OPTIONS:-}"
 # worker threads would surface here (profiled runs at every thread count).
 "${build_dir}/tests/obs_test"
 "${build_dir}/tests/obs_queries_test"
-# Telemetry export: distributed-trace emission, the event-log ring, and
-# the exposition writer against traced fault-injected cluster runs.
+# Telemetry export: distributed-trace emission and the exposition writer
+# against traced fault-injected cluster runs.
 "${build_dir}/tests/obs_export_test"
 # Perf-counter attach/detach around worker threads, and the MemoryTracker
 # concurrent used/peak accounting.

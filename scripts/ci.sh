@@ -3,12 +3,12 @@
 # artifact-regression stage (modeled runtimes gated against the committed
 # baseline), a fault-injection smoke run under a fixed seed (degraded-mode
 # runtimes and recovery counters gated the same way), a traced run of the
-# same fault scenario structurally validated by wimpi_trace_check, a
-# concurrent-streams throughput smoke (answer identity + admission
-# invariants gated against the committed baseline), a flight-recorder
-# stage (tight SLO + injected straggler must produce a structurally valid
-# flight dump / slow-query log / exposition, and recording must not move
-# mean latency), a plan-quality stage (all 22 queries with statistics
+# same fault scenario structurally validated by `wimpi_trace_check
+# cluster`, a concurrent-streams throughput smoke (answer identity +
+# admission invariants gated against the committed baseline), a
+# flight-recorder stage (tight SLO + injected straggler must produce a
+# flight dump / slow-query log / exposition that pass `wimpi_trace_check
+# flight`, and recording must not move mean latency), a plan-quality stage (all 22 queries with statistics
 # collected + cardinality capture on: answers must stay bit-identical,
 # sketch accuracy and Q-error residuals validated by wimpi_stats_check
 # and gated against the committed baseline), a chaos-soak stage (hundreds
@@ -16,13 +16,13 @@
 # recovery: answers must stay bit-identical, every recovery mechanism must
 # be exercised, the fine-grained tail must dominate retry-only, counters
 # gated against the committed baseline, one traced scenario validated by
-# wimpi_trace_check), a roofline-timeline stage (all 22 queries with the
-# sampler attached: answers bit-identical, modeled bound-class rows gated
-# against the committed baseline, sampling must not move mean latency, and
-# the dump must pass wimpi_timeline_check), then the sanitizer passes
-# (TSan over the parallel + service + observability + fault + stats +
-# timeline tests, ASan over everything). Each stage fails the script on
-# the first error.
+# `wimpi_trace_check cluster`), a roofline-timeline stage (all 22 queries
+# with the sampler attached: answers bit-identical, modeled bound-class
+# rows gated against the committed baseline, sampling must not move mean
+# latency, and the dump must pass wimpi_timeline_check), then the
+# sanitizer passes (TSan over the parallel + service + observability +
+# fault + stats + timeline tests, ASan over everything). Each stage fails
+# the script on the first error.
 #
 # Usage: scripts/ci.sh [build-dir]   (default: build)
 #   WIMPI_CI_SKIP_SANITIZERS=1 scripts/ci.sh   # skip TSan/ASan stages
@@ -64,16 +64,13 @@ if [[ "${WIMPI_CI_SKIP_BENCH:-0}" != "1" ]]; then
   echo "=== [4/11] traced fault run + trace structure gate ==="
   # Re-run the same fault scenario with telemetry on and validate the
   # export: one coherent span tree (every retry parented to the attempt it
-  # retried, every fault flow-linked to the retry it caused) and a
-  # parseable event log. Catches refactors that silently drop spans or
-  # break causality without failing any unit test.
+  # retried, every fault flow-linked to the retry it caused). Catches
+  # refactors that silently drop spans or break causality without failing
+  # any unit test.
   trace_file="${build_dir}/BENCH_table3_faults.trace.json"
-  events_file="${build_dir}/BENCH_table3_faults.events.jsonl"
   WIMPI_PERF_DISABLE=1 "${build_dir}/bench/bench_table3_sf10" \
-    --physical-sf 0.01 --faults 42 \
-    --trace "${trace_file}" --events "${events_file}" > /dev/null
-  "${build_dir}/bench/wimpi_trace_check" "${trace_file}" \
-    --events "${events_file}"
+    --physical-sf 0.01 --faults 42 --trace "${trace_file}" > /dev/null
+  "${build_dir}/bench/wimpi_trace_check" cluster "${trace_file}"
 
   echo "=== [5/11] throughput smoke + regression gate ==="
   # Concurrent streams through the query service: the bench itself exits
@@ -92,7 +89,7 @@ if [[ "${WIMPI_CI_SKIP_BENCH:-0}" != "1" ]]; then
   # Run the throughput bench with a deliberately tight SLO and one injected
   # straggler query per lap: every lap must trip a tail-based trigger, so
   # the run must leave behind flight dumps (base path + ".1", ...), a
-  # slow-query log, and an exposition snapshot. wimpi_flight_check
+  # slow-query log, and an exposition snapshot. `wimpi_trace_check flight`
   # validates structure (span nesting, event windows) and causality
   # (submit <= admit <= finish, cpu == driver + worker, queue wait <=
   # wall, the dumped window covers its triggering slow query).
@@ -104,7 +101,7 @@ if [[ "${WIMPI_CI_SKIP_BENCH:-0}" != "1" ]]; then
     --slo-us 100000 --straggler-ms 150 \
     --flight-dump "${flight_dump}" --slow-log "${slow_log}" \
     --expo "${expo_file}" > /dev/null
-  "${build_dir}/bench/wimpi_flight_check" "${flight_dump}" \
+  "${build_dir}/bench/wimpi_trace_check" flight "${flight_dump}" \
     --slow-log "${slow_log}" --expo "${expo_file}" --min-slow 2
 
   # Overhead gate: the always-on recorder must not move mean latency.
@@ -150,7 +147,8 @@ if [[ "${WIMPI_CI_SKIP_BENCH:-0}" != "1" ]]; then
   # tail latencies are pure functions of (dbgen seed, cost model, sweep
   # seeds), so wimpi_bench_compare gates them against the committed
   # baseline. One fine-grained scenario is exported with telemetry on and
-  # structurally validated (steal/ckpt causality) by wimpi_trace_check.
+  # structurally validated (steal/ckpt causality) by `wimpi_trace_check
+  # cluster`.
   chaos_artifact="${build_dir}/BENCH_chaos.json"
   chaos_trace="${build_dir}/BENCH_chaos.trace.json"
   WIMPI_PERF_DISABLE=1 "${build_dir}/bench/bench_chaos" \
@@ -159,7 +157,7 @@ if [[ "${WIMPI_CI_SKIP_BENCH:-0}" != "1" ]]; then
   "${build_dir}/bench/wimpi_chaos_check" "${chaos_artifact}"
   "${build_dir}/bench/wimpi_bench_compare" \
     "${repo_root}/bench/baselines/BENCH_chaos.json" "${chaos_artifact}"
-  "${build_dir}/bench/wimpi_trace_check" "${chaos_trace}"
+  "${build_dir}/bench/wimpi_trace_check" cluster "${chaos_trace}"
 
   echo "=== [9/11] roofline timeline + sampler overhead gate ==="
   # All 22 queries with the roofline sampler attached. The bench itself

@@ -10,7 +10,6 @@
 #include "cluster/partition.h"
 #include "exec/exec_options.h"
 #include "obs/export/aggregate.h"
-#include "obs/export/event_log.h"
 #include "obs/flight/flight_recorder.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -454,14 +453,6 @@ Result<DistributedRun> WimpiCluster::Run(int q,
     root_ctx.span_id = obs::NewSpanId();
     run.trace_id = root_ctx.trace_id;
   }
-  auto& elog = obs::EventLog::Global();
-  if (elog.enabled()) {
-    elog.Record(obs::EventLevel::kInfo, "cluster", "run.start",
-                {{"q", q},
-                 {"nodes", nodes},
-                 {"fault_nodes", static_cast<int>(plan.faults.size())},
-                 {"seed", static_cast<double>(plan.seed)}});
-  }
 
   // Partial-result sizes that scale with data (per-group outputs like Q3's)
   // are projected to the model SF; few-row aggregates are not.
@@ -578,11 +569,6 @@ Result<DistributedRun> WimpiCluster::Run(int q,
     FineSchedule sched = SimulateFineGrained(fin);
     if (!sched.completed) {
       cancel.Cancel();
-      if (elog.enabled()) {
-        elog.Record(obs::EventLevel::kError, "cluster", "run.aborted",
-                    {{"q", q},
-                     {"reason", std::string("every worker failed or left")}});
-      }
       std::string msg = "Q";
       msg += std::to_string(q);
       msg += ": every worker failed or left (faults: ";
@@ -728,17 +714,6 @@ Result<DistributedRun> WimpiCluster::Run(int q,
     if (traced) {
       EmitFineTrace(q, run, plan, fin.morsels, sched.checkpoints, root_ctx);
     }
-    if (elog.enabled()) {
-      elog.Record(obs::EventLevel::kInfo, "cluster", "run.complete",
-                  {{"q", q},
-                   {"total_s", run.total_seconds},
-                   {"steals", run.steals},
-                   {"ckpts", run.checkpoints},
-                   {"recovered_morsels", run.recovered_morsels},
-                   {"joins", run.joins},
-                   {"leaves", run.leaves},
-                   {"nodes_failed", run.nodes_failed}});
-    }
     return run;
   }
 
@@ -773,22 +748,12 @@ Result<DistributedRun> WimpiCluster::Run(int q,
         }
         if (best < 0) {
           cancel.Cancel();  // stop any in-flight partial work promptly
-          if (elog.enabled()) {
-            elog.Record(obs::EventLevel::kError, "cluster", "run.aborted",
-                        {{"q", q}, {"reason", std::string("every node failed")}});
-          }
           std::string msg = "Q";
           msg += std::to_string(q);
           msg += ": every node failed (plan: ";
           msg += plan.ToString();
           msg += ")";
           return Status::Unavailable(std::move(msg));
-        }
-        if (elog.enabled()) {
-          elog.Record(obs::EventLevel::kInfo, "cluster",
-                      "partition.reassigned",
-                      {{"q", q}, {"partition", p}, {"from", node},
-                       {"to", best}});
         }
         node = best;
         tries_on_node = 0;
@@ -870,10 +835,6 @@ Result<DistributedRun> WimpiCluster::Run(int q,
         alive[node] = 0;
         --live;
         ++run.nodes_failed;
-        if (elog.enabled()) {
-          elog.Record(obs::EventLevel::kWarn, "cluster", "node.died",
-                      {{"q", q}, {"node", node}, {"t_s", end}});
-        }
       }
       if (outcome == StatusCode::kOk) {
         node_spill[node] += pe.spill_s;
@@ -893,13 +854,6 @@ Result<DistributedRun> WimpiCluster::Run(int q,
               .counter("cluster.retry.exhausted")
               .Add(1);
           cancel.Cancel();
-          if (elog.enabled()) {
-            elog.Record(
-                obs::EventLevel::kError, "cluster", "run.aborted",
-                {{"q", q},
-                 {"reason", std::string("retry budget exhausted")},
-                 {"budget", budget}});
-          }
           std::string msg = "Q";
           msg += std::to_string(q);
           msg += ": retry budget (";
@@ -915,15 +869,6 @@ Result<DistributedRun> WimpiCluster::Run(int q,
         // fault can be explained after the fact.
         obs::flight::FlightRecorder::NoteFault(
             node, static_cast<int64_t>(outcome));
-        if (elog.enabled()) {
-          elog.Record(obs::EventLevel::kWarn, "cluster", "attempt.failed",
-                      {{"q", q},
-                       {"partition", p},
-                       {"node", node},
-                       {"attempt", attempt_idx - 1},
-                       {"outcome", Status::CodeName(outcome)},
-                       {"t_s", end}});
-        }
         if (alive[node]) {
           ++tries_on_node;
           if (tries_on_node >= opts_.max_retries && live > 1) {
@@ -934,12 +879,6 @@ Result<DistributedRun> WimpiCluster::Run(int q,
               if (best < 0 || node_clock[n] < node_clock[best]) best = n;
             }
             if (best >= 0) {
-              if (elog.enabled()) {
-                elog.Record(obs::EventLevel::kInfo, "cluster",
-                            "partition.reassigned",
-                            {{"q", q}, {"partition", p}, {"from", node},
-                             {"to", best}});
-              }
               node = best;
               tries_on_node = 0;
               if (node != home && !assigned_away) {
@@ -1002,14 +941,6 @@ Result<DistributedRun> WimpiCluster::Run(int q,
     reg.counter("cluster.fault.nodes_failed").Add(run.nodes_failed);
   }
   if (traced) EmitClusterTrace(q, run, plan, root_ctx);
-  if (elog.enabled()) {
-    elog.Record(obs::EventLevel::kInfo, "cluster", "run.complete",
-                {{"q", q},
-                 {"total_s", run.total_seconds},
-                 {"retries", run.retries},
-                 {"reassigned", run.reassigned_partitions},
-                 {"nodes_failed", run.nodes_failed}});
-  }
   return run;
 }
 

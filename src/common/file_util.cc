@@ -28,4 +28,27 @@ bool ValidateWritablePath(const std::string& path, std::string* error) {
   return true;
 }
 
+bool WriteTextFile(const std::string& path, const std::string& text,
+                   std::string* error) {
+  std::FILE* f = std::fopen(path.c_str(), "wb");
+  if (f == nullptr) {
+    if (error != nullptr) {
+      *error = "cannot open " + path + ": " + std::strerror(errno);
+    }
+    return false;
+  }
+  const bool written =
+      std::fwrite(text.data(), 1, text.size(), f) == text.size();
+  // fclose flushes, so it must run (and be checked) even after a short
+  // write. A successful call leaves errno as the failing one set it.
+  const bool closed = std::fclose(f) == 0;
+  if (!written || !closed) {
+    if (error != nullptr) {
+      *error = "cannot write " + path + ": " + std::strerror(errno);
+    }
+    return false;
+  }
+  return true;
+}
+
 }  // namespace wimpi

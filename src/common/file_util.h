@@ -13,6 +13,13 @@ namespace wimpi {
 // permission, path is a directory, ...
 bool ValidateWritablePath(const std::string& path, std::string* error);
 
+// Replaces the contents of `path` with `text`. Returns false and fills
+// *error (when non-null, naming the path) when the file cannot be opened,
+// written, or closed; a full disk often shows up only at the final fclose, which
+// flushes the buffered bytes of a small file.
+bool WriteTextFile(const std::string& path, const std::string& text,
+                   std::string* error);
+
 }  // namespace wimpi
 
 #endif  // WIMPI_COMMON_FILE_UTIL_H_

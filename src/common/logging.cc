@@ -55,7 +55,7 @@ LogMessage::~LogMessage() {
     const std::string msg = stream_.str();
     static std::mutex* mu = new std::mutex;
     std::lock_guard<std::mutex> lock(*mu);
-    std::fwrite(msg.data(), 1, msg.size(), stderr);
+    std::fputs(msg.c_str(), stderr);
     std::fflush(stderr);
   }
   if (level_ == LogLevel::kFatal) {

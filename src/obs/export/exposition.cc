@@ -101,8 +101,6 @@ constexpr HelpEntry kHelpTable[] = {
                              "tasks"},
     {"pool.worker*.idle_us", "Microseconds this pool worker spent waiting "
                              "for work"},
-    {"eventlog.dropped",
-     "Structured-log events evicted from the bounded ring"},
     {"flight.dumps", "Retroactive flight-recorder dumps written"},
     {"flight.trigger.latency",
      "Flight triggers fired by queries over their latency threshold"},

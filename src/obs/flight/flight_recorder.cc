@@ -1,14 +1,14 @@
 #include "obs/flight/flight_recorder.h"
 
 #include <algorithm>
-#include <cstdio>
 #include <cstdlib>
+#include <initializer_list>
 #include <map>
 #include <memory>
 #include <utility>
 
+#include "common/file_util.h"
 #include "common/json.h"
-#include "common/logging.h"
 #include "obs/clock.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -241,38 +241,25 @@ size_t FlightRecorder::ring_count() const {
 
 namespace {
 
-void WriteEventArgs(JsonWriter& w, const FlightEvent& e) {
-  w.Key("args")
-      .BeginObject()
-      .Key("query").Int(static_cast<int64_t>(e.query))
-      .Key("a").Int(e.a)
-      .Key("b").Int(e.b)
-      .EndObject();
-}
-
-void WriteTraceEvent(JsonWriter& w, const char* name, const char* cat,
-                     char phase, int pid, int tid, int64_t ts_us,
-                     int64_t dur_us) {
-  w.BeginObject()
-      .Key("name").String(name)
-      .Key("cat").String(cat)
-      .Key("ph").String(std::string(1, phase))
-      .Key("ts").Int(ts_us)
-      .Key("pid").Int(pid)
-      .Key("tid").Int(tid);
-  if (phase == 'X') w.Key("dur").Int(dur_us);
+// {"k":v,...} for the integer args every flight trace event carries.
+std::string IntArgs(
+    std::initializer_list<std::pair<const char*, int64_t>> args) {
+  JsonWriter w;
+  w.BeginObject();
+  for (const auto& [key, value] : args) w.Key(key).Int(value);
+  w.EndObject();
+  return w.str();
 }
 
 }  // namespace
 
 std::string FlightRecorder::ToChromeTrace(
     const std::vector<FlightEvent>& events) {
-  JsonWriter w;
-  w.BeginObject().Key("traceEvents").BeginArray();
+  std::vector<TraceEvent> out;
 
-  // Query lanes (pid 2): one 'X' span per query whose submit (or first
-  // sighting) and finish both fall inside the window; open-ended queries
-  // get a zero-length marker at their first event instead.
+  // Query lanes: one 'X' span per query whose submit (or first sighting)
+  // and finish both fall inside the window; open-ended queries get a
+  // zero-length marker at their first event instead.
   struct QuerySpanInfo {
     int64_t first_ts = 0;
     int64_t finish_ts = -1;
@@ -300,25 +287,20 @@ std::string FlightRecorder::ToChromeTrace(
   }
   for (const auto& [query, info] : queries) {
     const int64_t end = info.finish_ts >= 0 ? info.finish_ts : info.first_ts;
-    w.BeginObject()
-        .Key("name").String("query-" + std::to_string(query))
-        .Key("cat").String("flight.query")
-        .Key("ph").String("X")
-        .Key("ts").Int(info.first_ts)
-        .Key("dur").Int(std::max<int64_t>(end - info.first_ts, 1))
-        .Key("pid").Int(2)
-        .Key("tid").Int(info.lane)
-        .Key("args")
-        .BeginObject()
-        .Key("query").Int(static_cast<int64_t>(query))
-        .Key("status").Int(info.status)
-        .Key("wall_us").Int(info.wall_us)
-        .EndObject()
-        .EndObject();
+    out.push_back({.name = "query-" + std::to_string(query),
+                   .category = "flight.query",
+                   .ts_us = info.first_ts,
+                   .dur_us = std::max<int64_t>(end - info.first_ts, 1),
+                   .tid = info.lane,
+                   .pid = kTracePidQueryLanes,
+                   .args_json = IntArgs({{"query", static_cast<int64_t>(query)},
+                                         {"status", info.status},
+                                         {"wall_us", info.wall_us}})});
   }
 
-  // Pipeline spans (pid 1): match start/end pairs per (tid, query) as a
-  // stack — the driver thread records both ends of each pipeline.
+  // Pipeline spans (host pid, the TraceEvent default): match start/end
+  // pairs per (tid, query) as a stack — the driver thread records both
+  // ends of each pipeline.
   std::map<std::pair<int, uint64_t>, std::vector<const FlightEvent*>> open;
   for (const FlightEvent& e : events) {
     if (e.kind == EventKind::kPipelineStart) {
@@ -328,35 +310,31 @@ std::string FlightRecorder::ToChromeTrace(
       if (stack.empty()) continue;  // start fell off the ring
       const FlightEvent* start = stack.back();
       stack.pop_back();
-      w.BeginObject()
-          .Key("name").String("pipeline")
-          .Key("cat").String("flight.pipeline")
-          .Key("ph").String("X")
-          .Key("ts").Int(start->ts_us)
-          .Key("dur").Int(std::max<int64_t>(e.ts_us - start->ts_us, 1))
-          .Key("pid").Int(1)
-          .Key("tid").Int(e.tid)
-          .Key("args")
-          .BeginObject()
-          .Key("query").Int(static_cast<int64_t>(e.query))
-          .Key("morsels").Int(start->a)
-          .Key("rows").Int(start->b)
-          .EndObject()
-          .EndObject();
+      out.push_back(
+          {.name = "pipeline",
+           .category = "flight.pipeline",
+           .ts_us = start->ts_us,
+           .dur_us = std::max<int64_t>(e.ts_us - start->ts_us, 1),
+           .tid = e.tid,
+           .args_json = IntArgs({{"query", static_cast<int64_t>(e.query)},
+                                 {"morsels", start->a},
+                                 {"rows", start->b}})});
     }
   }
 
   // Every record as an instant on its thread row.
   for (const FlightEvent& e : events) {
-    WriteTraceEvent(w, EventKindName(e.kind), "flight.event", 'i', 1, e.tid,
-                    e.ts_us, 0);
-    w.Key("s").String("t");  // instant scope: thread
-    WriteEventArgs(w, e);
-    w.EndObject();
+    out.push_back(
+        {.name = EventKindName(e.kind),
+         .category = "flight.event",
+         .phase = 'i',
+         .ts_us = e.ts_us,
+         .tid = e.tid,
+         .args_json = IntArgs({{"query", static_cast<int64_t>(e.query)},
+                               {"a", e.a},
+                               {"b", e.b}})});
   }
-
-  w.EndArray().Key("displayTimeUnit").String("ms").EndObject();
-  return w.str();
+  return TraceEventsToJson(out);
 }
 
 std::string FlightRecorder::ToJsonl(const std::vector<FlightEvent>& events) {
@@ -377,26 +355,6 @@ std::string FlightRecorder::ToJsonl(const std::vector<FlightEvent>& events) {
   return out;
 }
 
-namespace {
-
-bool WriteWholeFile(const std::string& path, const std::string& text,
-                    std::string* error) {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    if (error != nullptr) *error = "cannot open " + path;
-    return false;
-  }
-  const size_t written = std::fwrite(text.data(), 1, text.size(), f);
-  const bool closed = std::fclose(f) == 0;
-  if (written != text.size() || !closed) {
-    if (error != nullptr) *error = "short write to " + path;
-    return false;
-  }
-  return true;
-}
-
-}  // namespace
-
 bool FlightRecorder::DumpSince(int64_t since_us, const std::string& path,
                                std::string* error) const {
   const std::vector<FlightEvent> events = SnapshotSince(since_us);
@@ -404,8 +362,8 @@ bool FlightRecorder::DumpSince(int64_t since_us, const std::string& path,
     if (error != nullptr) *error = "flight window is empty";
     return false;
   }
-  if (!WriteWholeFile(path, ToChromeTrace(events), error)) return false;
-  if (!WriteWholeFile(path + ".jsonl", ToJsonl(events), error)) return false;
+  if (!WriteTextFile(path, ToChromeTrace(events), error)) return false;
+  if (!WriteTextFile(path + ".jsonl", ToJsonl(events), error)) return false;
   MetricsRegistry::Global().counter("flight.dumps").Add(1);
   return true;
 }

@@ -102,11 +102,12 @@ class FlightRecorder {
   int64_t TotalDropped() const;
   size_t ring_count() const;
 
-  // Renders `events` as a self-contained Chrome trace: one 'X' span per
-  // completed query lifecycle (pid 2, cat "flight.query"), one 'X' span
-  // per matched pipeline start/end pair on its thread row (pid 1, cat
-  // "flight.pipeline"), and every record as an 'i' instant (pid 1, cat
-  // "flight.event").
+  // Renders `events` as a self-contained Chrome trace through the shared
+  // obs::TraceEventsToJson writer: one 'X' span per completed query
+  // lifecycle (kTracePidQueryLanes, cat "flight.query"), one 'X' span per
+  // matched pipeline start/end pair on its thread row (kTracePidHost, cat
+  // "flight.pipeline"), and every record as an 'i' instant (kTracePidHost,
+  // cat "flight.event").
   static std::string ToChromeTrace(const std::vector<FlightEvent>& events);
   // One JSON object per line: {"ts_us":..,"kind":"...","query":..,
   // "tid":..,"a":..,"b":..}.

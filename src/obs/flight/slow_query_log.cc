@@ -1,8 +1,8 @@
 #include "obs/flight/slow_query_log.h"
 
-#include <cstdio>
 #include <utility>
 
+#include "common/file_util.h"
 #include "common/json.h"
 #include "common/logging.h"
 #include "obs/metrics.h"
@@ -83,16 +83,9 @@ std::string SlowQueryLog::ToJsonl() const {
 }
 
 bool SlowQueryLog::WriteFile(const std::string& path) const {
-  const std::string text = ToJsonl();
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    WIMPI_LOG(Error) << "cannot open slow-query log file " << path;
-    return false;
-  }
-  const size_t written = std::fwrite(text.data(), 1, text.size(), f);
-  const bool closed = std::fclose(f) == 0;
-  if (written != text.size() || !closed) {
-    WIMPI_LOG(Error) << "short write to slow-query log file " << path;
+  std::string error;
+  if (!WriteTextFile(path, ToJsonl(), &error)) {
+    WIMPI_LOG(Error) << "slow-query log: " << error;
     return false;
   }
   return true;

@@ -2,9 +2,9 @@
 
 #include <cstdio>
 
+#include "common/file_util.h"
 #include "common/json.h"
 #include "common/logging.h"
-#include "obs/clock.h"
 
 namespace wimpi::obs {
 
@@ -75,33 +75,39 @@ void TraceSink::Record(TraceEvent e) {
   events_.push_back(std::move(e));
 }
 
-void TraceSink::RecordComplete(std::string name, const char* category,
-                               int64_t ts_us, int64_t dur_us,
-                               std::string args_json) {
-  TraceEvent e;
-  e.name = std::move(name);
-  e.category = category;
-  e.ts_us = ts_us;
-  e.dur_us = dur_us;
-  e.tid = CurrentThreadId();
-  e.args_json = std::move(args_json);
-  Record(std::move(e));
-}
-
 std::vector<TraceEvent> TraceSink::Snapshot() const {
   std::lock_guard<std::mutex> lock(mu_);
   return events_;
 }
 
 std::string TraceSink::ToJson() const {
-  const std::vector<TraceEvent> events = Snapshot();
-  bool has_cluster = false;
+  return TraceEventsToJson(Snapshot());
+}
+
+std::string TraceSink::ToJsonl() const {
+  return TraceEventsToJsonl(Snapshot());
+}
+
+bool TraceSink::WriteFile(const std::string& path) const {
+  const bool jsonl =
+      path.size() >= 6 && path.compare(path.size() - 6, 6, ".jsonl") == 0;
+  std::string error;
+  if (!WriteTextFile(path, jsonl ? ToJsonl() : ToJson(), &error)) {
+    WIMPI_LOG(Error) << "trace file: " << error;
+    return false;
+  }
+  return true;
+}
+
+std::string TraceEventsToJson(const std::vector<TraceEvent>& events) {
+  bool has_cluster = false, has_query_lanes = false;
   for (const TraceEvent& e : events) {
     if (e.pid == kTracePidCluster) has_cluster = true;
+    if (e.pid == kTracePidQueryLanes) has_query_lanes = true;
   }
   JsonWriter w;
   w.BeginObject().Key("traceEvents").BeginArray();
-  // Name the process groups so viewers label the two clocks.
+  // Name the process groups so viewers label each clock.
   auto process_name = [&](int pid, const char* name) {
     w.BeginObject()
         .Key("name").String("process_name")
@@ -113,6 +119,9 @@ std::string TraceSink::ToJson() const {
   };
   process_name(kTracePidHost, "wimpi host (real time)");
   if (has_cluster) process_name(kTracePidCluster, "wimpi cluster (modeled time)");
+  if (has_query_lanes) {
+    process_name(kTracePidQueryLanes, "wimpi query lanes (real time)");
+  }
   for (const TraceEvent& e : events) {
     w.BeginObject();
     WriteEventBody(w, e);
@@ -122,8 +131,7 @@ std::string TraceSink::ToJson() const {
   return w.str();
 }
 
-std::string TraceSink::ToJsonl() const {
-  const std::vector<TraceEvent> events = Snapshot();
+std::string TraceEventsToJsonl(const std::vector<TraceEvent>& events) {
   std::string out;
   for (const TraceEvent& e : events) {
     JsonWriter w;
@@ -134,25 +142,6 @@ std::string TraceSink::ToJsonl() const {
     out += '\n';
   }
   return out;
-}
-
-bool TraceSink::WriteFile(const std::string& path) const {
-  const bool jsonl =
-      path.size() >= 6 && path.compare(path.size() - 6, 6, ".jsonl") == 0;
-  const std::string json = jsonl ? ToJsonl() : ToJson();
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    WIMPI_LOG(Error) << "cannot open trace file " << path;
-    return false;
-  }
-  const size_t written = std::fwrite(json.data(), 1, json.size(), f);
-  // fclose flushes; a full disk can surface only here.
-  const bool closed = std::fclose(f) == 0;
-  if (written != json.size() || !closed) {
-    WIMPI_LOG(Error) << "short write to trace file " << path;
-    return false;
-  }
-  return true;
 }
 
 }  // namespace wimpi::obs

@@ -12,9 +12,11 @@ namespace wimpi::obs {
 // Process ids used to separate the two clocks a distributed run mixes:
 // real host time (operator scopes, morsel tasks) and the simulated node
 // clock of the cluster driver. Viewers render them as two process groups
-// of one timeline; span ids still join them into one causal tree.
+// of one timeline; span ids still join them into one causal tree. Flight
+// dumps add a third group, one real-time row per query lifecycle.
 inline constexpr int kTracePidHost = 1;
 inline constexpr int kTracePidCluster = 2;
+inline constexpr int kTracePidQueryLanes = 3;
 
 // One event in Chrome trace-event format. Timestamps are NowMicros()
 // values for host events and modeled microseconds for cluster events;
@@ -66,20 +68,10 @@ class TraceSink {
   // layer fill the id/pid/tid fields themselves.
   void Record(TraceEvent e);
 
-  // Legacy-shaped helper for plain host spans without distributed ids.
-  void RecordComplete(std::string name, const char* category, int64_t ts_us,
-                      int64_t dur_us, std::string args_json = "");
-
   std::vector<TraceEvent> Snapshot() const;
 
-  // {"traceEvents":[...],"displayTimeUnit":"ms"} — loadable by
-  // chrome://tracing and https://ui.perfetto.dev. Span/trace ids are
-  // exported inside each event's args ("trace"/"span"/"parent" hex
-  // strings) so external tools can rebuild the causal tree.
+  // TraceEventsToJson / TraceEventsToJsonl over Snapshot().
   std::string ToJson() const;
-
-  // One JSON object per line per event (same fields as ToJson, flat), for
-  // streaming consumers and line-oriented diffing.
   std::string ToJsonl() const;
 
   // Returns false (and logs) when the file cannot be written. Paths ending
@@ -96,6 +88,18 @@ class TraceSink {
   mutable std::mutex mu_;
   std::vector<TraceEvent> events_;
 };
+
+// The one Chrome-trace writer (TraceSink and flight dumps both use it):
+// {"traceEvents":[...],"displayTimeUnit":"ms"} — loadable by
+// chrome://tracing and https://ui.perfetto.dev, with a process_name label
+// for the host group and for each other kTracePid* group present.
+// Span/trace ids are exported inside each event's args ("trace"/"span"/
+// "parent" hex strings) so external tools can rebuild the causal tree.
+std::string TraceEventsToJson(const std::vector<TraceEvent>& events);
+
+// One JSON object per line per event (same fields as the Chrome JSON,
+// flat), for streaming consumers and line-oriented diffing.
+std::string TraceEventsToJsonl(const std::vector<TraceEvent>& events);
 
 }  // namespace wimpi::obs
 

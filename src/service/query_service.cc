@@ -4,11 +4,11 @@
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
-#include <fstream>
 #include <mutex>
 #include <utility>
 #include <vector>
 
+#include "common/file_util.h"
 #include "common/logging.h"
 #include "exec/exec_options.h"
 #include "obs/clock.h"
@@ -292,11 +292,8 @@ struct ServiceCore {
       }
       if (d.has_timeline) {
         const std::string tl_path = d.path + ".timeline.jsonl";
-        std::ofstream out(tl_path, std::ios::trunc);
-        if (out.is_open()) {
-          out << d.timeline.ToJsonl();
-        } else {
-          WIMPI_LOG(Warning) << "timeline dump to " << tl_path << " failed";
+        if (!WriteTextFile(tl_path, d.timeline.ToJsonl(), &error)) {
+          WIMPI_LOG(Warning) << "timeline dump failed: " << error;
         }
       }
     }

@@ -2,7 +2,10 @@
 // comparison semantics wimpi_bench_compare and the CI gate rely on.
 #include "artifact.h"
 
+#include <unistd.h>
+
 #include <cstdio>
+#include <cstdlib>
 #include <string>
 
 #include "gtest/gtest.h"
@@ -55,6 +58,14 @@ TEST(Artifact, WriteReadRoundTrip) {
   EXPECT_EQ(b.rows, a.rows);
   EXPECT_EQ(b.metrics, a.metrics);
   std::remove(path.c_str());
+}
+
+TEST(Artifact, WriteReportsFullDisk) {
+  // A full disk shows up only when fclose flushes the buffered artifact.
+  if (access("/dev/full", W_OK) != 0) GTEST_SKIP() << "no /dev/full";
+  RunArtifact a = MakeArtifact("table2_sf1", /*model_sf=*/1.0);
+  a.rows["pi3b+"]["Q1"] = 12.5;
+  EXPECT_FALSE(WriteArtifact("/dev/full", a));
 }
 
 TEST(Artifact, ReadRejectsWrongSchemaVersion) {

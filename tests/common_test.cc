@@ -1,9 +1,16 @@
+#include <unistd.h>
+
+#include <cstdio>
+#include <cstdlib>
+#include <fstream>
 #include <ostream>
 #include <set>
+#include <sstream>
 
 #include "common/cli.h"
 #include "common/date.h"
 #include "common/decimal.h"
+#include "common/file_util.h"
 #include "common/hash.h"
 #include "common/json.h"
 #include "common/rng.h"
@@ -220,6 +227,42 @@ TEST(CommandLineTest, ParsesFlagsAndPositional) {
   EXPECT_EQ(cli.GetString("missing", "d"), "d");
   ASSERT_EQ(cli.positional().size(), 1u);
   EXPECT_EQ(cli.positional()[0], "input.txt");
+}
+
+// ---------- whole-file writes ----------
+
+std::string TempPath(const std::string& name) {
+  const char* dir = std::getenv("TMPDIR");
+  return std::string(dir != nullptr ? dir : "/tmp") + "/" + name;
+}
+
+TEST(FileUtilTest, WriteTextFileRoundTripsAndTruncates) {
+  const std::string path = TempPath("wimpi_write_text_file.txt");
+  std::string error;
+  ASSERT_TRUE(WriteTextFile(path, "first line\nsecond line\n", &error))
+      << error;
+  ASSERT_TRUE(WriteTextFile(path, "short\n", &error)) << error;
+  std::ifstream in(path);
+  std::ostringstream text;
+  text << in.rdbuf();
+  EXPECT_EQ(text.str(), "short\n");
+  std::remove(path.c_str());
+}
+
+TEST(FileUtilTest, WriteTextFileReportsMissingDirectory) {
+  const std::string path = TempPath("wimpi_no_such_dir/out.txt");
+  std::string error;
+  EXPECT_FALSE(WriteTextFile(path, "x", &error));
+  EXPECT_NE(error.find(path), std::string::npos) << error;
+}
+
+TEST(FileUtilTest, WriteTextFileReportsFullDisk) {
+  // /dev/full accepts open and buffered writes; ENOSPC surfaces only when
+  // the bytes are flushed, i.e. at fclose for a small file.
+  if (access("/dev/full", W_OK) != 0) GTEST_SKIP() << "no /dev/full";
+  std::string error;
+  EXPECT_FALSE(WriteTextFile("/dev/full", "some bytes\n", &error));
+  EXPECT_NE(error.find("/dev/full"), std::string::npos) << error;
 }
 
 // ---------- json ----------

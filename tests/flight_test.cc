@@ -18,6 +18,7 @@
 #include "obs/flight/flight_recorder.h"
 #include "obs/flight/slow_query_log.h"
 #include "obs/metrics.h"
+#include "obs/trace.h"
 #include "service/query_service.h"
 #include "service/slo_tracker.h"
 
@@ -335,16 +336,33 @@ TEST(ServiceFlightTriggerTest, SlowQueryDumpsRetroactively) {
   ASSERT_TRUE(JsonValue::Parse(json, &doc, &error)) << error;
   const JsonValue* events = doc.Find("traceEvents");
   ASSERT_NE(events, nullptr);
-  bool found_span = false;
-  for (const JsonValue& e : events->AsArray()) {
-    if (e.GetString("cat", "") != "flight.query") continue;
+  // The query's lifecycle span sits on the query-lane process; its
+  // 4-morsel pipeline ran on 2 threads, so the driver recorded a
+  // pipeline span that must nest inside it.
+  auto of_query = [&](const JsonValue& e, const char* cat) {
     const JsonValue* args = e.Find("args");
-    if (args != nullptr &&
-        args->GetDouble("query", 0) == static_cast<double>(query_id)) {
-      found_span = true;
-    }
+    return e.GetString("cat", "") == cat && e.GetString("ph", "") == "X" &&
+           args != nullptr &&
+           args->GetDouble("query", 0) == static_cast<double>(query_id);
+  };
+  const JsonValue* query_span = nullptr;
+  for (const JsonValue& e : events->AsArray()) {
+    if (of_query(e, "flight.query")) query_span = &e;
   }
-  EXPECT_TRUE(found_span);
+  ASSERT_NE(query_span, nullptr);
+  EXPECT_EQ(query_span->GetDouble("pid", 0), obs::kTracePidQueryLanes);
+  const double query_start = query_span->GetDouble("ts", 0);
+  const double query_end = query_start + query_span->GetDouble("dur", 0);
+  int pipeline_spans = 0;
+  for (const JsonValue& e : events->AsArray()) {
+    if (!of_query(e, "flight.pipeline")) continue;
+    ++pipeline_spans;
+    EXPECT_EQ(e.GetDouble("pid", 0), obs::kTracePidHost);
+    const double start = e.GetDouble("ts", 0);
+    EXPECT_GE(start, query_start);
+    EXPECT_LE(start + e.GetDouble("dur", 0), query_end);
+  }
+  EXPECT_GE(pipeline_spans, 1);
 
   // The raw JSONL sidecar parses line by line.
   const std::string jsonl = ReadFileOrEmpty(dump + ".jsonl");

@@ -1,15 +1,14 @@
 // Telemetry export pipeline: every JSON artifact the observability layer
-// emits (Chrome trace, trace JSONL, structured event log, profile JSON,
-// Prometheus exposition) must round-trip through the repo's own JSON
-// parser, the distributed trace must form a coherent causal tree (every
-// retry chained to the attempt it retried, every fault flow-linked to the
-// retry it caused), and tracing must never perturb results: traced cluster
-// runs stay bit-identical to untraced ones across the whole SF-10 subset.
+// emits (Chrome trace, trace JSONL, profile JSON, Prometheus exposition)
+// must round-trip through the repo's own JSON parser, the distributed
+// trace must form a coherent causal tree (every retry chained to the
+// attempt it retried, every fault flow-linked to the retry it caused), and
+// tracing must never perturb results: traced cluster runs stay
+// bit-identical to untraced ones across the whole SF-10 subset.
 #include <cstdio>
 #include <cstdint>
 #include <cstring>
 #include <map>
-#include <set>
 #include <string>
 #include <vector>
 
@@ -20,7 +19,6 @@
 #include "engine/executor.h"
 #include "gtest/gtest.h"
 #include "hw/host_anchor.h"
-#include "obs/export/event_log.h"
 #include "obs/export/exposition.h"
 #include "obs/metrics.h"
 #include "obs/profiler.h"
@@ -314,93 +312,6 @@ TEST(ProfileJson, ParsesAndMatchesTreeShape) {
   ASSERT_NE(children, nullptr);
   ASSERT_TRUE(children->is_array());
   EXPECT_FALSE(children->AsArray().empty());
-}
-
-TEST(EventLogTest, RecordsClusterLifecycleAsParseableJsonl) {
-  auto& elog = obs::EventLog::Global();
-  elog.Clear();
-  elog.set_enabled(true);
-  const auto r = RunWith(1, cluster::FaultPlan::Crash({0}));
-  elog.set_enabled(false);
-  ASSERT_TRUE(r.ok());
-  ASSERT_GT(elog.size(), 0u);
-
-  const std::string jsonl = elog.ToJsonl();
-  std::set<std::string> seen_events;
-  size_t start = 0;
-  while (start < jsonl.size()) {
-    size_t end = jsonl.find('\n', start);
-    if (end == std::string::npos) end = jsonl.size();
-    const std::string line = jsonl.substr(start, end - start);
-    if (!line.empty()) {
-      JsonValue v;
-      std::string error;
-      ASSERT_TRUE(JsonValue::Parse(line, &v, &error)) << error << ": " << line;
-      for (const char* key : {"ts_us", "level", "component", "event"}) {
-        EXPECT_NE(v.Find(key), nullptr) << key;
-      }
-      seen_events.insert(v.GetString("event", ""));
-    }
-    start = end + 1;
-  }
-  // The crash produces the full lifecycle: start, failure, reassignment,
-  // completion.
-  EXPECT_TRUE(seen_events.count("run.start"));
-  EXPECT_TRUE(seen_events.count("attempt.failed"));
-  EXPECT_TRUE(seen_events.count("partition.reassigned"));
-  EXPECT_TRUE(seen_events.count("node.died"));
-  EXPECT_TRUE(seen_events.count("run.complete"));
-  elog.Clear();
-}
-
-TEST(EventLogTest, RingEvictsOldestAndCountsDrops) {
-  auto& elog = obs::EventLog::Global();
-  elog.Clear();
-  elog.set_capacity(4);
-  elog.set_enabled(true);
-  const int64_t exported_before =
-      obs::MetricsRegistry::Global().counter("eventlog.dropped").Value();
-  for (int i = 0; i < 10; ++i) {
-    elog.Record(obs::EventLevel::kInfo, "test", "e" + std::to_string(i));
-  }
-  elog.set_enabled(false);
-  EXPECT_EQ(elog.size(), 4u);
-  EXPECT_EQ(elog.dropped(), 6);
-  // Evictions are mirrored into the registry so scrapers (and wimpi_top)
-  // can see a truncated log without polling the EventLog itself.
-  EXPECT_EQ(obs::MetricsRegistry::Global().counter("eventlog.dropped").Value(),
-            exported_before + 6);
-  const auto snap = elog.Snapshot();
-  ASSERT_EQ(snap.size(), 4u);
-  EXPECT_EQ(snap.front().event, "e6");
-  EXPECT_EQ(snap.back().event, "e9");
-  elog.set_capacity(4096);
-  elog.Clear();
-}
-
-TEST(EventLogTest, LevelsFilterAndDisabledCostsNothing) {
-  auto& elog = obs::EventLog::Global();
-  elog.Clear();
-  // Disabled: nothing recorded regardless of level.
-  elog.Record(obs::EventLevel::kError, "test", "dropped");
-  EXPECT_EQ(elog.size(), 0u);
-
-  elog.set_enabled(true);
-  elog.set_min_level(obs::EventLevel::kWarn);
-  elog.Record(obs::EventLevel::kInfo, "test", "below");
-  elog.Record(obs::EventLevel::kWarn, "test", "kept",
-              {{"value", 3.5}, {"tag", std::string("x")}});
-  elog.set_enabled(false);
-  elog.set_min_level(obs::EventLevel::kInfo);
-  ASSERT_EQ(elog.size(), 1u);
-  const auto snap = elog.Snapshot();
-  EXPECT_EQ(snap[0].event, "kept");
-  EXPECT_EQ(snap[0].level, obs::EventLevel::kWarn);
-  // Typed fields survive into the JSONL (numbers unquoted).
-  const std::string jsonl = elog.ToJsonl();
-  EXPECT_NE(jsonl.find("\"value\":3.5"), std::string::npos) << jsonl;
-  EXPECT_NE(jsonl.find("\"tag\":\"x\""), std::string::npos) << jsonl;
-  elog.Clear();
 }
 
 TEST(Exposition, WriteParseRoundTrip) {

@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # Builds the parallel-execution and observability tests under
 # ThreadSanitizer and runs them. Intended for CI: any data race in the
-# thread pool, scheduler, the morsel-parallel operator paths, or the
-# profiling/metrics/trace instrumentation fails the script.
+# thread pool, scheduler, the morsel-parallel operator paths, the
+# range-parallel TPC-H generator, or the profiling/metrics/trace
+# instrumentation fails the script.
 #
 # Usage: scripts/check_tsan.sh [build-dir]   (default: build-tsan)
 set -euo pipefail
@@ -17,7 +18,8 @@ cmake -S "${repo_root}" -B "${build_dir}" \
 cmake --build "${build_dir}" \
   --target parallel_test parallel_queries_test obs_test obs_queries_test \
            obs_perf_test obs_export_test memory_tracker_test fault_test \
-           service_test flight_test stats_test timeline_test -j
+           service_test flight_test stats_test timeline_test dbgen_test \
+           storage_test tbl_io_test -j
 
 # halt_on_error so the first race fails fast with a nonzero exit code.
 export TSAN_OPTIONS="halt_on_error=1 ${TSAN_OPTIONS:-}"
@@ -56,5 +58,12 @@ export TSAN_OPTIONS="halt_on_error=1 ${TSAN_OPTIONS:-}"
 # slots and pool metrics while morsel workers run, and sampler start/stop
 # racing query execution and service teardown.
 "${build_dir}/tests/timeline_test"
+# TPC-H generation: key ranges written concurrently into shared, pre-sized
+# columns with range-local dictionaries, then the in-order merge and the
+# parallel code remap (including a generation started on a pool worker).
+# Storage and .tbl loading ride along as the generator's inputs/outputs.
+"${build_dir}/tests/dbgen_test"
+"${build_dir}/tests/storage_test"
+"${build_dir}/tests/tbl_io_test"
 
 echo "TSan parallel + obs test pass: OK"

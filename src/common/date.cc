@@ -62,19 +62,28 @@ DateValue DateAddMonths(DateValue days, int32_t months) {
   return DateFromCivil(y, m, d);
 }
 
-DateValue ParseDate(std::string_view s) {
-  WIMPI_CHECK_EQ(s.size(), 10u) << "bad date literal: " << std::string(s);
-  auto digits = [&](int pos, int n) {
-    int32_t v = 0;
-    for (int i = 0; i < n; ++i) {
-      const char c = s[pos + i];
-      WIMPI_CHECK(c >= '0' && c <= '9') << "bad date literal: " << std::string(s);
-      v = v * 10 + (c - '0');
+bool TryParseDate(std::string_view s, DateValue* out) {
+  if (s.size() != 10 || s[4] != '-' || s[7] != '-') return false;
+  int32_t parts[3] = {0, 0, 0};
+  const int pos[3] = {0, 5, 8}, len[3] = {4, 2, 2};
+  for (int p = 0; p < 3; ++p) {
+    for (int i = pos[p]; i < pos[p] + len[p]; ++i) {
+      if (s[i] < '0' || s[i] > '9') return false;
+      parts[p] = parts[p] * 10 + (s[i] - '0');
     }
-    return v;
-  };
-  WIMPI_CHECK(s[4] == '-' && s[7] == '-') << "bad date literal: " << std::string(s);
-  return DateFromCivil(digits(0, 4), digits(5, 2), digits(8, 2));
+  }
+  const auto [year, month, day] = parts;
+  if (month < 1 || month > 12 || day < 1 || day > DaysInMonth(year, month)) {
+    return false;
+  }
+  *out = DateFromCivil(year, month, day);
+  return true;
+}
+
+DateValue ParseDate(std::string_view s) {
+  DateValue d = 0;
+  WIMPI_CHECK(TryParseDate(s, &d)) << "bad date literal: " << std::string(s);
+  return d;
 }
 
 std::string FormatDate(DateValue days) {

@@ -36,8 +36,12 @@ inline DateValue DateAddDays(DateValue days, int32_t delta) {
   return days + delta;
 }
 
-// Parses "YYYY-MM-DD". Terminates on malformed input (dates in this
-// codebase are compile-time query constants).
+// Parses "YYYY-MM-DD" with a valid month and day into *out. Returns false
+// (leaving *out alone) on anything else; for data read from files.
+bool TryParseDate(std::string_view s, DateValue* out);
+
+// TryParseDate that terminates on malformed input (dates in this codebase
+// are compile-time query constants).
 DateValue ParseDate(std::string_view s);
 
 // Formats as "YYYY-MM-DD".

@@ -95,6 +95,23 @@ class Column {
     }
   }
 
+  // Sets the row count to `n` (new rows zeroed; a string column's new
+  // rows hold code 0, to be overwritten). From empty, capacity is exactly
+  // `n`: bulk loaders size a column once and fill it in place.
+  void Resize(int64_t n) {
+    switch (type_) {
+      case DataType::kInt64:
+        i64_.resize(n);
+        break;
+      case DataType::kFloat64:
+        f64_.resize(n);
+        break;
+      default:
+        i32_.resize(n);
+        break;
+    }
+  }
+
   void ShrinkToFit();
 
   // Statistics origin tag (DESIGN.md §13): a process-unique id stamped by

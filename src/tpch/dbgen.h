@@ -36,7 +36,10 @@ RowCounts RowCountsFor(double sf);
 
 // Deterministic generation: same options => identical database, and every
 // entity's values depend only on (seed, table, primary key), never on
-// generation order. Generates all eight tables.
+// generation order. Generates all eight tables. The generators below
+// (except region and nation) run fixed-size key ranges in parallel on the
+// process thread pool (inline when called from a pool worker); the result
+// is byte-identical whatever the pool width.
 engine::Database GenerateDatabase(const GenOptions& opts);
 
 // Individual table generators (exposed for tests and partial loads).

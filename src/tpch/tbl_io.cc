@@ -1,8 +1,11 @@
 #include "tpch/tbl_io.h"
 
+#include <charconv>
+#include <cmath>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
+#include <type_traits>
 
 #include "common/date.h"
 #include "common/strings.h"
@@ -49,44 +52,92 @@ Result<int64_t> WriteTbl(const storage::Table& table,
   return table.num_rows();
 }
 
+namespace {
+
+// Parses all of `f` as a T in range: an optional '-', no '+', spaces or
+// trailing bytes, and for floating point a finite value.
+template <typename T>
+bool ParseNumber(std::string_view f, T* out) {
+  const char* end = f.data() + f.size();
+  const auto [ptr, ec] = std::from_chars(f.data(), end, *out);
+  if (ec != std::errc() || ptr != end || f.empty()) return false;
+  if constexpr (std::is_floating_point_v<T>) return std::isfinite(*out);
+  return true;
+}
+
+}  // namespace
+
 Result<int64_t> ReadTbl(const std::string& path, storage::Table* table) {
   std::ifstream in(path);
   if (!in) {
     return Status::NotFound("cannot open " + path);
   }
-  const int n_cols = table->schema().num_fields();
+  const storage::Schema& schema = table->schema();
+  const int n_cols = schema.num_fields();
+  // One row's numeric values, parsed before anything is appended so a
+  // row either loads whole or not at all.
+  std::vector<int64_t> ints(n_cols);
+  std::vector<double> floats(n_cols);
   std::string line;
   int64_t rows = 0;
   while (std::getline(in, line)) {
     if (line.empty()) continue;
+    auto row = [&] { return path + ": row " + std::to_string(rows + 1); };
     // dbgen terminates each row with '|', so drop the trailing empty piece.
     std::vector<std::string> fields = Split(line, '|');
     if (!fields.empty() && fields.back().empty()) fields.pop_back();
     if (static_cast<int>(fields.size()) != n_cols) {
       return Status::InvalidArgument(
-          path + ": row " + std::to_string(rows + 1) + " has " +
-          std::to_string(fields.size()) + " fields, expected " +
-          std::to_string(n_cols));
+          row() + " has " + std::to_string(fields.size()) +
+          " fields, expected " + std::to_string(n_cols));
+    }
+    for (int c = 0; c < n_cols; ++c) {
+      const std::string& f = fields[c];
+      bool ok = true;
+      switch (schema.field(c).type) {
+        case storage::DataType::kInt32: {
+          int32_t v = 0;
+          ok = ParseNumber(f, &v);
+          ints[c] = v;
+          break;
+        }
+        case storage::DataType::kInt64:
+          ok = ParseNumber(f, &ints[c]);
+          break;
+        case storage::DataType::kFloat64:
+          ok = ParseNumber(f, &floats[c]);
+          break;
+        case storage::DataType::kDate: {
+          DateValue d = 0;
+          ok = TryParseDate(f, &d);
+          ints[c] = d;
+          break;
+        }
+        case storage::DataType::kString:
+          break;
+      }
+      if (!ok) {
+        return Status::InvalidArgument(
+            row() + " column " + schema.field(c).name + ": bad " +
+            storage::TypeName(schema.field(c).type) + " value '" + f +
+            "'");
+      }
     }
     for (int c = 0; c < n_cols; ++c) {
       storage::Column& col = table->column(c);
-      const std::string& f = fields[c];
       switch (col.type()) {
         case storage::DataType::kInt32:
-          col.AppendInt32(static_cast<int32_t>(std::strtol(f.c_str(),
-                                                           nullptr, 10)));
+        case storage::DataType::kDate:
+          col.AppendInt32(static_cast<int32_t>(ints[c]));
           break;
         case storage::DataType::kInt64:
-          col.AppendInt64(std::strtoll(f.c_str(), nullptr, 10));
+          col.AppendInt64(ints[c]);
           break;
         case storage::DataType::kFloat64:
-          col.AppendFloat64(std::strtod(f.c_str(), nullptr));
-          break;
-        case storage::DataType::kDate:
-          col.AppendInt32(ParseDate(f));
+          col.AppendFloat64(floats[c]);
           break;
         case storage::DataType::kString:
-          col.AppendString(f);
+          col.AppendString(fields[c]);
           break;
       }
     }

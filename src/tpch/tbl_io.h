@@ -20,7 +20,11 @@ Result<int64_t> WriteTbl(const storage::Table& table, const std::string& path);
 
 // Appends rows parsed from the .tbl file at `path` into `table` (whose
 // schema defines the expected column count and types). Call FinishLoad()
-// afterwards. Returns rows read or an error.
+// afterwards. Returns rows read, or InvalidArgument naming the first row
+// and column that fails to parse (wrong field count, a number with stray
+// bytes or out of range, a malformed date). Each row is validated whole
+// before it is appended, so rows before the bad one stay loaded and the
+// columns never end up with different lengths.
 Result<int64_t> ReadTbl(const std::string& path, storage::Table* table);
 
 }  // namespace wimpi::tpch

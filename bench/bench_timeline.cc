@@ -12,9 +12,11 @@
 //     query's bandwidth-bound verdict and bandwidth-op fraction on the
 //     fixed Table I profiles — byte-stable across hosts, gated against the
 //     committed baseline at the default tolerance (like BENCH_stats.json).
-//   * --dump <path>: JSONL consumed by wimpi_timeline_check — a meta line,
-//     then per query a summary line (modeled vs measured class, agreement
-//     tallies) followed by the query's timeline header/interval lines.
+//   * --dump <path>: a Chrome trace checked by `wimpi_trace_check
+//     timeline` — one timeline.meta instant (host roofline, sampler
+//     period), one timeline.query span per query over its last lap with
+//     the summary as args (modeled vs measured class, agreement tallies),
+//     and the sampled timeline.* counter tracks.
 //
 // Answers are checksummed every lap: a sampler that changes any answer bit
 // fails the bench (the test suite enforces the same at SF 0.01).
@@ -26,7 +28,6 @@
 
 #include "bench_util.h"
 #include "common/cli.h"
-#include "common/file_util.h"
 #include "common/json.h"
 #include "common/table_printer.h"
 #include "engine/executor.h"
@@ -36,6 +37,7 @@
 #include "obs/clock.h"
 #include "obs/timeline/roofline.h"
 #include "obs/timeline/sampler.h"
+#include "obs/trace.h"
 #include "tpch/queries.h"
 
 namespace {
@@ -49,6 +51,12 @@ struct QueryWindow {
   uint64_t checksum = 0;
   wimpi::exec::QueryStats stats;  // physical-SF counters (lap 0)
 };
+
+// Query-level measured verdict: saturation-fraction majority.
+const char* MeasuredClass(const timeline::RooflineSummary& s) {
+  if (s.mean_gbps < 0) return "unknown";
+  return s.saturation_fraction > 0.5 ? "bandwidth" : "compute";
+}
 
 }  // namespace
 
@@ -171,10 +179,7 @@ int main(int argc, char** argv) {
     const auto it = summaries.find(q);
     if (it != summaries.end()) {
       const timeline::RooflineSummary& s = it->second;
-      // Query-level measured verdict: saturation-fraction majority.
-      measured = s.mean_gbps >= 0
-                     ? (s.saturation_fraction > 0.5 ? "bandwidth" : "compute")
-                     : "unknown";
+      measured = MeasuredClass(s);
       if (s.mean_gbps >= 0) gbps = TablePrinter::Fixed(s.mean_gbps, 2);
       if (s.agree + s.disagree > 0) {
         agree = std::to_string(s.agree) + "/" +
@@ -224,27 +229,27 @@ int main(int argc, char** argv) {
     if (!wimpi::bench::WriteArtifact(json_path, artifact)) return 1;
   }
 
-  // ---- Dump for wimpi_timeline_check ----
+  // ---- Dump for `wimpi_trace_check timeline` ----
   if (!dump_path.empty()) {
-    std::string out;
+    std::vector<wimpi::obs::TraceEvent> events;
     {
       wimpi::JsonWriter w;
       w.BeginObject()
-          .Key("type").String("meta")
-          .Key("bench").String("timeline")
-          .Key("sampler_on").Bool(sampler_on)
-          .Key("period_us").Int(period_us)
           .Key("peak_gbps").Double(host_spec.peak_gbps)
           .Key("saturation_gbps").Double(host_spec.saturation_gbps)
+          .Key("period_us").Int(period_us)
+          .Key("sampler_on").Bool(sampler_on)
           .EndObject();
-      out += w.str();
-      out += '\n';
+      events.push_back({.name = "timeline.meta",
+                        .category = "timeline",
+                        .phase = 'i',
+                        .ts_us = windows[queries.front()].submit_us,
+                        .args_json = w.str()});
     }
     for (const int q : queries) {
+      const QueryWindow& qw = windows[q];
       wimpi::JsonWriter w;
-      w.BeginObject()
-          .Key("type").String("summary")
-          .Key("q").Int(q);
+      w.BeginObject().Key("q").Int(q);
       {
         // Modeled verdict on the wimpy reference point: the dump's claim
         // is the paper's claim (Q1/Q6 memory-bound on the Pi at SF 1).
@@ -255,11 +260,7 @@ int main(int argc, char** argv) {
       const auto it = summaries.find(q);
       if (it != summaries.end()) {
         const timeline::RooflineSummary& s = it->second;
-        w.Key("measured")
-            .String(s.mean_gbps >= 0
-                        ? (s.saturation_fraction > 0.5 ? "bandwidth"
-                                                       : "compute")
-                        : "unknown")
+        w.Key("measured").String(MeasuredClass(s))
             .Key("mean_gbps").Double(s.mean_gbps)
             .Key("saturation_fraction").Double(s.saturation_fraction)
             .Key("pipelines").Int(static_cast<int64_t>(s.pipelines.size()))
@@ -269,13 +270,16 @@ int main(int argc, char** argv) {
         w.Key("measured").String("unknown");
       }
       w.EndObject();
-      out += w.str();
-      out += '\n';
+      events.push_back({.name = "Q" + std::to_string(q),
+                        .category = "timeline.query",
+                        .ts_us = qw.submit_us,
+                        .dur_us = qw.finish_us - qw.submit_us,
+                        .args_json = w.str()});
       const auto sit = slices.find(q);
-      if (sit != slices.end()) out += sit->second.ToJsonl();
+      if (sit != slices.end()) sit->second.AppendCounterTracks(&events);
     }
     std::string error;
-    if (!wimpi::WriteTextFile(dump_path, out, &error)) {
+    if (!wimpi::obs::WriteTraceFile(dump_path, events, &error)) {
       std::fprintf(stderr, "FAIL: %s\n", error.c_str());
       return 1;
     }

@@ -17,6 +17,11 @@ namespace {
 
 using wimpi::bench::RunArtifact;
 
+// Seed floors per scale factor: the sweep sizes CI runs (bench_chaos
+// --seeds 200 --sf10-seeds 16).
+constexpr double kMinSeeds = 200;
+constexpr double kMinSf10Seeds = 16;
+
 bool Fail(const std::string& msg) {
   std::fprintf(stderr, "[chaos-check] FAIL: %s\n", msg.c_str());
   return false;
@@ -105,20 +110,17 @@ int main(int argc, char** argv) {
   const wimpi::CommandLine cli(argc, argv);
   if (cli.positional().empty()) {
     std::fprintf(stderr,
-                 "usage: wimpi_chaos_check <BENCH_chaos.json> "
-                 "[--min-seeds N] [--min-sf10-seeds N]\n");
+                 "usage: wimpi_chaos_check <BENCH_chaos.json>\n");
     return 2;
   }
-  const double min_seeds = cli.GetDouble("min-seeds", 200);
-  const double min_sf10 = cli.GetDouble("min-sf10-seeds", 16);
 
   RunArtifact a;
   std::string error;
   if (!wimpi::bench::ReadArtifact(cli.positional()[0], &a, &error)) {
     return Fail(error) ? 0 : 1;
   }
-  if (!CheckSweep(a, "chaos", min_seeds)) return 1;
-  if (!CheckSweep(a, "chaos_sf10", min_sf10)) return 1;
+  if (!CheckSweep(a, "chaos", kMinSeeds)) return 1;
+  if (!CheckSweep(a, "chaos_sf10", kMinSf10Seeds)) return 1;
   if (!CheckDominance(a)) return 1;
   std::fprintf(stderr, "[chaos-check] OK\n");
   return 0;

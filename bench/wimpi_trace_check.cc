@@ -1,8 +1,9 @@
 // Validates an exported Chrome trace: the CI gate behind the traced
-// cluster runs and the flight-recorder dumps. The first argument names
-// what the trace must contain, and each mode fails on a trace of the
-// other kind (a cluster trace has no flight.query spans, a flight dump
-// no cluster.attempt spans).
+// cluster runs, the flight-recorder dumps and the roofline timeline
+// dumps. The first argument names what the trace must contain, and each
+// mode fails on a trace of the other two kinds (only a cluster trace has
+// cluster.attempt spans, only a flight dump flight.query spans, only a
+// timeline dump a timeline.meta instant).
 //
 //   wimpi_trace_check cluster <trace.json>
 //
@@ -36,6 +37,23 @@
 //   * at least --min-slow entries (straggler injection must be visible).
 // Checks on the exposition (--expo): parses via ExpositionFormat with
 // HELP/TYPE metadata, and slo.* burn-rate/attainment samples are present.
+// Any timeline.* counter tracks in the dump (the triggering query's
+// sampled series) must have monotone timestamps and non-negative GB/s.
+//
+//   wimpi_trace_check timeline <dump.json>
+//
+// A roofline timeline dump (`bench_timeline --dump`):
+//   * a timeline.meta instant carries the host roofline (peak_gbps > 0);
+//   * each timeline.* counter track has monotone timestamps, and every
+//     timeline.gbps value lies in [0, peak x 1.5] (a sampler computing
+//     impossible bandwidth has broken counter differencing);
+//   * Q1 and Q6 — the paper's memory-bound poster children — have a
+//     timeline.query span whose modeled class is known (the cost model
+//     must commit to a verdict), and no query span runs backwards;
+//   * across query spans whose measured class is known, it matches the
+//     modeled class on at least half of them, and the summed per-pipeline
+//     agree/disagree tallies meet the same floor. On hosts without a PMU
+//     the measured side is "unknown" and the floor is vacuously met.
 //
 // Exits nonzero with a [trace-check] message on the first violation, so a
 // refactor that silently drops spans or breaks causality fails the build.
@@ -43,6 +61,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <limits>
 #include <map>
 #include <set>
 #include <sstream>
@@ -64,6 +83,12 @@ constexpr double kWindowSlackUs = 2000;
 // CPU time vs threads x wall slack: CLOCK_THREAD_CPUTIME_ID granularity
 // plus scheduler noise on loaded hosts.
 constexpr double kCpuSlack = 1.25;
+// Timeline dumps: measured GB/s may exceed the host's nominal peak by
+// this factor, and measured-vs-modeled bound classes must agree on at
+// least this fraction of queries / pipelines.
+constexpr double kBandwidthTolerance = 1.5;
+constexpr double kAgreeFloor = 0.5;
+constexpr int kRequiredQueries[] = {1, 6};
 
 bool Fail(const std::string& msg) {
   std::fprintf(stderr, "[trace-check] FAIL: %s\n", msg.c_str());
@@ -100,6 +125,36 @@ uint64_t HexField(const JsonValue& args, const char* key) {
   const JsonValue* v = args.Find(key);
   if (v == nullptr || !v->is_string()) return 0;
   return std::strtoull(v->AsString().c_str(), nullptr, 16);
+}
+
+// Per timeline.* counter track (one per event name): timestamps never go
+// backwards, and every timeline.gbps value lies in [0, max_gbps].
+bool CheckCounterTracks(const JsonValue& events, double max_gbps,
+                        int* counters) {
+  std::map<std::string, double> last_ts;
+  for (const JsonValue& e : events.AsArray()) {
+    if (e.GetString("ph", "") != "C") continue;
+    const std::string name = e.GetString("name", "");
+    if (name.rfind("timeline.", 0) != 0) continue;
+    ++*counters;
+    const double ts = e.GetDouble("ts", 0);
+    const auto [it, first] = last_ts.emplace(name, ts);
+    if (!first && ts < it->second) {
+      return Fail("counter track " + name + " goes back in time at ts " +
+                  std::to_string(static_cast<int64_t>(ts)));
+    }
+    it->second = ts;
+    if (name == "timeline.gbps") {
+      const JsonValue* args = e.Find("args");
+      const double gbps = args != nullptr ? args->GetDouble("value", -1) : -1;
+      if (gbps < 0 || gbps > max_gbps) {
+        return Fail(std::to_string(gbps) + " GB/s at ts " +
+                    std::to_string(static_cast<int64_t>(ts)) +
+                    " is outside [0, " + std::to_string(max_gbps) + "]");
+      }
+    }
+  }
+  return true;
 }
 
 bool CheckClusterTrace(const std::string& path) {
@@ -369,10 +424,97 @@ bool CheckFlightDump(const std::string& path,
     }
   }
 
+  int counters = 0;
+  if (!CheckCounterTracks(*events, std::numeric_limits<double>::infinity(),
+                          &counters)) {
+    return false;
+  }
+
   std::fprintf(stderr,
                "[trace-check] %s OK: %d query span(s), %d pipeline "
-               "span(s), %d instant(s)\n",
-               path.c_str(), query_spans, pipeline_spans, instants);
+               "span(s), %d instant(s), %d counter(s)\n",
+               path.c_str(), query_spans, pipeline_spans, instants, counters);
+  return true;
+}
+
+bool CheckTimelineDump(const std::string& path) {
+  JsonValue doc;
+  const JsonValue* events = LoadTraceEvents(path, &doc);
+  if (events == nullptr) return false;
+
+  struct Summary {
+    std::string modeled;
+    std::string measured;
+    int agree = 0;
+    int disagree = 0;
+  };
+  double peak_gbps = -1;
+  std::map<int, Summary> summaries;
+  for (const JsonValue& e : events->AsArray()) {
+    if (!e.is_object()) return Fail("non-object trace event");
+    const std::string ph = e.GetString("ph", "");
+    const JsonValue* args = e.Find("args");
+    if (ph == "i" && e.GetString("name", "") == "timeline.meta") {
+      peak_gbps = args != nullptr ? args->GetDouble("peak_gbps", -1) : -1;
+      if (peak_gbps <= 0) {
+        return Fail("timeline.meta has no positive peak_gbps");
+      }
+    } else if (ph == "X" && e.GetString("cat", "") == "timeline.query") {
+      const int q = args != nullptr
+                        ? static_cast<int>(args->GetDouble("q", -1))
+                        : -1;
+      if (q < 1) return Fail("timeline.query span without query number");
+      if (e.GetDouble("dur", 0) < 0) {
+        return Fail("Q" + std::to_string(q) + ": span runs backwards");
+      }
+      Summary& s = summaries[q];
+      s.modeled = args->GetString("modeled", "unknown");
+      s.measured = args->GetString("measured", "unknown");
+      s.agree = static_cast<int>(args->GetDouble("agree", 0));
+      s.disagree = static_cast<int>(args->GetDouble("disagree", 0));
+    }
+  }
+  if (peak_gbps <= 0) return Fail(path + " has no timeline.meta instant");
+  int counters = 0;
+  if (!CheckCounterTracks(*events, peak_gbps * kBandwidthTolerance,
+                          &counters)) {
+    return false;
+  }
+
+  for (const int q : kRequiredQueries) {
+    const auto it = summaries.find(q);
+    if (it == summaries.end()) {
+      return Fail("required query Q" + std::to_string(q) +
+                  " has no timeline.query span");
+    }
+    if (it->second.modeled == "unknown") {
+      return Fail("Q" + std::to_string(q) +
+                  ": cost model did not commit to a bound class");
+    }
+  }
+  int known = 0, matched = 0, agree = 0, disagree = 0;
+  for (const auto& [q, s] : summaries) {
+    agree += s.agree;
+    disagree += s.disagree;
+    if (s.measured == "unknown") continue;
+    ++known;
+    if (s.measured == s.modeled) ++matched;
+  }
+  if (known > 0 && static_cast<double>(matched) / known < kAgreeFloor) {
+    return Fail("measured bound class agrees with the model on only " +
+                std::to_string(matched) + "/" + std::to_string(known) +
+                " queries (floor " + std::to_string(kAgreeFloor) + ")");
+  }
+  if (agree + disagree > 0 &&
+      static_cast<double>(agree) / (agree + disagree) < kAgreeFloor) {
+    return Fail("per-pipeline agreement " + std::to_string(agree) + "/" +
+                std::to_string(agree + disagree) + " is below the floor");
+  }
+
+  std::fprintf(stderr,
+               "[trace-check] %s OK: %zu query span(s), %d counter(s), "
+               "%d measured-class quer(ies)\n",
+               path.c_str(), summaries.size(), counters, known);
   return true;
 }
 
@@ -486,6 +628,7 @@ int main(int argc, char** argv) {
   const std::vector<std::string>& args = cli.positional();
   const std::string mode = args.size() == 2 ? args[0] : "";
   if (mode == "cluster") return CheckClusterTrace(args[1]) ? 0 : 1;
+  if (mode == "timeline") return CheckTimelineDump(args[1]) ? 0 : 1;
   if (mode == "flight") {
     const std::string slow_path = cli.GetString("slow-log", "");
     const std::string expo_path = cli.GetString("expo", "");
@@ -502,6 +645,7 @@ int main(int argc, char** argv) {
   std::fprintf(stderr,
                "usage: wimpi_trace_check cluster <trace.json>\n"
                "       wimpi_trace_check flight <dump.json> "
-               "[--slow-log <path>] [--expo <path>] [--min-slow N]\n");
+               "[--slow-log <path>] [--expo <path>] [--min-slow N]\n"
+               "       wimpi_trace_check timeline <dump.json>\n");
   return 2;
 }

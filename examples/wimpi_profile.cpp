@@ -26,9 +26,9 @@
 // the background and each query prints an ASCII sparkline table — GB/s,
 // IPC, and occupancy (busy cores) per bucket (--timeline-bucket-ms,
 // default 10) — plus the per-pipeline roofline summary cross-checked
-// against the cost model. --timeline-json dumps the sampled series as
-// JSONL; with --trace, counter tracks ride along inside the Chrome trace.
-// On hosts without a PMU the sparklines degrade to occupancy/memory only.
+// against the cost model. With --trace, the sampled series rides along
+// inside the Chrome trace as timeline.* counter tracks. On hosts without a
+// PMU the sparklines degrade to occupancy/memory only.
 //
 //   ./examples/wimpi_profile [--sf 0.1] [--q 1,6] [--threads 4]
 //                            [--trace trace.json] [--json profile.json]
@@ -36,7 +36,6 @@
 //                            [--perf] [--stats]
 //                            [--timeline] [--timeline-period-us 1000]
 //                            [--timeline-bucket-ms 10]
-//                            [--timeline-json timeline.jsonl]
 #include <algorithm>
 #include <cstdio>
 #include <string>
@@ -44,7 +43,6 @@
 
 #include "common/cli.h"
 #include "common/file_util.h"
-#include "common/json.h"
 #include "engine/executor.h"
 #include "hw/cost_model.h"
 #include "hw/host_anchor.h"
@@ -162,9 +160,7 @@ int main(int argc, char** argv) {
   const bool residuals = cli.GetBool("residual", true);
   const bool perf = cli.GetBool("perf", false);
   const bool stats_on = cli.GetBool("stats", false);
-  const std::string timeline_json = cli.GetString("timeline-json", "");
-  const bool timeline_on = cli.GetBool("timeline", false) ||
-                           !timeline_json.empty();
+  const bool timeline_on = cli.GetBool("timeline", false);
   const int64_t timeline_period_us = cli.GetInt("timeline-period-us", 1000);
   const int64_t bucket_ms = cli.GetInt("timeline-bucket-ms", 10);
   const std::vector<int> queries = ParseQueries(cli.GetString("q", "1,6"));
@@ -172,7 +168,7 @@ int main(int argc, char** argv) {
   // Fail on unwritable output paths before generating data and running
   // queries, not after.
   for (const std::string& path :
-       {trace_path, json_path, prom_path, timeline_json}) {
+       {trace_path, json_path, prom_path}) {
     std::string path_error;
     if (!path.empty() && !wimpi::ValidateWritablePath(path, &path_error)) {
       std::fprintf(stderr, "%s\n", path_error.c_str());
@@ -228,7 +224,8 @@ int main(int argc, char** argv) {
   }
   const tl::RooflineSpec roofline_spec =
       tl::RooflineSpec::FromProfile(host, threads, model);
-  std::vector<std::pair<int, tl::QueryTimeline>> timelines;
+  // Counter tracks of every query's slice, appended to the --trace file.
+  std::vector<wimpi::obs::TraceEvent> counter_tracks;
 
   std::string profiles_json;  // accumulated {"Q1":{...},...} for --json
   for (const int q : queries) {
@@ -304,7 +301,7 @@ int main(int argc, char** argv) {
         tl::CrossCheckWithModel(model, host, stats, threads, &summary);
         std::printf("%s", summary.Format().c_str());
       }
-      timelines.emplace_back(q, std::move(qtl));
+      qtl.AppendCounterTracks(&counter_tracks);
     }
   }
   if (sampling) sampler.Stop();
@@ -332,36 +329,19 @@ int main(int argc, char** argv) {
       return 1;
     std::printf("\nWrote profile JSON to %s\n", json_path.c_str());
   }
-  if (!timeline_json.empty()) {
-    // One JSONL stream: per query a {"type":"query"} line (written with
-    // the shared JsonWriter) followed by that query's timeline header and
-    // interval lines.
-    std::string out;
-    for (const auto& [q, qtl] : timelines) {
-      wimpi::JsonWriter w;
-      w.BeginObject()
-          .Key("type").String("query")
-          .Key("q").Int(q)
-          .Key("samples").Int(static_cast<int64_t>(qtl.samples.size()))
-          .EndObject();
-      out += w.str();
-      out += '\n';
-      out += qtl.ToJsonl();
-    }
-    if (!WriteOutput(timeline_json, out)) return 1;
-    std::printf("\nWrote timeline JSONL for %zu quer(ies) to %s\n",
-                timelines.size(), timeline_json.c_str());
-  }
   if (!trace_path.empty()) {
     // Counter tracks render alongside the span tree in chrome://tracing /
     // Perfetto: bandwidth and occupancy as graphs above the operators.
-    for (const auto& [q, qtl] : timelines) {
-      (void)q;
-      qtl.AppendCounterTracks(&wimpi::obs::TraceSink::Global());
+    std::vector<wimpi::obs::TraceEvent> events =
+        wimpi::obs::TraceSink::Global().Snapshot();
+    events.insert(events.end(), counter_tracks.begin(), counter_tracks.end());
+    std::string error;
+    if (!wimpi::obs::WriteTraceFile(trace_path, events, &error)) {
+      std::fprintf(stderr, "%s\n", error.c_str());
+      return 1;
     }
-    if (!wimpi::obs::TraceSink::Global().WriteFile(trace_path)) return 1;
-    std::printf("\nWrote %zu trace events to %s\n",
-                wimpi::obs::TraceSink::Global().size(), trace_path.c_str());
+    std::printf("\nWrote %zu trace events to %s\n", events.size(),
+                trace_path.c_str());
   }
   return 0;
 }

@@ -8,18 +8,19 @@
 # admission invariants gated against the committed baseline), a
 # flight-recorder stage (tight SLO + injected straggler must produce a
 # flight dump / slow-query log / exposition that pass `wimpi_trace_check
-# flight`, and recording must not move mean latency), a plan-quality stage (all 22 queries with statistics
-# collected + cardinality capture on: answers must stay bit-identical,
-# sketch accuracy and Q-error residuals validated by wimpi_stats_check
-# and gated against the committed baseline), a chaos-soak stage (hundreds
-# of seed-derived fault x steal x resize scenarios through fine-grained
-# recovery: answers must stay bit-identical, every recovery mechanism must
-# be exercised, the fine-grained tail must dominate retry-only, counters
-# gated against the committed baseline, one traced scenario validated by
-# `wimpi_trace_check cluster`), a roofline-timeline stage (all 22 queries
-# with the sampler attached: answers bit-identical, modeled bound-class
-# rows gated against the committed baseline, sampling must not move mean
-# latency, and the dump must pass wimpi_timeline_check), then the
+# flight`, and recording must not move mean latency), a plan-quality stage
+# (all 22 queries with statistics collected + cardinality capture on:
+# answers must stay bit-identical, sketch accuracy and Q-error residuals
+# validated by wimpi_stats_check and gated against the committed baseline
+# by wimpi_bench_compare), a chaos-soak stage (hundreds of seed-derived
+# fault x steal x resize scenarios through fine-grained recovery: answers
+# must stay bit-identical, every recovery mechanism must be exercised, the
+# fine-grained tail must dominate retry-only, counters gated against the
+# committed baseline, one traced scenario validated by `wimpi_trace_check
+# cluster`), a roofline-timeline stage (all 22 queries with the sampler
+# attached: answers bit-identical, modeled bound-class rows gated against
+# the committed baseline, sampling must not move mean latency, and the
+# Chrome-trace dump must pass `wimpi_trace_check timeline`), then the
 # sanitizer passes (TSan over the parallel + service + observability +
 # fault + stats + timeline tests, ASan over everything). Each stage fails
 # the script on the first error.
@@ -127,15 +128,18 @@ if [[ "${WIMPI_CI_SKIP_BENCH:-0}" != "1" ]]; then
   echo "=== [7/11] plan-quality smoke + Q-error gate ==="
   # All 22 queries twice: seed path, then with column statistics collected
   # and the cardinality estimator installed. The bench exits nonzero if
-  # any answer changes. The artifact rows (per-query Q-error residuals,
-  # sketch NDV / quantile accuracy) are pure functions of the fixed dbgen
-  # seed, so wimpi_stats_check gates them against the committed baseline
-  # at the default tolerance on top of its structural invariants.
+  # any answer changes. wimpi_stats_check enforces the structural
+  # invariants (all 22 queries estimated, Q-errors >= 1, sketch NDV /
+  # quantile error bounds). The artifact rows (per-query Q-error
+  # residuals, sketch accuracy) are pure functions of the fixed dbgen
+  # seed, so wimpi_bench_compare gates them against the committed
+  # baseline at the default tolerance.
   stats_artifact="${build_dir}/BENCH_stats.json"
   WIMPI_PERF_DISABLE=1 "${build_dir}/bench/bench_stats_qerror" \
     --physical-sf 0.01 --json "${stats_artifact}" > /dev/null
-  "${build_dir}/bench/wimpi_stats_check" "${stats_artifact}" \
-    --baseline "${repo_root}/bench/baselines/BENCH_stats.json"
+  "${build_dir}/bench/wimpi_stats_check" "${stats_artifact}"
+  "${build_dir}/bench/wimpi_bench_compare" \
+    "${repo_root}/bench/baselines/BENCH_stats.json" "${stats_artifact}"
 
   echo "=== [8/11] chaos soak + recovery gate ==="
   # 200 SF-1 seeds plus an SF-10 subset through fine-grained recovery
@@ -165,15 +169,17 @@ if [[ "${WIMPI_CI_SKIP_BENCH:-0}" != "1" ]]; then
   # first lap. Gated artifact rows are answer checksums plus modeled
   # bound-class verdicts on the fixed Table I profiles (pure functions of
   # the dbgen seed and cost model); measured GB/s / IPC live only in the
-  # dump, which wimpi_timeline_check validates structurally (monotone
-  # interval timestamps, bandwidth within the host roofline, Q1/Q6
-  # classified, measured-vs-modeled agreement where the host PMU exposes
-  # counters). Deliberately NOT run with WIMPI_PERF_DISABLE=1: that
-  # variable force-disables the sampler this stage exists to exercise.
+  # dump, a Chrome trace (timeline.meta instant, one timeline.query span
+  # per query, timeline.* counter tracks) that `wimpi_trace_check
+  # timeline` validates structurally (monotone counter tracks, bandwidth
+  # within the host roofline, Q1/Q6 classified, measured-vs-modeled
+  # agreement where the host PMU exposes counters). Deliberately NOT run
+  # with WIMPI_PERF_DISABLE=1: that variable force-disables the sampler
+  # this stage exists to exercise.
   timeline_tol="${WIMPI_CI_TIMELINE_TOL:-0.25}"
   timeline_off="${build_dir}/BENCH_timeline_off.json"
   timeline_on="${build_dir}/BENCH_timeline.json"
-  timeline_dump="${build_dir}/BENCH_timeline.dump.jsonl"
+  timeline_dump="${build_dir}/BENCH_timeline.trace.json"
   "${build_dir}/bench/bench_timeline" \
     --physical-sf 0.01 --laps 7 --off --json "${timeline_off}" > /dev/null
   "${build_dir}/bench/bench_timeline" \
@@ -191,7 +197,7 @@ if [[ "${WIMPI_CI_SKIP_BENCH:-0}" != "1" ]]; then
   "${build_dir}/bench/wimpi_bench_compare" \
     "${timeline_off}" "${timeline_on}" \
     --only mean_latency --wall-tol "${timeline_tol}"
-  "${build_dir}/bench/wimpi_timeline_check" "${timeline_dump}"
+  "${build_dir}/bench/wimpi_trace_check" timeline "${timeline_dump}"
 else
   echo "=== bench stages skipped (WIMPI_CI_SKIP_BENCH=1) ==="
 fi

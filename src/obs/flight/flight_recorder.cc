@@ -7,11 +7,10 @@
 #include <memory>
 #include <utility>
 
-#include "common/file_util.h"
 #include "common/json.h"
 #include "obs/clock.h"
 #include "obs/metrics.h"
-#include "obs/trace.h"
+#include "obs/timeline/sampler.h"
 
 namespace wimpi::obs::flight {
 
@@ -153,7 +152,12 @@ void FlightRecorder::NoteFault(int32_t node, int64_t detail) {
     }
     ++g.fault_dump_seq_;
   }
-  g.DumpSince(NowMicros() - kFaultWindowUs, path);
+  const int64_t now = NowMicros();
+  timeline::QueryTimeline tl;
+  if (timeline::SamplerEnabled()) {
+    tl = timeline::TimelineSampler::Global().Slice(now - kFaultWindowUs, now);
+  }
+  g.DumpSince(now - kFaultWindowUs, path, tl);
 }
 
 void FlightRecorder::SetFaultDumpPath(std::string path, int max_dumps) {
@@ -253,7 +257,7 @@ std::string IntArgs(
 
 }  // namespace
 
-std::string FlightRecorder::ToChromeTrace(
+std::vector<TraceEvent> FlightRecorder::ToTraceEvents(
     const std::vector<FlightEvent>& events) {
   std::vector<TraceEvent> out;
 
@@ -334,36 +338,20 @@ std::string FlightRecorder::ToChromeTrace(
                                {"a", e.a},
                                {"b", e.b}})});
   }
-  return TraceEventsToJson(out);
-}
-
-std::string FlightRecorder::ToJsonl(const std::vector<FlightEvent>& events) {
-  std::string out;
-  for (const FlightEvent& e : events) {
-    JsonWriter w;
-    w.BeginObject()
-        .Key("ts_us").Int(e.ts_us)
-        .Key("kind").String(EventKindName(e.kind))
-        .Key("query").Int(static_cast<int64_t>(e.query))
-        .Key("tid").Int(e.tid)
-        .Key("a").Int(e.a)
-        .Key("b").Int(e.b)
-        .EndObject();
-    out += w.str();
-    out += '\n';
-  }
   return out;
 }
 
 bool FlightRecorder::DumpSince(int64_t since_us, const std::string& path,
+                               const timeline::QueryTimeline& slice,
                                std::string* error) const {
   const std::vector<FlightEvent> events = SnapshotSince(since_us);
   if (events.empty()) {
     if (error != nullptr) *error = "flight window is empty";
     return false;
   }
-  if (!WriteTextFile(path, ToChromeTrace(events), error)) return false;
-  if (!WriteTextFile(path + ".jsonl", ToJsonl(events), error)) return false;
+  std::vector<TraceEvent> trace = ToTraceEvents(events);
+  slice.AppendCounterTracks(&trace);
+  if (!WriteTraceFile(path, trace, error)) return false;
   MetricsRegistry::Global().counter("flight.dumps").Add(1);
   return true;
 }

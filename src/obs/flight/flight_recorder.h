@@ -11,8 +11,8 @@
 // The rings keep the last few thousand events per thread — enough recent
 // history that when a query blows its latency objective, gets cancelled,
 // times out, or a cluster fault fires, the service can *retroactively*
-// dump the window around it as a Chrome trace + JSONL without anyone
-// having asked for tracing up front.
+// dump the window around it as one Chrome trace without anyone having
+// asked for tracing up front.
 //
 // Overwritten events are simply lost (that is the point of a flight
 // recorder: bounded memory, newest history wins). A reader snapshotting a
@@ -31,6 +31,9 @@
 #include <mutex>
 #include <string>
 #include <vector>
+
+#include "obs/timeline/timeline.h"
+#include "obs/trace.h"
 
 namespace wimpi::obs::flight {
 
@@ -86,7 +89,8 @@ class FlightRecorder {
   // flight.trigger.fault counter, and — when a fault dump path was
   // configured via SetFaultDumpPath or WIMPI_FLIGHT_FAULT_DUMP — dumps
   // the last few seconds of history retroactively (bounded by the same
-  // max-dumps cap the service triggers use).
+  // max-dumps cap the service triggers use), with the timeline sampler's
+  // slice of that window when the sampler is running.
   static void NoteFault(int32_t node, int64_t detail);
   void SetFaultDumpPath(std::string path, int max_dumps = 4);
 
@@ -102,21 +106,21 @@ class FlightRecorder {
   int64_t TotalDropped() const;
   size_t ring_count() const;
 
-  // Renders `events` as a self-contained Chrome trace through the shared
-  // obs::TraceEventsToJson writer: one 'X' span per completed query
+  // Renders `events` as trace events: one 'X' span per completed query
   // lifecycle (kTracePidQueryLanes, cat "flight.query"), one 'X' span per
   // matched pipeline start/end pair on its thread row (kTracePidHost, cat
   // "flight.pipeline"), and every record as an 'i' instant (kTracePidHost,
-  // cat "flight.event").
-  static std::string ToChromeTrace(const std::vector<FlightEvent>& events);
-  // One JSON object per line: {"ts_us":..,"kind":"...","query":..,
-  // "tid":..,"a":..,"b":..}.
-  static std::string ToJsonl(const std::vector<FlightEvent>& events);
+  // cat "flight.event", args {"query","a","b"} — the whole record).
+  static std::vector<TraceEvent> ToTraceEvents(
+      const std::vector<FlightEvent>& events);
 
-  // Dumps the window since `since_us` to `path` (Chrome trace) and
-  // `path + ".jsonl"` (raw records). Returns false and fills *error when
-  // either file cannot be written or the window is empty.
+  // Dumps the window since `since_us` to the one file `path` through
+  // obs::WriteTraceFile (Chrome JSON, or JSONL for a ".jsonl" path): the
+  // ToTraceEvents rendering plus the counter tracks of the timeline
+  // `slice` (none when it is empty). Returns false and fills *error when
+  // the file cannot be written or the window is empty.
   bool DumpSince(int64_t since_us, const std::string& path,
+                 const timeline::QueryTimeline& slice = {},
                  std::string* error = nullptr) const;
 
  private:

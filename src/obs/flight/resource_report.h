@@ -34,7 +34,7 @@ struct QueryResourceReport {
   // submit->finish slice of the sampled series rides along (bandwidth /
   // IPC / occupancy over time — see obs/timeline/). The copy the
   // slow-query log keeps omits it: log entries stay small, the full
-  // series lands in the flight dump's .timeline.jsonl sidecar instead.
+  // series lands in the flight dump as timeline.* counter tracks instead.
   bool timeline_valid = false;
   timeline::QueryTimeline timeline;
 };

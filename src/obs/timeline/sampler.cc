@@ -170,14 +170,7 @@ QueryTimeline TimelineSampler::Slice(int64_t start_us, int64_t end_us) const {
   QueryTimeline t;
   t.start_us = start_us;
   t.end_us = end_us;
-  t.period_us = opts_.period_us;
   t.samples = SnapshotRange(start_us, end_us == 0 ? INT64_MAX : end_us);
-  for (const TimelineSample& s : t.samples) {
-    if (s.perf.AnyAvailable()) {
-      t.perf_available = true;
-      break;
-    }
-  }
   return t;
 }
 

@@ -112,7 +112,7 @@ class TimelineSampler {
   std::vector<TimelineSample> SnapshotRange(int64_t since_us,
                                             int64_t until_us) const;
 
-  // Timeline slice for one query/window (start/end/period/perf filled in).
+  // Timeline slice for one query/window (start/end bounds filled in).
   QueryTimeline Slice(int64_t start_us, int64_t end_us) const;
 
   // Total ticks taken since Start (test/diagnostic).

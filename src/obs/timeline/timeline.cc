@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "common/json.h"
-#include "obs/trace.h"
 
 namespace wimpi::obs::timeline {
 
@@ -27,11 +26,6 @@ void FillRates(const PerfCounts& d, double dt_s, TimelineInterval* out) {
 }
 
 }  // namespace
-
-const char* TimelineInterval::Label() const {
-  return num_active > 0 && active[0].label != nullptr ? active[0].label
-                                                      : "idle";
-}
 
 double PipelineWindow::Gbps() const {
   const double dram = delta.DramBytes();
@@ -58,7 +52,6 @@ std::vector<TimelineInterval> QueryTimeline::Intervals() const {
     iv.mem_used_bytes = b.mem_used_bytes;
     iv.queue_depth = b.queue_depth;
     iv.num_active = b.num_active;
-    iv.active = b.active;
     out.push_back(iv);
   }
   return out;
@@ -146,50 +139,8 @@ std::vector<PipelineWindow> QueryTimeline::PipelineWindows() const {
   return out;
 }
 
-std::string QueryTimeline::ToJsonl() const {
-  std::string out;
-  {
-    JsonWriter w;
-    w.BeginObject()
-        .Key("type").String("header")
-        .Key("start_us").Int(start_us)
-        .Key("end_us").Int(end_us)
-        .Key("period_us").Int(period_us)
-        .Key("perf_available").Bool(perf_available)
-        .Key("samples").Int(static_cast<int64_t>(samples.size()))
-        .EndObject();
-    out += w.str();
-    out += '\n';
-  }
-  for (const TimelineInterval& iv : Intervals()) {
-    JsonWriter w;
-    w.BeginObject()
-        .Key("type").String("interval")
-        .Key("t0_us").Int(iv.t0_us)
-        .Key("t1_us").Int(iv.t1_us);
-    if (iv.gbps >= 0) w.Key("gbps").Double(iv.gbps);
-    if (iv.ipc >= 0) w.Key("ipc").Double(iv.ipc);
-    if (iv.cpu_util >= 0) w.Key("cpu_util").Double(iv.cpu_util);
-    w.Key("mem_used_bytes").Int(iv.mem_used_bytes)
-        .Key("queue_depth").Double(iv.queue_depth)
-        .Key("active").BeginArray();
-    for (int i = 0; i < iv.num_active; ++i) {
-      const ActivitySample& a = iv.active[static_cast<size_t>(i)];
-      w.BeginObject()
-          .Key("lane").Int(a.lane)
-          .Key("query").Int(static_cast<int64_t>(a.query_id))
-          .Key("label").String(a.label != nullptr ? a.label : "")
-          .EndObject();
-    }
-    w.EndArray().EndObject();
-    out += w.str();
-    out += '\n';
-  }
-  return out;
-}
-
-void QueryTimeline::AppendCounterTracks(TraceSink* sink) const {
-  auto counter = [sink](const char* name, int64_t ts_us, double value) {
+void QueryTimeline::AppendCounterTracks(std::vector<TraceEvent>* out) const {
+  auto counter = [out](const char* name, int64_t ts_us, double value) {
     TraceEvent e;
     e.name = name;
     e.category = "timeline";
@@ -200,7 +151,7 @@ void QueryTimeline::AppendCounterTracks(TraceSink* sink) const {
     JsonWriter w;
     w.BeginObject().Key("value").Double(value).EndObject();
     e.args_json = w.str();
-    sink->Record(std::move(e));
+    out->push_back(std::move(e));
   };
   for (const TimelineInterval& iv : Intervals()) {
     if (iv.gbps >= 0) counter("timeline.gbps", iv.t1_us, iv.gbps);

@@ -3,14 +3,10 @@
 
 #include <array>
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "obs/perf_counters.h"
-
-namespace wimpi::obs {
-class TraceSink;
-}  // namespace wimpi::obs
+#include "obs/trace.h"
 
 namespace wimpi::obs::timeline {
 
@@ -50,7 +46,7 @@ struct TimelineSample {
 
 // Derived signals between two consecutive samples. Every rate is -1 when
 // its counter inputs are unavailable (PMU hidden); the structural fields
-// (timestamps, memory, queue depth, activity) are always valid.
+// (timestamps, memory, queue depth, active-lane count) are always valid.
 struct TimelineInterval {
   int64_t t0_us = 0;
   int64_t t1_us = 0;
@@ -61,11 +57,7 @@ struct TimelineInterval {
   double cpu_util = -1;      // busy cores: task-clock ns / wall ns
   int64_t mem_used_bytes = 0;
   double queue_depth = 0;
-  int num_active = 0;
-  std::array<ActivitySample, TimelineSample::kMaxActive> active{};
-
-  // First active lane's label ("idle" when none was mid-pipeline).
-  const char* Label() const;
+  int num_active = 0;  // lanes mid-pipeline at the interval's end
 };
 
 // A contiguous run of intervals during which one (lane, seq) pipeline was
@@ -89,8 +81,6 @@ struct PipelineWindow {
 struct QueryTimeline {
   int64_t start_us = 0;  // requested slice bounds, not first/last sample
   int64_t end_us = 0;
-  int64_t period_us = 0;       // sampler period the series was captured at
-  bool perf_available = false; // any hardware/software event counted
   std::vector<TimelineSample> samples;
 
   bool empty() const { return samples.empty(); }
@@ -101,15 +91,13 @@ struct QueryTimeline {
   // Pipeline activity windows reconstructed from the per-lane samples.
   std::vector<PipelineWindow> PipelineWindows() const;
 
-  // One JSON object per line: a "header" line (slice bounds, period, perf
-  // availability) followed by one "interval" line per derived interval.
-  std::string ToJsonl() const;
-
-  // Chrome trace-event counter tracks ('C' phase): gbps / ipc / cpu_util /
-  // mem_mb / queue_depth series under pid kTracePidHost, rendered by
-  // chrome://tracing and Perfetto alongside the existing query spans.
-  // Appends regardless of the sink's enabled() state (export-time call).
-  void AppendCounterTracks(TraceSink* sink) const;
+  // The one producer of timeline trace events: Chrome counter tracks ('C'
+  // phase, cat "timeline", pid kTracePidHost), one event per interval and
+  // series at the interval's t1. timeline.gbps / .ipc / .cpu_util appear
+  // only where the rate is available (>= 0); timeline.mem_mb and
+  // .queue_depth always. Samples are stamped on the obs::NowMicros clock,
+  // so the tracks line up with flight and span events in the same file.
+  void AppendCounterTracks(std::vector<TraceEvent>* out) const;
 };
 
 }  // namespace wimpi::obs::timeline

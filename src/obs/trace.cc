@@ -89,10 +89,8 @@ std::string TraceSink::ToJsonl() const {
 }
 
 bool TraceSink::WriteFile(const std::string& path) const {
-  const bool jsonl =
-      path.size() >= 6 && path.compare(path.size() - 6, 6, ".jsonl") == 0;
   std::string error;
-  if (!WriteTextFile(path, jsonl ? ToJsonl() : ToJson(), &error)) {
+  if (!WriteTraceFile(path, Snapshot(), &error)) {
     WIMPI_LOG(Error) << "trace file: " << error;
     return false;
   }
@@ -142,6 +140,16 @@ std::string TraceEventsToJsonl(const std::vector<TraceEvent>& events) {
     out += '\n';
   }
   return out;
+}
+
+bool WriteTraceFile(const std::string& path,
+                    const std::vector<TraceEvent>& events,
+                    std::string* error) {
+  const bool jsonl =
+      path.size() >= 6 && path.compare(path.size() - 6, 6, ".jsonl") == 0;
+  return WriteTextFile(
+      path, jsonl ? TraceEventsToJsonl(events) : TraceEventsToJson(events),
+      error);
 }
 
 }  // namespace wimpi::obs

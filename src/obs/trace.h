@@ -74,8 +74,8 @@ class TraceSink {
   std::string ToJson() const;
   std::string ToJsonl() const;
 
-  // Returns false (and logs) when the file cannot be written. Paths ending
-  // in ".jsonl" get the JSONL rendering, everything else Chrome JSON.
+  // WriteTraceFile over Snapshot(); returns false (and logs) when the file
+  // cannot be written.
   bool WriteFile(const std::string& path) const;
 
   // Dense id of the calling thread (0 = first thread ever seen).
@@ -100,6 +100,13 @@ std::string TraceEventsToJson(const std::vector<TraceEvent>& events);
 // One JSON object per line per event (same fields as the Chrome JSON,
 // flat), for streaming consumers and line-oriented diffing.
 std::string TraceEventsToJsonl(const std::vector<TraceEvent>& events);
+
+// Writes `events` to `path`: the JSONL rendering when the path ends in
+// ".jsonl", the Chrome JSON otherwise. Every trace and telemetry dump file
+// goes through here. Returns false and fills *error when it cannot write.
+bool WriteTraceFile(const std::string& path,
+                    const std::vector<TraceEvent>& events,
+                    std::string* error = nullptr);
 
 }  // namespace wimpi::obs
 

@@ -8,7 +8,6 @@
 #include <utility>
 #include <vector>
 
-#include "common/file_util.h"
 #include "common/logging.h"
 #include "exec/exec_options.h"
 #include "obs/clock.h"
@@ -81,11 +80,10 @@ struct ServiceCore {
   struct PendingDump {
     int64_t since_us = 0;
     std::string path;
-    // The triggering query's timeline slice, captured at queue time (the
-    // sampler ring trims oldest-first, so slicing at flush time could lose
-    // the very samples the trigger was about). Written as a
-    // `<path>.timeline.jsonl` sidecar next to the event dump.
-    bool has_timeline = false;
+    // The triggering query's timeline slice (empty when the sampler was
+    // off), captured at queue time: the sampler ring trims oldest-first,
+    // so slicing at flush time could lose the very samples the trigger
+    // was about. Its counter tracks go into the same dump file.
     obs::timeline::QueryTimeline timeline;
   };
   std::vector<PendingDump> pending_dumps;
@@ -260,7 +258,7 @@ struct ServiceCore {
         }
         ++dump_seq;
         pending_dumps.push_back({t->submit_us - opts.flight.window_margin_us,
-                                 std::move(path), have_timeline, qtl});
+                                 std::move(path), qtl});
       }
     }
 
@@ -286,15 +284,9 @@ struct ServiceCore {
     for (const PendingDump& d : dumps) {
       std::string error;
       if (!flight::FlightRecorder::Global().DumpSince(d.since_us, d.path,
-                                                      &error)) {
+                                                      d.timeline, &error)) {
         WIMPI_LOG(Warning) << "flight dump to " << d.path
                         << " failed: " << error;
-      }
-      if (d.has_timeline) {
-        const std::string tl_path = d.path + ".timeline.jsonl";
-        if (!WriteTextFile(tl_path, d.timeline.ToJsonl(), &error)) {
-          WIMPI_LOG(Warning) << "timeline dump failed: " << error;
-        }
       }
     }
   }

@@ -51,7 +51,7 @@ namespace wimpi::service {
 // Tail-based flight-recorder triggers (ISSUE #7): when a finished query
 // matches one, its resource report goes to the process-wide slow-query
 // log and — when `dump_path` is set — the recorder's recent history is
-// retroactively dumped as a Chrome trace + JSONL.
+// retroactively dumped as one Chrome trace.
 struct FlightTriggerOptions {
   // Wall-time threshold marking a completed query slow. 0 falls back to
   // the query's SLO objective (if SLOs are configured); < 0 disables
@@ -59,9 +59,11 @@ struct FlightTriggerOptions {
   int64_t latency_threshold_us = 0;
   // Also trigger on kDeadlineExceeded / kCancelled / kResourceExhausted.
   bool on_error = true;
-  // Dump destination: "<path>" gets the Chrome trace, "<path>.jsonl" the
-  // raw records; later dumps append ".1", ".2", ... Empty path = log
-  // slow queries without writing dump files.
+  // Dump destination: one trace file per dump (FlightRecorder::DumpSince:
+  // flight spans and instants, plus the triggering query's timeline.*
+  // counter tracks when the sampler was running; JSONL for a ".jsonl"
+  // path). Later dumps append ".1", ".2", ... Empty path = log slow
+  // queries without writing dump files.
   std::string dump_path;
   // Cap on dump files per service (each dump rewrites the whole window).
   int max_dumps = 4;

@@ -149,7 +149,8 @@ TEST(FlightRecorderTest, ChromeTraceBuildsQueryAndPipelineSpans) {
   add(150, EventKind::kPipelineEnd, 42, 8, 30, 1);
   add(160, EventKind::kQueryFinish, 42, 0, 60, 1);
 
-  const std::string json = FlightRecorder::ToChromeTrace(events);
+  const std::string json =
+      obs::TraceEventsToJson(FlightRecorder::ToTraceEvents(events));
   JsonValue doc;
   std::string error;
   ASSERT_TRUE(JsonValue::Parse(json, &doc, &error)) << error << "\n" << json;
@@ -173,29 +174,22 @@ TEST(FlightRecorderTest, ChromeTraceBuildsQueryAndPipelineSpans) {
       EXPECT_EQ(e.GetDouble("ts", 0), 120);
       EXPECT_EQ(e.GetDouble("dur", 0), 30);
     }
-    if (cat == "flight.event") ++instants;
+    if (cat == "flight.event") {
+      // Instants come in record order and carry the whole record.
+      ASSERT_LT(instants, static_cast<int>(events.size()));
+      const FlightEvent& rec = events[static_cast<size_t>(instants++)];
+      EXPECT_EQ(e.GetString("name", ""), flight::EventKindName(rec.kind));
+      EXPECT_EQ(e.GetDouble("ts", 0), rec.ts_us);
+      const JsonValue* args = e.Find("args");
+      ASSERT_NE(args, nullptr);
+      EXPECT_EQ(args->GetDouble("query", -1), static_cast<double>(rec.query));
+      EXPECT_EQ(args->GetDouble("a", -1), rec.a);
+      EXPECT_EQ(args->GetDouble("b", -1), rec.b);
+    }
   }
   EXPECT_TRUE(query_span);
   EXPECT_TRUE(pipeline_span);
   EXPECT_EQ(instants, static_cast<int>(events.size()));
-
-  // JSONL: one parseable object per event, kind names decoded.
-  const std::string jsonl = FlightRecorder::ToJsonl(events);
-  size_t lines = 0, start = 0;
-  while (start < jsonl.size()) {
-    size_t end = jsonl.find('\n', start);
-    if (end == std::string::npos) end = jsonl.size();
-    const std::string line = jsonl.substr(start, end - start);
-    if (!line.empty()) {
-      ++lines;
-      JsonValue v;
-      ASSERT_TRUE(JsonValue::Parse(line, &v, &error)) << error;
-      EXPECT_NE(v.Find("kind"), nullptr);
-      EXPECT_NE(v.Find("ts_us"), nullptr);
-    }
-    start = end + 1;
-  }
-  EXPECT_EQ(lines, events.size());
 }
 
 TEST(SlowQueryLogTest, BoundedRingAndJsonl) {
@@ -364,23 +358,20 @@ TEST(ServiceFlightTriggerTest, SlowQueryDumpsRetroactively) {
   }
   EXPECT_GE(pipeline_spans, 1);
 
-  // The raw JSONL sidecar parses line by line.
-  const std::string jsonl = ReadFileOrEmpty(dump + ".jsonl");
-  ASSERT_FALSE(jsonl.empty());
-  size_t start = 0;
-  while (start < jsonl.size()) {
-    size_t end = jsonl.find('\n', start);
-    if (end == std::string::npos) end = jsonl.size();
-    const std::string line = jsonl.substr(start, end - start);
-    if (!line.empty()) {
-      JsonValue v;
-      ASSERT_TRUE(JsonValue::Parse(line, &v, &error)) << error;
+  // Flight instants carry the raw records; the dump is the only file.
+  for (const JsonValue& e : events->AsArray()) {
+    if (e.GetString("cat", "") != "flight.event") continue;
+    const JsonValue* args = e.Find("args");
+    ASSERT_NE(args, nullptr);
+    for (const char* key : {"query", "a", "b"}) {
+      EXPECT_NE(args->Find(key), nullptr) << key;
     }
-    start = end + 1;
   }
+  std::FILE* sidecar = std::fopen((dump + ".jsonl").c_str(), "rb");
+  EXPECT_EQ(sidecar, nullptr) << "flight dumps write no JSONL sidecar";
+  if (sidecar != nullptr) std::fclose(sidecar);
 
   std::remove(dump.c_str());
-  std::remove((dump + ".jsonl").c_str());
   log.Clear();
 }
 

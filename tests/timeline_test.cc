@@ -8,18 +8,21 @@
 //   * sampler lifecycle — WIMPI_PERF_DISABLE=1 refusal, double-start
 //     refusal, graceful degradation when perf_event_open counts nothing,
 //     and start/stop racing query execution (the TSan pass runs this);
+//   * the timeline.* counter tracks a QueryTimeline renders into traces;
 //   * the service attachment: QueryResourceReport carries the query's
-//     slice, and a slow-query flight dump writes a .timeline.jsonl
-//     sidecar;
+//     slice, and a slow-query or cluster-fault flight dump carries the
+//     counter tracks inside the one dump file;
 //   * the modeled side: Q1 is bandwidth-bound on the Pi profile at SF 1,
 //     and OpSeconds is exactly the roofline max the classifier uses.
 #include <atomic>
 #include <cstdint>
 #include <cstdlib>
 #include <fstream>
+#include <map>
 #include <sstream>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "common/json.h"
@@ -29,9 +32,11 @@
 #include "hw/cost_model.h"
 #include "hw/profile.h"
 #include "obs/clock.h"
+#include "obs/flight/flight_recorder.h"
 #include "obs/timeline/roofline.h"
 #include "obs/timeline/sampler.h"
 #include "obs/timeline/timeline.h"
+#include "obs/trace.h"
 #include "service/query_service.h"
 #include "tpch/dbgen.h"
 #include "tpch/queries.h"
@@ -104,6 +109,19 @@ obs::timeline::TimelineSample Sample(int64_t ts_us, int64_t instructions,
   if (llc_misses >= 0) s.perf.Set(obs::PerfEvent::kLlcMisses, llc_misses);
   if (task_clock_ns >= 0) s.perf.Set(obs::PerfEvent::kTaskClockNs, task_clock_ns);
   return s;
+}
+
+// Parses the Chrome trace file at `path`; a missing or unparseable file
+// fails the calling test.
+JsonValue ReadTrace(const std::string& path) {
+  std::ifstream in(path);
+  EXPECT_TRUE(in.is_open()) << path << " was not written";
+  std::stringstream text;
+  text << in.rdbuf();
+  JsonValue doc;
+  std::string error;
+  EXPECT_TRUE(JsonValue::Parse(text.str(), &doc, &error)) << error;
+  return doc;
 }
 
 tl::RooflineSpec SyntheticSpec() {
@@ -211,25 +229,47 @@ TEST(TimelineMath, PipelineWindowReconstruction) {
   EXPECT_EQ(t.PipelineWindows().size(), 2u);
 }
 
-TEST(TimelineMath, ToJsonlParsesLineByLine) {
+TEST(TimelineMath, CounterTracksOneEventPerIntervalAtT1) {
   tl::QueryTimeline t;
-  t.start_us = 0;
-  t.end_us = 2000;
-  t.period_us = 1000;
-  t.perf_available = true;
+  // First interval: every counter moved. Second: the PMU went dark, so
+  // only the structural series remain.
   t.samples.push_back(Sample(1000, 1000, 1000, 0, 0));
-  t.samples.push_back(Sample(2000, 2000, 2000, 1000, 0));
-  std::stringstream ss(t.ToJsonl());
-  std::string line;
-  int n = 0;
-  while (std::getline(ss, line)) {
-    JsonValue doc;
+  tl::TimelineSample full = Sample(2000, 2000, 3000, 1000, 500000);
+  full.mem_used_bytes = 2 << 20;
+  full.queue_depth = 3;
+  t.samples.push_back(full);
+  t.samples.push_back(Sample(3000, -1, -1, -1, -1));
+
+  std::vector<obs::TraceEvent> events;
+  t.AppendCounterTracks(&events);
+  std::map<std::string, std::vector<std::pair<int64_t, double>>> tracks;
+  for (const obs::TraceEvent& e : events) {
+    EXPECT_EQ(e.phase, 'C') << e.name;
+    EXPECT_EQ(e.pid, obs::kTracePidHost) << e.name;
+    JsonValue args;
     std::string error;
-    ASSERT_TRUE(JsonValue::Parse(line, &doc, &error)) << error;
-    EXPECT_EQ(doc.GetString("type", ""), n == 0 ? "header" : "interval");
-    ++n;
+    ASSERT_TRUE(JsonValue::Parse(e.args_json, &args, &error)) << error;
+    tracks[e.name].push_back({e.ts_us, args.GetDouble("value", -1)});
   }
-  EXPECT_EQ(n, 2);  // header + one interval
+  using Track = std::vector<std::pair<int64_t, double>>;
+  auto expect_track = [&tracks](const std::string& name, const Track& want) {
+    const Track& got = tracks[name];
+    ASSERT_EQ(got.size(), want.size()) << name;
+    for (size_t i = 0; i < want.size(); ++i) {
+      EXPECT_EQ(got[i].first, want[i].first) << name;
+      EXPECT_NEAR(got[i].second, want[i].second, 1e-9) << name;
+    }
+  };
+  // Rates only where the interval has them: the first interval alone
+  // (1000 LLC misses x 64 B in 1 ms = 0.064 GB/s).
+  expect_track("timeline.gbps", {{2000, 0.064}});
+  expect_track("timeline.ipc", {{2000, 0.5}});
+  expect_track("timeline.cpu_util", {{2000, 0.5}});
+  // Memory and queue depth every interval, from its end sample.
+  expect_track("timeline.mem_mb", {{2000, 2.0}, {3000, 0.0}});
+  expect_track("timeline.queue_depth", {{2000, 3.0}, {3000, 0.0}});
+  EXPECT_EQ(tracks.size(), 5u);
+  EXPECT_EQ(events.size(), 7u);
 }
 
 // ---------------------------------------------------------------------------
@@ -390,7 +430,7 @@ TEST(TimelineServiceTest, ResourceReportCarriesTimeline) {
   EXPECT_FALSE(ticket.resources().timeline_valid);
 }
 
-TEST(TimelineServiceTest, SlowQueryDumpWritesTimelineSidecar) {
+TEST(TimelineServiceTest, SlowQueryDumpCarriesTimelineCounters) {
   ::unsetenv("WIMPI_PERF_DISABLE");
   tl::TimelineSampler& s = tl::TimelineSampler::Global();
   tl::SamplerOptions opts;
@@ -413,23 +453,56 @@ TEST(TimelineServiceTest, SlowQueryDumpWritesTimelineSidecar) {
   }  // ~QueryService flushes pending dumps
   s.Stop();
 
-  std::ifstream sidecar(dump + ".timeline.jsonl");
-  ASSERT_TRUE(sidecar.is_open())
-      << "slow-query dump must write a timeline sidecar";
-  std::string line;
-  int lines = 0;
-  bool header = false;
-  while (std::getline(sidecar, line)) {
-    if (line.empty()) continue;
-    JsonValue doc;
-    std::string error;
-    ASSERT_TRUE(JsonValue::Parse(line, &doc, &error)) << error;
-    if (doc.GetString("type", "") == "header") header = true;
-    ++lines;
+  const JsonValue doc = ReadTrace(dump);
+  const JsonValue* events = doc.Find("traceEvents");
+  ASSERT_NE(events, nullptr);
+  // The slow query's lifecycle span, then its sampled series: counters
+  // share the flight clock, so they land inside the span window.
+  double start = -1, end = -1;
+  for (const JsonValue& e : events->AsArray()) {
+    if (e.GetString("cat", "") == "flight.query") {
+      start = e.GetDouble("ts", 0);
+      end = start + e.GetDouble("dur", 0);
+    }
   }
-  EXPECT_TRUE(header);
-  EXPECT_GE(lines, 1);
-  std::remove((dump + ".timeline.jsonl").c_str());
+  ASSERT_GE(start, 0) << "dump has no flight.query span";
+  int inside = 0;
+  for (const JsonValue& e : events->AsArray()) {
+    if (e.GetString("ph", "") != "C") continue;
+    EXPECT_EQ(e.GetString("name", "").rfind("timeline.", 0), 0u);
+    const double ts = e.GetDouble("ts", 0);
+    if (ts >= start && ts <= end) ++inside;
+  }
+  EXPECT_GE(inside, 1);
+  std::remove(dump.c_str());
+}
+
+// A cluster-fault trigger dumps the same one file, with the sampler's
+// slice of its window as counter tracks.
+TEST(TimelineServiceTest, FaultDumpCarriesTimelineCounters) {
+  ::unsetenv("WIMPI_PERF_DISABLE");
+  tl::TimelineSampler& s = tl::TimelineSampler::Global();
+  tl::SamplerOptions opts;
+  opts.period_us = 200;
+  ASSERT_TRUE(s.Start(opts));
+  std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  const std::string dump = ::testing::TempDir() + "timeline_fault_dump.json";
+  obs::flight::FlightRecorder& recorder = obs::flight::FlightRecorder::Global();
+  recorder.SetFaultDumpPath(dump, 1);
+  obs::flight::FlightRecorder::NoteFault(/*node=*/3, /*detail=*/0);
+  recorder.SetFaultDumpPath("", 0);
+  s.Stop();
+
+  const JsonValue doc = ReadTrace(dump);
+  const JsonValue* events = doc.Find("traceEvents");
+  ASSERT_NE(events, nullptr);
+  int faults = 0, counters = 0;
+  for (const JsonValue& e : events->AsArray()) {
+    if (e.GetString("name", "") == "cluster.fault") ++faults;
+    if (e.GetString("ph", "") == "C") ++counters;
+  }
+  EXPECT_GE(faults, 1);
+  EXPECT_GE(counters, 1);
   std::remove(dump.c_str());
 }
 

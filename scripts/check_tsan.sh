@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Builds the parallel-execution and observability tests under
 # ThreadSanitizer and runs them. Intended for CI: any data race in the
-# thread pool, scheduler, the morsel-parallel operator paths, the
+# thread pool, scheduler, the morsel-parallel operator paths (including the
+# filter morsels and the dictionary pass of string predicates), the
 # range-parallel TPC-H generator, or the profiling/metrics/trace
 # instrumentation fails the script.
 #
@@ -19,7 +20,8 @@ cmake --build "${build_dir}" \
   --target parallel_test parallel_queries_test obs_test obs_queries_test \
            obs_perf_test obs_export_test memory_tracker_test fault_test \
            service_test flight_test stats_test timeline_test dbgen_test \
-           storage_test tbl_io_test -j
+           storage_test tbl_io_test exec_test common_test kernel_test \
+           golden_query_test -j
 
 # halt_on_error so the first race fails fast with a nonzero exit code.
 export TSAN_OPTIONS="halt_on_error=1 ${TSAN_OPTIONS:-}"
@@ -65,5 +67,14 @@ export TSAN_OPTIONS="halt_on_error=1 ${TSAN_OPTIONS:-}"
 "${build_dir}/tests/dbgen_test"
 "${build_dir}/tests/storage_test"
 "${build_dir}/tests/tbl_io_test"
+# Operator kernels: filter selections written by morsels into slices of one
+# shared buffer, the string predicates' dictionary pass over dictionary
+# morsels, pointer gathers and typed join probes, each at 4 threads with
+# small morsels; plus all 22 queries in that configuration (golden
+# answers and OpStats) and the LIKE matcher the dictionary pass calls.
+"${build_dir}/tests/exec_test"
+"${build_dir}/tests/kernel_test"
+"${build_dir}/tests/golden_query_test"
+"${build_dir}/tests/common_test"
 
 echo "TSan parallel + obs test pass: OK"

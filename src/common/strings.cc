@@ -2,29 +2,59 @@
 
 namespace wimpi {
 
-bool LikeMatch(std::string_view value, std::string_view pattern) {
-  size_t v = 0;
-  size_t p = 0;
-  size_t star_p = std::string_view::npos;  // position after last '%'
-  size_t star_v = 0;                       // value position to resume from
+namespace {
 
-  while (v < value.size()) {
-    if (p < pattern.size() &&
-        (pattern[p] == '_' || pattern[p] == value[v])) {
-      ++p;
-      ++v;
-    } else if (p < pattern.size() && pattern[p] == '%') {
-      star_p = ++p;
-      star_v = v;
-    } else if (star_p != std::string_view::npos) {
-      p = star_p;
-      v = ++star_v;
-    } else {
-      return false;
-    }
+// Whether segment `seg` (no '%'; '_' matches any byte) matches the first
+// seg.size() bytes of `s`, which must be at least that long.
+bool SegmentMatches(std::string_view s, std::string_view seg) {
+  for (size_t i = 0; i < seg.size(); ++i) {
+    if (seg[i] != '_' && seg[i] != s[i]) return false;
   }
-  while (p < pattern.size() && pattern[p] == '%') ++p;
-  return p == pattern.size();
+  return true;
+}
+
+// Leftmost occurrence of segment `seg` in `s`, or npos. Segments without
+// '_' are plain substring searches.
+size_t FindSegment(std::string_view s, std::string_view seg) {
+  if (seg.find('_') == std::string_view::npos) return s.find(seg);
+  for (size_t at = 0; at + seg.size() <= s.size(); ++at) {
+    if (SegmentMatches(s.substr(at, seg.size()), seg)) return at;
+  }
+  return std::string_view::npos;
+}
+
+}  // namespace
+
+bool LikeMatch(std::string_view value, std::string_view pattern) {
+  const size_t first = pattern.find('%');
+  if (first == std::string_view::npos) {
+    return value.size() == pattern.size() && SegmentMatches(value, pattern);
+  }
+  // The segment before the first '%' anchors at the start, the one after
+  // the last '%' at the end; the ones between are found leftmost-first in
+  // what lies between (the leftmost match leaves the most room for the
+  // rest, so no backtracking is needed).
+  const size_t last = pattern.rfind('%');
+  const std::string_view head = pattern.substr(0, first);
+  const std::string_view tail = pattern.substr(last + 1);
+  if (value.size() < head.size() + tail.size() ||
+      !SegmentMatches(value, head) ||
+      !SegmentMatches(value.substr(value.size() - tail.size()), tail)) {
+    return false;
+  }
+  std::string_view rest =
+      value.substr(head.size(), value.size() - head.size() - tail.size());
+  for (size_t p = first + 1; p < last;) {
+    const size_t q = pattern.find('%', p);
+    const std::string_view seg = pattern.substr(p, q - p);
+    if (!seg.empty()) {
+      const size_t at = FindSegment(rest, seg);
+      if (at == std::string_view::npos) return false;
+      rest.remove_prefix(at + seg.size());
+    }
+    p = q + 1;
+  }
+  return true;
 }
 
 bool Contains(std::string_view s, std::string_view needle) {

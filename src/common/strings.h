@@ -8,8 +8,10 @@
 namespace wimpi {
 
 // SQL LIKE with '%' (any run) and '_' (any single char) wildcards, no
-// escape support (TPC-H patterns never escape). Iterative backtracking over
-// the last '%' seen; O(n*m) worst case but linear on TPC-H patterns.
+// escape support (TPC-H patterns never escape). The pattern is split at
+// '%': the first and last pieces anchor at the ends of the value, and each
+// piece between is found with a substring search (a '_'-aware scan only
+// for pieces that contain '_').
 bool LikeMatch(std::string_view value, std::string_view pattern);
 
 inline bool StartsWith(std::string_view s, std::string_view prefix) {

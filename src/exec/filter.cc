@@ -1,7 +1,11 @@
 #include "exec/filter.h"
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
+#include <cstring>
+#include <memory>
+#include <type_traits>
 
 #include "common/strings.h"
 #include "exec/estimator.h"
@@ -138,23 +142,114 @@ Predicate Predicate::StrTest(std::string col,
 
 namespace {
 
-template <typename T>
-bool Cmp(T a, CmpOp op, T b) {
+// Compares with the operator fixed at compile time, so a kernel loop holds
+// no per-row switch. C++ semantics: with a NaN operand kNe is true and
+// every other operator false.
+template <CmpOp kOp, typename T>
+bool Compare(T a, T b) {
+  if constexpr (kOp == CmpOp::kEq) {
+    return a == b;
+  } else if constexpr (kOp == CmpOp::kNe) {
+    return a != b;
+  } else if constexpr (kOp == CmpOp::kLt) {
+    return a < b;
+  } else if constexpr (kOp == CmpOp::kLe) {
+    return a <= b;
+  } else if constexpr (kOp == CmpOp::kGt) {
+    return a > b;
+  } else {
+    return a >= b;
+  }
+}
+
+template <CmpOp kOp>
+using OpTag = std::integral_constant<CmpOp, kOp>;
+
+// Resolves a runtime operator once: calls f(OpTag<op>{}), so f's body is
+// instantiated once per operator.
+template <typename F>
+void WithOp(CmpOp op, const F& f) {
   switch (op) {
     case CmpOp::kEq:
-      return a == b;
+      return f(OpTag<CmpOp::kEq>{});
     case CmpOp::kNe:
-      return a != b;
+      return f(OpTag<CmpOp::kNe>{});
     case CmpOp::kLt:
-      return a < b;
+      return f(OpTag<CmpOp::kLt>{});
     case CmpOp::kLe:
-      return a <= b;
+      return f(OpTag<CmpOp::kLe>{});
     case CmpOp::kGt:
-      return a > b;
+      return f(OpTag<CmpOp::kGt>{});
     case CmpOp::kGe:
-      return a >= b;
+      return f(OpTag<CmpOp::kGe>{});
   }
-  return false;
+}
+
+// Runs body(begin, end) over [0, n): once when `threads` <= 1, otherwise
+// once per morsel on up to `threads` threads.
+template <typename Body>
+void ForEachRange(int64_t n, int threads, const Body& body) {
+  if (threads <= 1) {
+    body(int64_t{0}, n);
+    return;
+  }
+  RunMorsels(n, threads,
+             [&](const parallel::Morsel& m) { body(m.begin, m.end); });
+}
+
+// Branch-free selection over positions [begin, end) of the candidate list
+// (or of the rows themselves when `candidates` is null): every row id is
+// written and the write position advances by the test result. `out` has
+// room for end - begin ids. Returns the number selected.
+template <typename Test>
+int64_t SelectRange(const int32_t* candidates, int64_t begin, int64_t end,
+                    const Test& test, int32_t* out) {
+  int64_t w = 0;
+  if (candidates != nullptr) {
+    for (int64_t k = begin; k < end; ++k) {
+      const int32_t row = candidates[k];
+      out[w] = row;
+      w += test(row);
+    }
+  } else {
+    for (int64_t row = begin; row < end; ++row) {
+      out[w] = static_cast<int32_t>(row);
+      w += test(row);
+    }
+  }
+  return w;
+}
+
+// The rows of `candidates` (or of [0, n) when null) that pass `test`, in
+// ascending order. Morsels select into their own slice of one buffer
+// pre-sized to the candidate count, and the slices are then compacted in
+// morsel order: the morsel split ignores the thread count, so the result
+// is the SelVec the sequential pass produces.
+template <typename Test>
+SelVec Select(const SelVec* candidates, int64_t n, int threads,
+              const Test& test) {
+  const int32_t* cand = candidates != nullptr ? candidates->data() : nullptr;
+  const auto buf = std::make_unique_for_overwrite<int32_t[]>(n);
+  int64_t total = 0;
+  if (threads <= 1) {
+    total = SelectRange(cand, 0, n, test, buf.get());
+  } else {
+    struct Part {
+      int64_t begin = 0;
+      int64_t count = 0;
+    };
+    std::vector<Part> parts(NumMorsels(n));
+    RunMorsels(n, threads, [&](const parallel::Morsel& m) {
+      parts[m.index] = {m.begin, SelectRange(cand, m.begin, m.end, test,
+                                             buf.get() + m.begin)};
+    });
+    for (const Part& part : parts) {
+      std::memmove(buf.get() + total, buf.get() + part.begin,
+                   static_cast<size_t>(part.count) * sizeof(int32_t));
+      total += part.count;
+    }
+  }
+  return SelVec(buf.get(), buf.get() + total);
 }
 
 }  // namespace
@@ -162,10 +257,9 @@ bool Cmp(T a, CmpOp op, T b) {
 // Internal helper with access to Predicate fields.
 class FilterRunner {
  public:
-  // Appends rows from [candidates or 0..rows) that satisfy `p` to `out`.
-  static void Apply(const ColumnSource& src, const Predicate& p,
-                    const SelVec* candidates, SelVec* out,
-                    QueryStats* stats) {
+  // The rows of [candidates or 0..rows) that satisfy `p`.
+  static SelVec Apply(const ColumnSource& src, const Predicate& p,
+                      const SelVec* candidates, QueryStats* stats) {
     const storage::Column& col = src.column(p.col_);
     const int64_t n =
         candidates != nullptr ? static_cast<int64_t>(candidates->size())
@@ -174,7 +268,6 @@ class FilterRunner {
 
     OpStats op;
     op.op = "filter(" + p.col_ + ")";
-    const size_t out_before = out->size();
     op.rows_in = static_cast<double>(n);
     // Predicted before running; the estimate is observational only, so the
     // filter below is byte-for-byte the seed path either way.
@@ -196,115 +289,97 @@ class FilterRunner {
     op.seq_bytes = touched;
     op.compute_ops = static_cast<double>(n) * cost::kCompare;
 
-    // Sequential when PlannedThreads says so; otherwise morsel-parallel with
-    // per-morsel partial selections concatenated in morsel order (the morsel
-    // split ignores the thread count, so the output is the same SelVec the
-    // sequential loop produces).
+    // Sequential when PlannedThreads says so; otherwise morsel-parallel.
+    // The predicate kind, operator and column type are resolved here, once;
+    // each case below instantiates its own selection loop.
     const int threads = PlannedThreads(n);
-    auto for_each = [&](auto&& test) {
-      if (threads <= 1) {
-        if (candidates != nullptr) {
-          for (const int32_t row : *candidates) {
-            if (test(row)) out->push_back(row);
-          }
-        } else {
-          const int64_t rows = src.rows();
-          for (int64_t row = 0; row < rows; ++row) {
-            if (test(row)) out->push_back(static_cast<int32_t>(row));
-          }
-        }
-        return;
-      }
-      std::vector<SelVec> parts(NumMorsels(n));
-      RunMorsels(n, threads, [&](const parallel::Morsel& m) {
-        SelVec& local = parts[m.index];
-        if (candidates != nullptr) {
-          for (int64_t k = m.begin; k < m.end; ++k) {
-            const int32_t row = (*candidates)[k];
-            if (test(row)) local.push_back(row);
-          }
-        } else {
-          for (int64_t row = m.begin; row < m.end; ++row) {
-            if (test(row)) local.push_back(static_cast<int32_t>(row));
-          }
-        }
-      });
-      size_t total = out->size();
-      for (const SelVec& part : parts) total += part.size();
-      out->reserve(total);
-      for (const SelVec& part : parts) {
-        out->insert(out->end(), part.begin(), part.end());
-      }
+    auto select = [&](const auto& test) {
+      return Select(candidates, n, threads, test);
     };
-
+    SelVec out;
+    auto compare = [&](const auto* d, auto v) {
+      WithOp(p.op_, [&](auto o) {
+        out = select([d, v](int64_t r) {
+          return Compare<decltype(o)::value>(d[r], v);
+        });
+      });
+    };
     switch (p.kind_) {
-      case Predicate::Kind::kCmpI32: {
-        const int32_t* d = col.I32Data();
-        const auto v = static_cast<int32_t>(p.i64_);
-        const CmpOp o = p.op_;
-        for_each([&](int64_t r) { return Cmp(d[r], o, v); });
+      case Predicate::Kind::kCmpI32:
+        compare(col.I32Data(), static_cast<int32_t>(p.i64_));
         break;
-      }
-      case Predicate::Kind::kCmpI64: {
-        const int64_t* d = col.I64Data();
-        const int64_t v = p.i64_;
-        const CmpOp o = p.op_;
-        for_each([&](int64_t r) { return Cmp(d[r], o, v); });
+      case Predicate::Kind::kCmpI64:
+        compare(col.I64Data(), p.i64_);
         break;
-      }
-      case Predicate::Kind::kCmpF64: {
-        const double* d = col.F64Data();
-        const double v = p.f64_;
-        const CmpOp o = p.op_;
-        for_each([&](int64_t r) { return Cmp(d[r], o, v); });
+      case Predicate::Kind::kCmpF64:
+        compare(col.F64Data(), p.f64_);
         break;
-      }
       case Predicate::Kind::kBetweenI32: {
+        // lo <= x <= hi as one unsigned compare: x - lo <= hi - lo modulo
+        // 2^32. An empty range (lo > hi) selects nothing.
         const int32_t* d = col.I32Data();
-        const auto lo = static_cast<int32_t>(p.i64_);
-        const auto hi = static_cast<int32_t>(p.i64_hi_);
-        for_each([&](int64_t r) { return d[r] >= lo && d[r] <= hi; });
+        const auto lo = static_cast<uint32_t>(p.i64_);
+        const uint32_t span = static_cast<uint32_t>(p.i64_hi_) - lo;
+        if (p.i64_ <= p.i64_hi_) {
+          out = select([d, lo, span](int64_t r) {
+            return static_cast<uint32_t>(d[r]) - lo <= span;
+          });
+        }
         break;
       }
       case Predicate::Kind::kBetweenF64: {
         const double* d = col.F64Data();
         const double lo = p.f64_;
         const double hi = p.f64_hi_;
-        for_each([&](int64_t r) { return d[r] >= lo && d[r] <= hi; });
+        out = select([d, lo, hi](int64_t r) {
+          return (d[r] >= lo) & (d[r] <= hi);
+        });
         break;
       }
       case Predicate::Kind::kInI32: {
         const int32_t* d = col.I32Data();
         const auto& vals = p.in_values_;
         op.compute_ops = static_cast<double>(n) * cost::kCompare * 2;
-        for_each([&](int64_t r) {
+        out = select([d, &vals](int64_t r) {
           return std::binary_search(vals.begin(), vals.end(), d[r]);
         });
         break;
       }
       case Predicate::Kind::kStrPred: {
-        // Evaluate the test once per dictionary entry, then filter codes.
-        const auto& dict = *col.dict();
-        std::vector<uint8_t> match(dict.size());
-        double dict_bytes = 0;
-        for (int32_t c = 0; c < dict.size(); ++c) {
-          const std::string_view v = dict.ValueAt(c);
-          match[c] = p.str_test_(v) ? 1 : 0;
-          dict_bytes += static_cast<double>(v.size());
-        }
-        op.compute_ops = static_cast<double>(dict.size()) * p.str_cost_ +
+        // Evaluate the test once per dictionary entry (over dictionary
+        // morsels when the dictionary is large), then filter codes.
+        const storage::Dictionary& dict = *col.dict();
+        const int64_t dict_n = dict.size();
+        std::vector<uint8_t> match(dict_n);
+        std::atomic<int64_t> dict_bytes{0};
+        ForEachRange(dict_n, PlannedThreads(dict_n),
+                     [&](int64_t begin, int64_t end) {
+                       int64_t bytes = 0;
+                       for (int64_t c = begin; c < end; ++c) {
+                         const std::string_view v =
+                             dict.ValueAt(static_cast<int32_t>(c));
+                         match[c] = p.str_test_(v) ? 1 : 0;
+                         bytes += static_cast<int64_t>(v.size());
+                       }
+                       dict_bytes.fetch_add(bytes,
+                                            std::memory_order_relaxed);
+                     });
+        op.compute_ops = static_cast<double>(dict_n) * p.str_cost_ +
                          static_cast<double>(n) * cost::kCompare;
-        op.seq_bytes += dict_bytes + static_cast<double>(dict.size());
+        op.seq_bytes += static_cast<double>(dict_bytes.load()) +
+                        static_cast<double>(dict_n);
         const int32_t* d = col.I32Data();
-        for_each([&](int64_t r) { return match[d[r]] != 0; });
+        const uint8_t* m = match.data();
+        out = select([d, m](int64_t r) { return m[d[r]] != 0; });
         break;
       }
     }
 
-    op.output_bytes = static_cast<double>(out->size()) * sizeof(int32_t);
+    op.output_bytes = static_cast<double>(out.size()) * sizeof(int32_t);
     op.seq_bytes += op.output_bytes;
-    op.rows_out = static_cast<double>(out->size() - out_before);
+    op.rows_out = static_cast<double>(out.size());
     if (stats != nullptr) stats->Add(std::move(op));
+    return out;
   }
 };
 
@@ -329,12 +404,8 @@ SelVec Filter(const ColumnSource& src, const std::vector<Predicate>& preds,
   }
   SelVec current;
   const SelVec* input = base;
-  for (size_t i = 0; i < preds.size(); ++i) {
-    SelVec next;
-    next.reserve(input != nullptr ? input->size()
-                                  : static_cast<size_t>(src.rows()) / 4);
-    FilterRunner::Apply(src, preds[i], input, &next, stats);
-    current = std::move(next);
+  for (const Predicate& p : preds) {
+    current = FilterRunner::Apply(src, p, input, stats);
     input = &current;
   }
   scope.set_rows_out(static_cast<int64_t>(current.size()));
@@ -352,59 +423,29 @@ SelVec FilterColCmpCol(const ColumnSource& src, const std::string& a,
                (storage::TypeWidth(ca.type()) == 4 &&
                 storage::TypeWidth(cb.type()) == 4)))
       << "FilterColCmpCol type mismatch";
-  SelVec out;
   const int64_t n = base != nullptr ? static_cast<int64_t>(base->size())
                                     : src.rows();
   obs::OpScope scope("FilterColCmpCol", n);
-  out.reserve(n / 2);
   const int threads = PlannedThreads(n);
-  auto run = [&](auto&& test) {
-    if (threads <= 1) {
-      if (base != nullptr) {
-        for (const int32_t r : *base) {
-          if (test(r)) out.push_back(r);
-        }
-      } else {
-        for (int64_t r = 0; r < n; ++r) {
-          if (test(static_cast<int32_t>(r))) {
-            out.push_back(static_cast<int32_t>(r));
-          }
-        }
-      }
-      return;
-    }
-    std::vector<SelVec> parts(NumMorsels(n));
-    RunMorsels(n, threads, [&](const parallel::Morsel& m) {
-      SelVec& local = parts[m.index];
-      for (int64_t k = m.begin; k < m.end; ++k) {
-        const int32_t r =
-            base != nullptr ? (*base)[k] : static_cast<int32_t>(k);
-        if (test(r)) local.push_back(r);
-      }
+  SelVec out;
+  // One selection loop per (width class, operator).
+  auto run = [&](const auto* da, const auto* db) {
+    WithOp(op, [&](auto o) {
+      out = Select(base, n, threads, [da, db](int64_t r) {
+        return Compare<decltype(o)::value>(da[r], db[r]);
+      });
     });
-    for (const SelVec& part : parts) {
-      out.insert(out.end(), part.begin(), part.end());
-    }
   };
   switch (ca.type()) {
-    case storage::DataType::kInt64: {
-      const int64_t* da = ca.I64Data();
-      const int64_t* db = cb.I64Data();
-      run([&](int32_t r) { return Cmp(da[r], op, db[r]); });
+    case storage::DataType::kInt64:
+      run(ca.I64Data(), cb.I64Data());
       break;
-    }
-    case storage::DataType::kFloat64: {
-      const double* da = ca.F64Data();
-      const double* db = cb.F64Data();
-      run([&](int32_t r) { return Cmp(da[r], op, db[r]); });
+    case storage::DataType::kFloat64:
+      run(ca.F64Data(), cb.F64Data());
       break;
-    }
-    default: {
-      const int32_t* da = ca.I32Data();
-      const int32_t* db = cb.I32Data();
-      run([&](int32_t r) { return Cmp(da[r], op, db[r]); });
+    default:
+      run(ca.I32Data(), cb.I32Data());
       break;
-    }
   }
   if (stats != nullptr) {
     OpStats op_stats;
@@ -461,18 +502,15 @@ std::unique_ptr<storage::Column> Gather(const storage::Column& src,
   const int64_t n = static_cast<int64_t>(sel.size());
   obs::OpScope scope("Gather", n);
   scope.set_rows_out(n);
-  out->Reserve(n);
   const int threads = PlannedThreads(n);
-  // The parallel path pre-sizes the output and writes disjoint morsel
-  // ranges, which yields the exact rows the sequential push_back loop does.
-  auto fill = [&](auto* d, auto& v) {
-    if (threads <= 1) {
-      for (const int32_t r : sel) v.push_back(d[r]);
-      return;
-    }
+  // The output is pre-sized and filled through raw pointers; morsels write
+  // disjoint ranges of it.
+  auto fill = [&](const auto* d, auto& v) {
     v.resize(n);
-    RunMorsels(n, threads, [&](const parallel::Morsel& m) {
-      for (int64_t k = m.begin; k < m.end; ++k) v[k] = d[sel[k]];
+    auto* o = v.data();
+    const int32_t* s = sel.data();
+    ForEachRange(n, threads, [=](int64_t begin, int64_t end) {
+      for (int64_t k = begin; k < end; ++k) o[k] = d[s[k]];
     });
   };
   switch (src.type()) {
@@ -548,20 +586,17 @@ std::unique_ptr<storage::Column> GatherWithDefault(
   const int64_t n = static_cast<int64_t>(idx.size());
   obs::OpScope scope("GatherWithDefault", n);
   scope.set_rows_out(n);
-  out->Reserve(n);
   const int threads = PlannedThreads(n);
-  auto fill = [&](auto* d, auto& v) {
+  auto fill = [&](const auto* d, auto& v) {
     using T = std::decay_t<decltype(v[0])>;
     const T dv = static_cast<T>(def);
-    if (threads <= 1) {
-      for (const int32_t r : idx) v.push_back(r < 0 ? dv : d[r]);
-      return;
-    }
     v.resize(n);
-    RunMorsels(n, threads, [&](const parallel::Morsel& m) {
-      for (int64_t k = m.begin; k < m.end; ++k) {
-        const int32_t r = idx[k];
-        v[k] = r < 0 ? dv : d[r];
+    T* o = v.data();
+    const int32_t* s = idx.data();
+    ForEachRange(n, threads, [=](int64_t begin, int64_t end) {
+      for (int64_t k = begin; k < end; ++k) {
+        const int32_t r = s[k];
+        o[k] = r < 0 ? dv : d[r];
       }
     });
   };

@@ -1,5 +1,6 @@
 #include "exec/join.h"
 
+#include <algorithm>
 #include <bit>
 
 #include "common/hash.h"
@@ -64,18 +65,48 @@ int KeyWidth(const std::vector<const Column*>& keys) {
   return w;
 }
 
-}  // namespace
+// Key readers. HashJoin picks one per call, so the build and probe loops
+// below are compiled per key shape: a single-column key hashes and
+// compares its values directly, with no per-row switch on the column
+// type. Every reader hashes a row exactly as RowHash does, so the table
+// and its chain order do not depend on which reader built it.
 
-JoinResult HashJoin(const std::vector<const Column*>& build_keys,
+// One column of int32, date or string code.
+struct I32Key {
+  const int32_t* d;
+  uint64_t Hash(int64_t r) const {
+    return HashInt64(static_cast<uint64_t>(static_cast<uint32_t>(d[r])));
+  }
+  bool Eq(int64_t r, const I32Key& o, int64_t orow) const {
+    return d[r] == o.d[orow];
+  }
+};
+
+// One column of int64.
+struct I64Key {
+  const int64_t* d;
+  uint64_t Hash(int64_t r) const {
+    return HashInt64(static_cast<uint64_t>(d[r]));
+  }
+  bool Eq(int64_t r, const I64Key& o, int64_t orow) const {
+    return d[r] == o.d[orow];
+  }
+};
+
+// Any number of columns of any key type (and single float64 keys).
+struct MultiKey {
+  const std::vector<const Column*>* cols;
+  uint64_t Hash(int64_t r) const { return RowHash(*cols, r); }
+  bool Eq(int64_t r, const MultiKey& o, int64_t orow) const {
+    return RowEq(*cols, r, *o.cols, orow);
+  }
+};
+
+template <typename Key>
+JoinResult JoinWith(const Key& build, const Key& probe,
+                    const std::vector<const Column*>& build_keys,
                     const std::vector<const Column*>& probe_keys,
                     JoinKind kind, QueryStats* stats) {
-  WIMPI_CHECK(!build_keys.empty());
-  WIMPI_CHECK_EQ(build_keys.size(), probe_keys.size());
-  for (size_t i = 0; i < build_keys.size(); ++i) {
-    WIMPI_CHECK(build_keys[i]->type() == probe_keys[i]->type())
-        << "join key type mismatch at position " << i;
-  }
-
   const int64_t n_build = build_keys[0]->size();
   const int64_t n_probe = probe_keys[0]->size();
   obs::OpScope join_scope("HashJoin", n_probe);
@@ -98,7 +129,7 @@ JoinResult HashJoin(const std::vector<const Column*>& build_keys,
     const int build_threads = PlannedThreads(n_build);
     if (build_threads <= 1) {
       for (int64_t i = 0; i < n_build; ++i) {
-        const uint64_t b = RowHash(build_keys, i) & mask;
+        const uint64_t b = build.Hash(i) & mask;
         next[i] = head[b];
         head[b] = static_cast<int32_t>(i);
       }
@@ -111,7 +142,7 @@ JoinResult HashJoin(const std::vector<const Column*>& build_keys,
       std::vector<uint64_t> hashes(n_build);
       RunMorsels(n_build, build_threads, [&](const parallel::Morsel& m) {
         for (int64_t i = m.begin; i < m.end; ++i) {
-          hashes[i] = RowHash(build_keys, i) & mask;
+          hashes[i] = build.Hash(i) & mask;
         }
       });
       const int64_t buckets = static_cast<int64_t>(n_buckets);
@@ -156,21 +187,39 @@ JoinResult HashJoin(const std::vector<const Column*>& build_keys,
 
   // The finished table is read-only from here on: probe morsels share it
   // and emit per-morsel pair lists that concatenate in morsel order.
+  // Returns the number of chain entries visited.
   auto probe_range = [&](int64_t begin, int64_t end,
                          std::vector<int32_t>* build_out,
-                         std::vector<int32_t>* probe_out, double* steps) {
+                         std::vector<int32_t>* probe_out) {
+    const int32_t* heads = head.data();
+    const int32_t* chain = next.data();
+    // Buckets are hashed kAhead rows early and their heads prefetched, so
+    // the head loads of consecutive probe rows overlap.
+    constexpr int64_t kAhead = 16;
+    uint64_t buckets[kAhead];
+    for (int64_t p = begin; p < std::min(end, begin + kAhead); ++p) {
+      buckets[p - begin] = probe.Hash(p) & mask;
+      __builtin_prefetch(heads + buckets[p - begin]);
+    }
+    int64_t steps = 0;
     for (int64_t p = begin; p < end; ++p) {
-      const uint64_t b = RowHash(probe_keys, p) & mask;
+      const auto row = static_cast<int32_t>(p);
+      uint64_t& slot = buckets[(p - begin) % kAhead];
+      const int32_t first = heads[slot];
+      if (p + kAhead < end) {
+        slot = probe.Hash(p + kAhead) & mask;
+        __builtin_prefetch(heads + slot);
+      }
       bool matched = false;
-      for (int32_t e = head[b]; e >= 0; e = next[e]) {
-        ++*steps;
-        if (!RowEq(build_keys, e, probe_keys, p)) continue;
+      for (int32_t e = first; e >= 0; e = chain[e]) {
+        ++steps;
+        if (!build.Eq(e, probe, p)) continue;
         matched = true;
         if (want_pairs) {
           build_out->push_back(e);
-          probe_out->push_back(static_cast<int32_t>(p));
+          probe_out->push_back(row);
         } else if (kind == JoinKind::kSemi) {
-          probe_out->push_back(static_cast<int32_t>(p));
+          probe_out->push_back(row);
           break;
         } else {  // kAnti: keep walking to be sure, but we can stop early
           break;
@@ -178,32 +227,33 @@ JoinResult HashJoin(const std::vector<const Column*>& build_keys,
       }
       if (!matched) {
         if (kind == JoinKind::kAnti) {
-          probe_out->push_back(static_cast<int32_t>(p));
+          probe_out->push_back(row);
         } else if (kind == JoinKind::kLeftOuter) {
           build_out->push_back(-1);
-          probe_out->push_back(static_cast<int32_t>(p));
+          probe_out->push_back(row);
         }
       }
     }
+    return steps;
   };
 
   {
     obs::OpScope probe_scope("hash_probe", n_probe);
     const int probe_threads = PlannedThreads(n_probe);
     if (probe_threads <= 1) {
-      probe_range(0, n_probe, &result.build_idx, &result.probe_idx,
-                  &chain_steps);
+      chain_steps = static_cast<double>(
+          probe_range(0, n_probe, &result.build_idx, &result.probe_idx));
     } else {
       struct ProbePart {
         std::vector<int32_t> build_idx;
         std::vector<int32_t> probe_idx;
-        double chain_steps = 0;
+        int64_t chain_steps = 0;
       };
       std::vector<ProbePart> parts(NumMorsels(n_probe));
       RunMorsels(n_probe, probe_threads, [&](const parallel::Morsel& m) {
         ProbePart& part = parts[m.index];
-        probe_range(m.begin, m.end, &part.build_idx, &part.probe_idx,
-                    &part.chain_steps);
+        part.chain_steps =
+            probe_range(m.begin, m.end, &part.build_idx, &part.probe_idx);
       });
       size_t total_b = 0, total_p = 0;
       for (const ProbePart& part : parts) {
@@ -219,7 +269,7 @@ JoinResult HashJoin(const std::vector<const Column*>& build_keys,
         result.probe_idx.insert(result.probe_idx.end(),
                                 part.probe_idx.begin(),
                                 part.probe_idx.end());
-        chain_steps += part.chain_steps;
+        chain_steps += static_cast<double>(part.chain_steps);
       }
     }
 
@@ -253,6 +303,35 @@ JoinResult HashJoin(const std::vector<const Column*>& build_keys,
   }
   join_scope.set_rows_out(static_cast<int64_t>(result.probe_idx.size()));
   return result;
+}
+
+}  // namespace
+
+JoinResult HashJoin(const std::vector<const Column*>& build_keys,
+                    const std::vector<const Column*>& probe_keys,
+                    JoinKind kind, QueryStats* stats) {
+  WIMPI_CHECK(!build_keys.empty());
+  WIMPI_CHECK_EQ(build_keys.size(), probe_keys.size());
+  for (size_t i = 0; i < build_keys.size(); ++i) {
+    WIMPI_CHECK(build_keys[i]->type() == probe_keys[i]->type())
+        << "join key type mismatch at position " << i;
+  }
+  if (build_keys.size() == 1) {
+    const Column& b = *build_keys[0];
+    const Column& p = *probe_keys[0];
+    switch (b.type()) {
+      case DataType::kInt64:
+        return JoinWith(I64Key{b.I64Data()}, I64Key{p.I64Data()},
+                        build_keys, probe_keys, kind, stats);
+      case DataType::kFloat64:
+        break;
+      default:
+        return JoinWith(I32Key{b.I32Data()}, I32Key{p.I32Data()},
+                        build_keys, probe_keys, kind, stats);
+    }
+  }
+  return JoinWith(MultiKey{&build_keys}, MultiKey{&probe_keys}, build_keys,
+                  probe_keys, kind, stats);
 }
 
 }  // namespace wimpi::exec

@@ -17,6 +17,7 @@
 #include "common/strings.h"
 #include "common/table_printer.h"
 #include "gtest/gtest.h"
+#include "reference.h"
 
 namespace wimpi {
 namespace {
@@ -96,6 +97,8 @@ TEST_P(LikeTest, Matches) {
   const LikeCase& c = GetParam();
   EXPECT_EQ(LikeMatch(c.value, c.pattern), c.expect)
       << c.value << " LIKE " << c.pattern;
+  EXPECT_EQ(tpch_ref::RefLikeMatch(c.value, c.pattern), c.expect)
+      << "reference: " << c.value << " LIKE " << c.pattern;
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -121,7 +124,32 @@ INSTANTIATE_TEST_SUITE_P(
         LikeCase{"aXbXc", "a%b%c", true},
         LikeCase{"ab", "a_b", false},
         LikeCase{"forest green", "forest%", true},
-        LikeCase{"old forest", "forest%", false}));
+        LikeCase{"old forest", "forest%", false},
+        // Empty and adjacent '%', '_' before '%', a pattern longer than the
+        // value, overlapping segments, '_' inside middle and end segments,
+        // and wildcard characters as ordinary bytes of the value.
+        LikeCase{"", "%%", true},
+        LikeCase{"", "_%", false},
+        LikeCase{"a", "_%", true},
+        LikeCase{"abc", "_%", true},
+        LikeCase{"ab", "abc", false},
+        LikeCase{"ab", "a%bc", false},
+        LikeCase{"ab", "%abc%", false},
+        LikeCase{"ab", "___", false},
+        LikeCase{"aaa", "%aa%aa%", false},
+        LikeCase{"aaaa", "%aa%aa%", true},
+        LikeCase{"aaa", "%aa%a%", true},
+        LikeCase{"abab", "%ab%ab", true},
+        LikeCase{"aba", "%ab%ab", false},
+        LikeCase{"abcabc", "a%c", true},
+        LikeCase{"abcab", "a%c", false},
+        LikeCase{"xyz", "x_z%", true},
+        LikeCase{"xyzq", "%y_q", true},
+        LikeCase{"xaxbxc", "%a%_c", true},
+        LikeCase{"acb", "%a%_c", false},
+        LikeCase{"a%b", "a%b", true},
+        LikeCase{"%x", "%", true},
+        LikeCase{"_", "_", true}));
 
 TEST(StringsTest, Helpers) {
   EXPECT_TRUE(StartsWith("PROMO PLATED", "PROMO"));

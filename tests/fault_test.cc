@@ -354,7 +354,9 @@ TEST_P(FineMatrixTest, BitIdenticalAtAnyStealSchedule) {
     // the publish count can only grow with losses, never shrink below the
     // clean count... and stealing never disables checkpointing.
     EXPECT_GT(r->checkpoints, 0);
-    if (!opts.recovery.steal) EXPECT_EQ(r->steals, 0);
+    if (!opts.recovery.steal) {
+      EXPECT_EQ(r->steals, 0);
+    }
     // Network / merge cost is unaffected: the same partials cross the
     // wire whatever the morsel schedule was.
     EXPECT_EQ(r->network_bytes, clean.network_bytes);

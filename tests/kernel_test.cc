@@ -1,0 +1,604 @@
+// Scan, gather, LIKE and probe kernels against naive reference loops:
+// every predicate kind and comparison operator over full scans and
+// candidate lists, sequentially and on four threads with small morsels,
+// with the boundary values that branch-free kernels get wrong first
+// (INT32_MIN/INT32_MAX, empty ranges, NaN, empty inputs). The parallel run
+// must also reproduce the sequential run's OpStats exactly.
+#include <algorithm>
+#include <cmath>
+#include <cstdint>
+#include <cstring>
+#include <functional>
+#include <limits>
+#include <optional>
+#include <string>
+#include <vector>
+
+#include "common/rng.h"
+#include "common/strings.h"
+#include "exec/exec_options.h"
+#include "exec/filter.h"
+#include "exec/join.h"
+#include "gtest/gtest.h"
+#include "reference.h"
+#include "storage/table.h"
+
+namespace wimpi::exec {
+namespace {
+
+using storage::Column;
+using storage::DataType;
+
+constexpr int32_t kMin32 = std::numeric_limits<int32_t>::min();
+constexpr int32_t kMax32 = std::numeric_limits<int32_t>::max();
+const double kNaN = std::numeric_limits<double>::quiet_NaN();
+constexpr CmpOp kOps[] = {CmpOp::kEq, CmpOp::kNe, CmpOp::kLt,
+                          CmpOp::kLe, CmpOp::kGt, CmpOp::kGe};
+
+// Reference comparison: a plain switch on the operator.
+template <typename T>
+bool RefCmp(T a, CmpOp op, T b) {
+  switch (op) {
+    case CmpOp::kEq:
+      return a == b;
+    case CmpOp::kNe:
+      return a != b;
+    case CmpOp::kLt:
+      return a < b;
+    case CmpOp::kLe:
+      return a <= b;
+    case CmpOp::kGt:
+      return a > b;
+    case CmpOp::kGe:
+      return a >= b;
+  }
+  return false;
+}
+
+// Columns i32/i32b (with INT32_MIN/INT32_MAX sprinkled in), date, i64,
+// i64b, f64/f64b (with NaN) and str (~1000 distinct short words, enough
+// for the dictionary pass to run in several morsels).
+storage::Table KernelTable(int64_t rows, uint64_t seed) {
+  storage::Schema schema({{"i32", DataType::kInt32},
+                          {"i32b", DataType::kInt32},
+                          {"date", DataType::kDate},
+                          {"i64", DataType::kInt64},
+                          {"i64b", DataType::kInt64},
+                          {"f64", DataType::kFloat64},
+                          {"f64b", DataType::kFloat64},
+                          {"str", DataType::kString}});
+  storage::Table t("kernel", schema);
+  Rng rng(seed);
+  auto i32 = [&] {
+    switch (rng.Uniform(0, 9)) {
+      case 0:
+        return kMin32;
+      case 1:
+        return kMax32;
+      default:
+        return static_cast<int32_t>(rng.Uniform(-20, 20));
+    }
+  };
+  auto f64 = [&] {
+    return rng.Uniform(0, 9) == 0 ? kNaN
+                                  : static_cast<double>(rng.Uniform(-8, 8));
+  };
+  for (int64_t i = 0; i < rows; ++i) {
+    t.column(0).AppendInt32(i32());
+    t.column(1).AppendInt32(i32());
+    t.column(2).AppendInt32(static_cast<int32_t>(rng.Uniform(-20, 20)));
+    t.column(3).AppendInt64(rng.Uniform(-20, 20));
+    t.column(4).AppendInt64(rng.Uniform(-20, 20));
+    t.column(5).AppendFloat64(f64());
+    t.column(6).AppendFloat64(f64());
+    std::string word(static_cast<size_t>(rng.Uniform(0, 6)), 'a');
+    for (char& c : word) c = static_cast<char>('a' + rng.Uniform(0, 2));
+    t.column(7).AppendString(word);
+  }
+  t.FinishLoad();
+  return t;
+}
+
+// One configuration of the matrix: sequential (default options), or four
+// threads over 256-row morsels.
+struct Mode {
+  const char* name;
+  ExecOptions opts;
+};
+
+std::vector<Mode> Modes() {
+  ExecOptions par;
+  par.num_threads = 4;
+  par.morsel_rows = 256;
+  return {{"sequential", ExecOptions{}}, {"4 threads", par}};
+}
+
+void ExpectSameStats(const QueryStats& a, const QueryStats& b) {
+  ASSERT_EQ(a.ops.size(), b.ops.size());
+  for (size_t i = 0; i < a.ops.size(); ++i) {
+    EXPECT_EQ(a.ops[i].op, b.ops[i].op);
+    EXPECT_EQ(a.ops[i].compute_ops, b.ops[i].compute_ops);
+    EXPECT_EQ(a.ops[i].seq_bytes, b.ops[i].seq_bytes);
+    EXPECT_EQ(a.ops[i].rand_count, b.ops[i].rand_count);
+    EXPECT_EQ(a.ops[i].rand_struct_bytes, b.ops[i].rand_struct_bytes);
+    EXPECT_EQ(a.ops[i].output_bytes, b.ops[i].output_bytes);
+    EXPECT_EQ(a.ops[i].rows_in, b.ops[i].rows_in);
+    EXPECT_EQ(a.ops[i].rows_out, b.ops[i].rows_out);
+  }
+}
+
+// Candidate lists: none (full scan), empty, every third row, and all rows.
+std::vector<std::pair<std::string, std::optional<SelVec>>> Candidates(
+    int64_t rows) {
+  SelVec sparse, all;
+  for (int32_t r = 0; r < rows; ++r) {
+    if (r % 3 == 1) sparse.push_back(r);
+    all.push_back(r);
+  }
+  return {{"full scan", std::nullopt},
+          {"empty candidates", SelVec{}},
+          {"every third row", sparse},
+          {"all rows as candidates", all}};
+}
+
+struct FilterCase {
+  std::string name;
+  Predicate pred;
+  std::function<bool(int64_t)> oracle;
+};
+
+std::vector<FilterCase> FilterCases(const storage::Table& t) {
+  const int32_t* i32 = t.column("i32").I32Data();
+  const int32_t* date = t.column("date").I32Data();
+  const int64_t* i64 = t.column("i64").I64Data();
+  const double* f64 = t.column("f64").F64Data();
+  const Column& str = t.column("str");
+  std::vector<FilterCase> cases;
+  for (const CmpOp op : kOps) {
+    const std::string o = std::to_string(static_cast<int>(op));
+    for (const int32_t v : {kMin32, -3, 0, 7, kMax32}) {
+      cases.push_back({"i32 op" + o + " " + std::to_string(v),
+                       Predicate::CmpI32("i32", op, v),
+                       [=](int64_t r) { return RefCmp(i32[r], op, v); }});
+    }
+    cases.push_back({"date op" + o, Predicate::CmpDate("date", op, 5),
+                     [=](int64_t r) { return RefCmp(date[r], op, 5); }});
+    for (const int64_t v : {int64_t{-30}, int64_t{0}, int64_t{20}}) {
+      cases.push_back({"i64 op" + o + " " + std::to_string(v),
+                       Predicate::CmpI64("i64", op, v),
+                       [=](int64_t r) { return RefCmp(i64[r], op, v); }});
+    }
+    for (const double v : {-2.0, 0.0, 8.0, kNaN}) {
+      cases.push_back({"f64 op" + o + " " + std::to_string(v),
+                       Predicate::CmpF64("f64", op, v),
+                       [=](int64_t r) { return RefCmp(f64[r], op, v); }});
+    }
+  }
+  const std::pair<int32_t, int32_t> ranges[] = {
+      {kMin32, kMax32}, {-5, 5}, {5, -5}, {0, 0}, {kMin32, kMin32},
+      {kMax32, kMax32}, {kMin32, 0}, {0, kMax32}, {kMax32, kMin32}};
+  for (const auto& [lo, hi] : ranges) {
+    cases.push_back(
+        {"between i32 " + std::to_string(lo) + " " + std::to_string(hi),
+         Predicate::BetweenI32("i32", lo, hi),
+         [=, lo = lo, hi = hi](int64_t r) {
+           return i32[r] >= lo && i32[r] <= hi;
+         }});
+  }
+  const std::pair<double, double> franges[] = {
+      {-3.0, 3.0}, {3.0, -3.0}, {0.0, 0.0}, {kNaN, 5.0}, {-5.0, kNaN}};
+  for (const auto& [lo, hi] : franges) {
+    cases.push_back(
+        {"between f64 " + std::to_string(lo) + " " + std::to_string(hi),
+         Predicate::BetweenF64("f64", lo, hi),
+         [=, lo = lo, hi = hi](int64_t r) {
+           return f64[r] >= lo && f64[r] <= hi;
+         }});
+  }
+  const std::vector<int32_t> sets[] = {
+      {}, {3}, {kMin32, kMax32}, {-20, -1, 0, 1, 20, kMax32}};
+  for (const auto& set : sets) {
+    cases.push_back({"in i32 of " + std::to_string(set.size()),
+                     Predicate::InI32("i32", set), [=](int64_t r) {
+                       for (const int32_t v : set) {
+                         if (i32[r] == v) return true;
+                       }
+                       return false;
+                     }});
+  }
+  auto s = [&str](int64_t r) { return str.StringAt(r); };
+  cases.push_back({"str eq", Predicate::StrEq("str", "ab"),
+                   [=](int64_t r) { return s(r) == "ab"; }});
+  cases.push_back({"str eq absent", Predicate::StrEq("str", "zzz"),
+                   [](int64_t) { return false; }});
+  cases.push_back({"str ne", Predicate::StrNe("str", "ab"),
+                   [=](int64_t r) { return s(r) != "ab"; }});
+  cases.push_back({"str in", Predicate::StrIn("str", {"a", "bb", "cac"}),
+                   [=](int64_t r) {
+                     return s(r) == "a" || s(r) == "bb" || s(r) == "cac";
+                   }});
+  for (const char* pat : {"a%", "%b", "%ab%c%", "_a%", "%", "", "a_c"}) {
+    const std::string p = pat;
+    cases.push_back({"like '" + p + "'", Predicate::Like("str", p),
+                     [=](int64_t r) {
+                       return tpch_ref::RefLikeMatch(s(r), p);
+                     }});
+    cases.push_back({"not like '" + p + "'", Predicate::NotLike("str", p),
+                     [=](int64_t r) {
+                       return !tpch_ref::RefLikeMatch(s(r), p);
+                     }});
+  }
+  cases.push_back(
+      {"str test",
+       Predicate::StrTest(
+           "str", [](std::string_view v) { return v.size() % 2 == 1; }, 3.0),
+       [=](int64_t r) { return s(r).size() % 2 == 1; }});
+  return cases;
+}
+
+void CheckFilterMatrix(const storage::Table& t) {
+  const ColumnSource src(t);
+  for (const auto& [cand_name, cand] : Candidates(t.num_rows())) {
+    SCOPED_TRACE(cand_name);
+    const SelVec* base = cand.has_value() ? &*cand : nullptr;
+    for (const FilterCase& c : FilterCases(t)) {
+      SCOPED_TRACE(c.name);
+      SelVec want;
+      if (base != nullptr) {
+        for (const int32_t r : *base) {
+          if (c.oracle(r)) want.push_back(r);
+        }
+      } else {
+        for (int32_t r = 0; r < t.num_rows(); ++r) {
+          if (c.oracle(r)) want.push_back(r);
+        }
+      }
+      std::vector<QueryStats> stats;
+      for (const Mode& mode : Modes()) {
+        SCOPED_TRACE(mode.name);
+        ScopedExecOptions scope(mode.opts);
+        stats.emplace_back();
+        EXPECT_EQ(Filter(src, {c.pred}, &stats.back(), base), want);
+      }
+      ExpectSameStats(stats[0], stats[1]);
+    }
+  }
+}
+
+TEST(FilterKernelTest, EveryKindAndOperatorMatchesReference) {
+  const storage::Table t = KernelTable(6000, 7);
+  CheckFilterMatrix(t);
+}
+
+TEST(FilterKernelTest, EmptyInput) {
+  const storage::Table t = KernelTable(0, 7);
+  CheckFilterMatrix(t);
+}
+
+TEST(FilterKernelTest, AllAndNoRowsSelected) {
+  const storage::Table t = KernelTable(3000, 8);
+  const ColumnSource src(t);
+  for (const Mode& mode : Modes()) {
+    SCOPED_TRACE(mode.name);
+    ScopedExecOptions scope(mode.opts);
+    const SelVec all = Filter(
+        src, {Predicate::BetweenI32("i32", kMin32, kMax32)}, nullptr);
+    ASSERT_EQ(all.size(), 3000u);
+    for (int32_t r = 0; r < 3000; ++r) EXPECT_EQ(all[r], r);
+    EXPECT_TRUE(
+        Filter(src, {Predicate::CmpI32("i32", CmpOp::kLt, kMin32)}, nullptr)
+            .empty());
+    EXPECT_TRUE(
+        Filter(src, {Predicate::CmpI32("i32", CmpOp::kGt, kMax32)}, nullptr)
+            .empty());
+  }
+}
+
+TEST(FilterKernelTest, NanComparesFalseExceptNe) {
+  const storage::Table t = KernelTable(2000, 9);
+  const ColumnSource src(t);
+  const double* f64 = t.column("f64").F64Data();
+  for (const Mode& mode : Modes()) {
+    SCOPED_TRACE(mode.name);
+    ScopedExecOptions scope(mode.opts);
+    for (const CmpOp op : kOps) {
+      // Against a NaN constant: kNe selects every row, the rest none.
+      const SelVec sel =
+          Filter(src, {Predicate::CmpF64("f64", op, kNaN)}, nullptr);
+      EXPECT_EQ(sel.size(), op == CmpOp::kNe ? 2000u : 0u);
+      // NaN rows: selected by kNe against any constant, never otherwise.
+      const SelVec any =
+          Filter(src, {Predicate::CmpF64("f64", op, 1.0)}, nullptr);
+      int nan_rows = 0;
+      for (const int32_t r : any) nan_rows += std::isnan(f64[r]) ? 1 : 0;
+      if (op == CmpOp::kNe) {
+        int total_nan = 0;
+        for (int r = 0; r < 2000; ++r) total_nan += std::isnan(f64[r]);
+        EXPECT_GT(total_nan, 0);
+        EXPECT_EQ(nan_rows, total_nan);
+      } else {
+        EXPECT_EQ(nan_rows, 0);
+      }
+    }
+  }
+}
+
+TEST(FilterKernelTest, ConjunctionRefinesInOrder) {
+  const storage::Table t = KernelTable(5000, 10);
+  const ColumnSource src(t);
+  const int32_t* i32 = t.column("i32").I32Data();
+  const int64_t* i64 = t.column("i64").I64Data();
+  const Column& str = t.column("str");
+  SelVec want;
+  for (int32_t r = 0; r < 5000; ++r) {
+    if (i32[r] >= -10 && i32[r] <= 10 && i64[r] > 0 &&
+        LikeMatch(str.StringAt(r), "%a%")) {
+      want.push_back(r);
+    }
+  }
+  std::vector<QueryStats> stats;
+  for (const Mode& mode : Modes()) {
+    SCOPED_TRACE(mode.name);
+    ScopedExecOptions scope(mode.opts);
+    stats.emplace_back();
+    EXPECT_EQ(Filter(src,
+                     {Predicate::BetweenI32("i32", -10, 10),
+                      Predicate::CmpI64("i64", CmpOp::kGt, 0),
+                      Predicate::Like("str", "%a%")},
+                     &stats.back()),
+              want);
+  }
+  ExpectSameStats(stats[0], stats[1]);
+}
+
+TEST(FilterKernelTest, ColCmpColEveryWidthClassAndOperator) {
+  const storage::Table t = KernelTable(6000, 11);
+  const ColumnSource src(t);
+  struct Pair {
+    const char* a;
+    const char* b;
+  };
+  // int32 vs int32, int32 vs date (same width class), int64, float64 with
+  // NaN on both sides.
+  for (const Pair& pair : {Pair{"i32", "i32b"}, Pair{"i32", "date"},
+                           Pair{"i64", "i64b"}, Pair{"f64", "f64b"}}) {
+    SCOPED_TRACE(std::string(pair.a) + " vs " + pair.b);
+    const Column& ca = t.column(pair.a);
+    const Column& cb = t.column(pair.b);
+    for (const CmpOp op : kOps) {
+      SCOPED_TRACE(static_cast<int>(op));
+      auto oracle = [&](int32_t r) {
+        switch (ca.type()) {
+          case DataType::kInt64:
+            return RefCmp(ca.I64Data()[r], op, cb.I64Data()[r]);
+          case DataType::kFloat64:
+            return RefCmp(ca.F64Data()[r], op, cb.F64Data()[r]);
+          default:
+            return RefCmp(ca.I32Data()[r], op, cb.I32Data()[r]);
+        }
+      };
+      for (const auto& [cand_name, cand] : Candidates(t.num_rows())) {
+        SCOPED_TRACE(cand_name);
+        const SelVec* base = cand.has_value() ? &*cand : nullptr;
+        SelVec want;
+        for (int32_t r = 0; r < t.num_rows(); ++r) {
+          const bool in_base =
+              base == nullptr ||
+              std::binary_search(base->begin(), base->end(), r);
+          if (in_base && oracle(r)) want.push_back(r);
+        }
+        std::vector<QueryStats> stats;
+        for (const Mode& mode : Modes()) {
+          SCOPED_TRACE(mode.name);
+          ScopedExecOptions scope(mode.opts);
+          stats.emplace_back();
+          EXPECT_EQ(FilterColCmpCol(src, pair.a, op, pair.b, &stats.back(),
+                                    base),
+                    want);
+        }
+        ExpectSameStats(stats[0], stats[1]);
+      }
+    }
+  }
+}
+
+// ---------- Gathers ----------
+
+template <typename T>
+std::vector<T> Values(const Column& c);
+template <>
+std::vector<int32_t> Values(const Column& c) {
+  return {c.I32Data(), c.I32Data() + c.size()};
+}
+template <>
+std::vector<int64_t> Values(const Column& c) {
+  return {c.I64Data(), c.I64Data() + c.size()};
+}
+template <>
+std::vector<double> Values(const Column& c) {
+  return {c.F64Data(), c.F64Data() + c.size()};
+}
+
+template <typename T>
+void CheckGathers(const Column& src) {
+  const int64_t n = src.size();
+  const std::vector<T> vals = Values<T>(src);
+  SelVec sparse, dense;
+  for (int32_t r = 0; r < n; ++r) {
+    if (r % 97 == 5) sparse.push_back(r);
+    if (r % 7 != 0) dense.push_back(r);
+  }
+  for (const SelVec& sel : {SelVec{}, sparse, dense}) {
+    SCOPED_TRACE("selection of " + std::to_string(sel.size()));
+    // Outer-join indices: the selection with a -1 after every fifth entry.
+    std::vector<int32_t> idx;
+    for (size_t k = 0; k < sel.size(); ++k) {
+      idx.push_back(sel[k]);
+      if (k % 5 == 4) idx.push_back(-1);
+    }
+    std::vector<QueryStats> stats;
+    for (const Mode& mode : Modes()) {
+      SCOPED_TRACE(mode.name);
+      ScopedExecOptions scope(mode.opts);
+      stats.emplace_back();
+      const auto g = Gather(src, sel, &stats.back());
+      ASSERT_EQ(g->size(), static_cast<int64_t>(sel.size()));
+      EXPECT_EQ(g->dict(), src.dict());
+      const std::vector<T> got = Values<T>(*g);
+      for (size_t k = 0; k < sel.size(); ++k) {
+        // Compare bit patterns so NaN payloads count too.
+        EXPECT_EQ(std::memcmp(&got[k], &vals[sel[k]], sizeof(T)), 0) << k;
+      }
+      if (src.type() == DataType::kString) continue;
+      const auto gd = GatherWithDefault(src, idx, -1.0, &stats.back());
+      const std::vector<T> got_d = Values<T>(*gd);
+      ASSERT_EQ(got_d.size(), idx.size());
+      for (size_t k = 0; k < idx.size(); ++k) {
+        const T want = idx[k] < 0 ? static_cast<T>(-1.0) : vals[idx[k]];
+        EXPECT_EQ(std::memcmp(&got_d[k], &want, sizeof(T)), 0) << k;
+      }
+    }
+    ExpectSameStats(stats[0], stats[1]);
+  }
+}
+
+TEST(GatherKernelTest, EmptySparseAndDenseSelections) {
+  const storage::Table t = KernelTable(6000, 12);
+  {
+    SCOPED_TRACE("i32");
+    CheckGathers<int32_t>(t.column("i32"));
+  }
+  {
+    SCOPED_TRACE("date");
+    CheckGathers<int32_t>(t.column("date"));
+  }
+  {
+    SCOPED_TRACE("str");
+    CheckGathers<int32_t>(t.column("str"));
+  }
+  {
+    SCOPED_TRACE("i64");
+    CheckGathers<int64_t>(t.column("i64"));
+  }
+  {
+    SCOPED_TRACE("f64");
+    CheckGathers<double>(t.column("f64"));
+  }
+}
+
+// ---------- LIKE ----------
+
+TEST(LikeKernelTest, MatchesReferenceOnRandomPairs) {
+  // Values over {a, b, _, %} (wildcard characters are ordinary bytes in a
+  // value), patterns over {a, b, %, _}: short enough that segments often
+  // overlap, repeat and fall at both ends.
+  Rng rng(20241017);
+  const char kValueChars[] = "aab_%";
+  const char kPatternChars[] = "ab%%_";
+  std::string value, pattern;
+  int64_t matches = 0;
+  for (int i = 0; i < 1'000'000; ++i) {
+    value.resize(static_cast<size_t>(rng.Uniform(0, 9)));
+    for (char& c : value) c = kValueChars[rng.Uniform(0, 4)];
+    pattern.resize(static_cast<size_t>(rng.Uniform(0, 7)));
+    for (char& c : pattern) c = kPatternChars[rng.Uniform(0, 4)];
+    const bool got = LikeMatch(value, pattern);
+    matches += got;
+    if (got != tpch_ref::RefLikeMatch(value, pattern)) {
+      FAIL() << "'" << value << "' LIKE '" << pattern << "': engine says "
+             << got;
+    }
+  }
+  // Both outcomes must be well represented for the comparison to mean
+  // anything.
+  EXPECT_GT(matches, 100'000);
+  EXPECT_LT(matches, 900'000);
+}
+
+// ---------- Hash join probe ----------
+
+// The join's exact output order: probe rows ascending, and for each the
+// matching build rows in chain order (most recently inserted first).
+JoinResult RefJoin(int64_t n_build, int64_t n_probe,
+                   const std::function<bool(int64_t, int64_t)>& eq,
+                   JoinKind kind) {
+  JoinResult out;
+  for (int64_t p = 0; p < n_probe; ++p) {
+    bool matched = false;
+    for (int64_t b = n_build - 1; b >= 0; --b) {
+      if (!eq(b, p)) continue;
+      matched = true;
+      if (kind == JoinKind::kInner || kind == JoinKind::kLeftOuter) {
+        out.build_idx.push_back(static_cast<int32_t>(b));
+        out.probe_idx.push_back(static_cast<int32_t>(p));
+      }
+    }
+    if ((kind == JoinKind::kSemi && matched) ||
+        (kind == JoinKind::kAnti && !matched)) {
+      out.probe_idx.push_back(static_cast<int32_t>(p));
+    }
+    if (kind == JoinKind::kLeftOuter && !matched) {
+      out.build_idx.push_back(-1);
+      out.probe_idx.push_back(static_cast<int32_t>(p));
+    }
+  }
+  return out;
+}
+
+TEST(JoinKernelTest, EveryKeyReaderMatchesReference) {
+  const storage::Table build = KernelTable(1500, 13);
+  const storage::Table probe = KernelTable(2500, 14);
+  struct Keys {
+    const char* name;
+    std::vector<std::string> cols;
+  };
+  // Single int32, date, string-code and int64 keys take the typed readers;
+  // a float64 key and a two-column key take the generic one. String keys
+  // compare dictionary codes (the join's contract is a shared dictionary).
+  const Keys keys[] = {{"i32", {"i32"}},       {"date", {"date"}},
+                       {"str", {"str"}},       {"i64", {"i64"}},
+                       {"f64", {"f64"}},       {"i32+str", {"i32", "str"}}};
+  for (const Keys& k : keys) {
+    SCOPED_TRACE(k.name);
+    std::vector<const Column*> bk, pk;
+    for (const std::string& c : k.cols) {
+      bk.push_back(&build.column(c));
+      pk.push_back(&probe.column(c));
+    }
+    auto eq = [&](int64_t b, int64_t p) {
+      for (size_t i = 0; i < bk.size(); ++i) {
+        switch (bk[i]->type()) {
+          case DataType::kInt64:
+            if (bk[i]->I64Data()[b] != pk[i]->I64Data()[p]) return false;
+            break;
+          case DataType::kFloat64:
+            if (bk[i]->F64Data()[b] != pk[i]->F64Data()[p]) return false;
+            break;
+          default:
+            if (bk[i]->I32Data()[b] != pk[i]->I32Data()[p]) return false;
+            break;
+        }
+      }
+      return true;
+    };
+    for (const JoinKind kind : {JoinKind::kInner, JoinKind::kSemi,
+                                JoinKind::kAnti, JoinKind::kLeftOuter}) {
+      SCOPED_TRACE(static_cast<int>(kind));
+      const JoinResult want =
+          RefJoin(build.num_rows(), probe.num_rows(), eq, kind);
+      std::vector<QueryStats> stats;
+      for (const Mode& mode : Modes()) {
+        SCOPED_TRACE(mode.name);
+        ScopedExecOptions scope(mode.opts);
+        stats.emplace_back();
+        const JoinResult got = HashJoin(bk, pk, kind, &stats.back());
+        EXPECT_EQ(got.build_idx, want.build_idx);
+        EXPECT_EQ(got.probe_idx, want.probe_idx);
+      }
+      ExpectSameStats(stats[0], stats[1]);
+    }
+  }
+}
+
+}  // namespace
+}  // namespace wimpi::exec

@@ -8,6 +8,7 @@
 // subqueries, evaluated naively).
 
 #include <string>
+#include <string_view>
 #include <variant>
 #include <vector>
 
@@ -21,6 +22,10 @@ using RefResult = std::vector<RefRow>;
 
 // Runs reference query `q` (1..22).
 RefResult RunReference(int q, const engine::Database& db);
+
+// SQL LIKE ('%' any run, '_' any one character, no escapes), implemented
+// separately from the engine's LikeMatch.
+bool RefLikeMatch(std::string_view value, std::string_view pattern);
 
 }  // namespace wimpi::tpch_ref
 

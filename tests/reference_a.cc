@@ -15,7 +15,6 @@ namespace wimpi::tpch_ref {
 using wimpi::Contains;
 using wimpi::DateAddMonths;
 using wimpi::DateYear;
-using wimpi::LikeMatch;
 using wimpi::ParseDate;
 using wimpi::StartsWith;
 
@@ -59,7 +58,9 @@ RefResult RefQ2(const engine::Database& db) {
   for (const auto& s : suppliers) supp_by_key[s.suppkey] = &s;
   std::unordered_map<int32_t, const PartRow*> part_by_key;
   for (const auto& p : parts) {
-    if (p.size == 15 && LikeMatch(p.type, "%BRASS")) part_by_key[p.partkey] = &p;
+    if (p.size == 15 && RefLikeMatch(p.type, "%BRASS")) {
+      part_by_key[p.partkey] = &p;
+    }
   }
   std::unordered_map<int32_t, std::string> nation_name;
   for (const auto& n : nations) nation_name[n.nationkey] = n.name;

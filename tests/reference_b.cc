@@ -13,7 +13,6 @@
 namespace wimpi::tpch_ref {
 
 using wimpi::DateAddMonths;
-using wimpi::LikeMatch;
 using wimpi::ParseDate;
 using wimpi::StartsWith;
 
@@ -45,7 +44,7 @@ RefResult RefQ12(const engine::Database& db) {
 RefResult RefQ13(const engine::Database& db) {
   std::unordered_map<int32_t, int64_t> orders_per_cust;
   for (const auto& o : LoadOrders(db)) {
-    if (LikeMatch(o.comment, "%special%requests%")) continue;
+    if (RefLikeMatch(o.comment, "%special%requests%")) continue;
     ++orders_per_cust[o.custkey];
   }
   std::map<int64_t, int64_t> dist;
@@ -117,7 +116,7 @@ RefResult RefQ16(const engine::Database& db) {
   static const std::set<int32_t> kSizes = {49, 14, 23, 45, 19, 3, 36, 9};
   std::unordered_set<int32_t> bad_supp;
   for (const auto& s : LoadSupplier(db)) {
-    if (LikeMatch(s.comment, "%Customer%Complaints%")) {
+    if (RefLikeMatch(s.comment, "%Customer%Complaints%")) {
       bad_supp.insert(s.suppkey);
     }
   }
@@ -127,7 +126,7 @@ RefResult RefQ16(const engine::Database& db) {
   };
   std::unordered_map<int32_t, PartInfo> parts;
   for (const auto& p : LoadPart(db)) {
-    if (p.brand != "Brand#45" && !LikeMatch(p.type, "MEDIUM POLISHED%") &&
+    if (p.brand != "Brand#45" && !RefLikeMatch(p.type, "MEDIUM POLISHED%") &&
         kSizes.count(p.size)) {
       parts[p.partkey] = {p.brand, p.type, p.size};
     }
@@ -255,7 +254,7 @@ RefResult RefQ20(const engine::Database& db) {
   const int32_t hi = DateAddMonths(lo, 12) - 1;
   std::unordered_set<int32_t> forest;
   for (const auto& p : LoadPart(db)) {
-    if (LikeMatch(p.name, "forest%")) forest.insert(p.partkey);
+    if (RefLikeMatch(p.name, "forest%")) forest.insert(p.partkey);
   }
   std::unordered_map<int64_t, double> shipped;  // (part,supp) -> qty
   for (const auto& l : LoadLineitem(db)) {

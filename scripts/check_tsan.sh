@@ -2,7 +2,8 @@
 # Builds the parallel-execution and observability tests under
 # ThreadSanitizer and runs them. Intended for CI: any data race in the
 # thread pool, scheduler, the morsel-parallel operator paths (including the
-# filter morsels and the dictionary pass of string predicates), the
+# filter morsels, the dictionary pass of string predicates and the hash
+# aggregation's chunk tables and state merge), the
 # range-parallel TPC-H generator, or the profiling/metrics/trace
 # instrumentation fails the script.
 #
@@ -69,8 +70,10 @@ export TSAN_OPTIONS="halt_on_error=1 ${TSAN_OPTIONS:-}"
 "${build_dir}/tests/tbl_io_test"
 # Operator kernels: filter selections written by morsels into slices of one
 # shared buffer, the string predicates' dictionary pass over dictionary
-# morsels, pointer gathers and typed join probes, each at 4 threads with
-# small morsels; plus all 22 queries in that configuration (golden
+# morsels, pointer gathers and typed join probes, and hash aggregation's
+# chunk tables built on pool workers and merged state to state (every key
+# reader and AggFn, the million-group case included), each at 4 threads
+# with small morsels; plus all 22 queries in that configuration (golden
 # answers and OpStats) and the LIKE matcher the dictionary pass calls.
 "${build_dir}/tests/exec_test"
 "${build_dir}/tests/kernel_test"

@@ -14,8 +14,8 @@ enum class AggFn {
   kSum,        // double result
   kSumI64,     // int64 result over int32/int64 input (distributed count
                // merges must stay integral)
-  kMin,        // input type preserved
-  kMax,        // input type preserved
+  kMin,        // input type preserved (accumulated in it: int64 exact)
+  kMax,        // input type preserved (accumulated in it: int64 exact)
   kCount,      // int64 result (no NULLs, so kCount == kCountStar over a col)
   kCountStar,  // int64 result; `in` ignored
   kAvg,        // double result
@@ -28,11 +28,25 @@ struct AggSpec {
 };
 
 // Grouped aggregation via a bucket-chained hash table on the group-key
-// columns. Output columns: the group keys (values gathered from each
-// group's first row) followed by one column per AggSpec, in order.
+// columns. Output columns: the group keys (each group's first-row values)
+// followed by one column per AggSpec, in order. Groups come out in order
+// of first appearance, and each group folds its rows in row order, at any
+// thread count.
+//
+// The build and state loops are compiled per key shape and per (AggFn,
+// input type), chosen once per call: one int32/date/string-code key, one
+// int64 key, two int32-class keys packed into a u64, or a generic reader
+// for anything else. Chain entries hold the key inline. Rows go through
+// in batches: a batch is hashed first, its bucket heads and chain entries
+// prefetched ahead of the walk, and each state then folds the batch's
+// group ids in one typed loop. In parallel, each thread chunk builds its
+// own table and states, and the chunks' states are merged in chunk order
+// (sums add, counts add, min/max of min/max, avg as sum and count).
+//
 // With an empty `group_by`, produces exactly one row (global aggregate),
-// even over empty input (SQL semantics: COUNT = 0, SUM/AVG/MIN/MAX = 0
-// here since the engine has no NULLs).
+// even over empty input (SQL semantics: COUNT = 0, SUM/AVG = 0 here since
+// the engine has no NULLs; MIN/MAX over no rows give the type's identity,
+// +/-infinity for float64 and the int type's max/lowest otherwise).
 Relation HashAggregate(const ColumnSource& src,
                        const std::vector<std::string>& group_by,
                        const std::vector<AggSpec>& aggs, QueryStats* stats);

@@ -3,9 +3,9 @@
 #include <algorithm>
 #include <bit>
 
-#include "common/hash.h"
 #include "common/logging.h"
 #include "exec/estimator.h"
+#include "exec/hash_keys.h"
 #include "exec/morsel_exec.h"
 #include "obs/profiler.h"
 
@@ -13,94 +13,6 @@ namespace wimpi::exec {
 namespace {
 
 using storage::Column;
-using storage::DataType;
-
-uint64_t ValueHash(const Column& col, int64_t row) {
-  switch (col.type()) {
-    case DataType::kInt64:
-      return HashInt64(static_cast<uint64_t>(col.I64Data()[row]));
-    case DataType::kFloat64: {
-      double d = col.F64Data()[row];
-      uint64_t bits;
-      static_assert(sizeof(bits) == sizeof(d));
-      __builtin_memcpy(&bits, &d, sizeof(bits));
-      return HashInt64(bits);
-    }
-    default:
-      return HashInt64(static_cast<uint64_t>(
-          static_cast<uint32_t>(col.I32Data()[row])));
-  }
-}
-
-uint64_t RowHash(const std::vector<const Column*>& keys, int64_t row) {
-  uint64_t h = ValueHash(*keys[0], row);
-  for (size_t i = 1; i < keys.size(); ++i) {
-    h = HashCombine(h, ValueHash(*keys[i], row));
-  }
-  return h;
-}
-
-bool ValueEq(const Column& a, int64_t ra, const Column& b, int64_t rb) {
-  switch (a.type()) {
-    case DataType::kInt64:
-      return a.I64Data()[ra] == b.I64Data()[rb];
-    case DataType::kFloat64:
-      return a.F64Data()[ra] == b.F64Data()[rb];
-    default:
-      return a.I32Data()[ra] == b.I32Data()[rb];
-  }
-}
-
-bool RowEq(const std::vector<const Column*>& a, int64_t ra,
-           const std::vector<const Column*>& b, int64_t rb) {
-  for (size_t i = 0; i < a.size(); ++i) {
-    if (!ValueEq(*a[i], ra, *b[i], rb)) return false;
-  }
-  return true;
-}
-
-int KeyWidth(const std::vector<const Column*>& keys) {
-  int w = 0;
-  for (const Column* c : keys) w += storage::TypeWidth(c->type());
-  return w;
-}
-
-// Key readers. HashJoin picks one per call, so the build and probe loops
-// below are compiled per key shape: a single-column key hashes and
-// compares its values directly, with no per-row switch on the column
-// type. Every reader hashes a row exactly as RowHash does, so the table
-// and its chain order do not depend on which reader built it.
-
-// One column of int32, date or string code.
-struct I32Key {
-  const int32_t* d;
-  uint64_t Hash(int64_t r) const {
-    return HashInt64(static_cast<uint64_t>(static_cast<uint32_t>(d[r])));
-  }
-  bool Eq(int64_t r, const I32Key& o, int64_t orow) const {
-    return d[r] == o.d[orow];
-  }
-};
-
-// One column of int64.
-struct I64Key {
-  const int64_t* d;
-  uint64_t Hash(int64_t r) const {
-    return HashInt64(static_cast<uint64_t>(d[r]));
-  }
-  bool Eq(int64_t r, const I64Key& o, int64_t orow) const {
-    return d[r] == o.d[orow];
-  }
-};
-
-// Any number of columns of any key type (and single float64 keys).
-struct MultiKey {
-  const std::vector<const Column*>* cols;
-  uint64_t Hash(int64_t r) const { return RowHash(*cols, r); }
-  bool Eq(int64_t r, const MultiKey& o, int64_t orow) const {
-    return RowEq(*cols, r, *o.cols, orow);
-  }
-};
 
 template <typename Key>
 JoinResult JoinWith(const Key& build, const Key& probe,
@@ -316,22 +228,11 @@ JoinResult HashJoin(const std::vector<const Column*>& build_keys,
     WIMPI_CHECK(build_keys[i]->type() == probe_keys[i]->type())
         << "join key type mismatch at position " << i;
   }
-  if (build_keys.size() == 1) {
-    const Column& b = *build_keys[0];
-    const Column& p = *probe_keys[0];
-    switch (b.type()) {
-      case DataType::kInt64:
-        return JoinWith(I64Key{b.I64Data()}, I64Key{p.I64Data()},
-                        build_keys, probe_keys, kind, stats);
-      case DataType::kFloat64:
-        break;
-      default:
-        return JoinWith(I32Key{b.I32Data()}, I32Key{p.I32Data()},
-                        build_keys, probe_keys, kind, stats);
-    }
-  }
-  return JoinWith(MultiKey{&build_keys}, MultiKey{&probe_keys}, build_keys,
-                  probe_keys, kind, stats);
+  return WithKeyReader(build_keys, [&](auto reader) {
+    using Reader = typename decltype(reader)::type;
+    return JoinWith(Reader::Make(build_keys), Reader::Make(probe_keys),
+                    build_keys, probe_keys, kind, stats);
+  });
 }
 
 }  // namespace wimpi::exec

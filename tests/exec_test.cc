@@ -1,13 +1,17 @@
 // Operator-level tests: every vectorized operator is validated against a
 // naive oracle over randomized data (property style, parameterized by
 // seed).
+#include <cmath>
+#include <limits>
 #include <map>
+#include <memory>
 #include <set>
 #include <unordered_map>
 
 #include "common/date.h"
 #include "common/rng.h"
 #include "exec/aggregate.h"
+#include "exec/exec_options.h"
 #include "exec/expr.h"
 #include "exec/filter.h"
 #include "exec/join.h"
@@ -272,6 +276,89 @@ TEST(ExecTest, GlobalAggregateOverEmptyInput) {
   ASSERT_EQ(agg.num_rows(), 1);
   EXPECT_DOUBLE_EQ(agg.column("sum").F64Data()[0], 0);
   EXPECT_EQ(agg.column("count").I64Data()[0], 0);
+}
+
+// Min/max keep the input's own type: int64 values above 2^53 and the
+// int64 extremes come out exact (a double accumulator would round them),
+// sequentially and through the parallel chunk merge.
+TEST(ExecTest, Int64MinMaxStayExact) {
+  constexpr int64_t kTwo53 = int64_t{1} << 53;
+  constexpr int64_t kLo = std::numeric_limits<int64_t>::min();
+  constexpr int64_t kHi = std::numeric_limits<int64_t>::max();
+  Relation rel;
+  auto k = std::make_unique<Column>(DataType::kInt32);
+  auto v = std::make_unique<Column>(DataType::kInt64);
+  const std::pair<int32_t, int64_t> rows[] = {
+      {0, kTwo53 + 1}, {1, kLo},     {0, kTwo53 + 3}, {1, kHi},
+      {2, kTwo53 + 1}, {0, kTwo53 + 1}, {1, 0},       {2, kTwo53 + 1}};
+  for (const auto& [key, value] : rows) {
+    k->AppendInt32(key);
+    v->AppendInt64(value);
+  }
+  rel.AddColumn("k", std::move(k));
+  rel.AddColumn("v", std::move(v));
+  ExecOptions par;
+  par.num_threads = 4;
+  par.morsel_rows = 2;
+  for (const ExecOptions& opts : {ExecOptions{}, par}) {
+    ScopedExecOptions scope(opts);
+    const Relation agg = HashAggregate(ColumnSource(rel), {"k"},
+                                       {{AggFn::kMin, "v", "min"},
+                                        {AggFn::kMax, "v", "max"}},
+                                       nullptr);
+    ASSERT_EQ(agg.num_rows(), 3);
+    EXPECT_EQ(agg.column("min").type(), DataType::kInt64);
+    EXPECT_EQ(agg.column("min").I64Data()[0], kTwo53 + 1);
+    EXPECT_EQ(agg.column("max").I64Data()[0], kTwo53 + 3);
+    EXPECT_EQ(agg.column("min").I64Data()[1], kLo);
+    EXPECT_EQ(agg.column("max").I64Data()[1], kHi);
+    EXPECT_EQ(agg.column("min").I64Data()[2], kTwo53 + 1);
+    EXPECT_EQ(agg.column("max").I64Data()[2], kTwo53 + 1);
+
+    const Relation all = HashAggregate(ColumnSource(rel), {},
+                                       {{AggFn::kMin, "v", "min"},
+                                        {AggFn::kMax, "v", "max"}},
+                                       nullptr);
+    EXPECT_EQ(all.column("min").I64Data()[0], kLo);
+    EXPECT_EQ(all.column("max").I64Data()[0], kHi);
+  }
+}
+
+// -0.0 == +0.0, so they are one group key and one join key (the hash
+// canonicalizes zero); the group keeps its first row's value.
+TEST(ExecTest, SignedZeroFloatKeysAreOneKey) {
+  Relation rel;
+  auto f = std::make_unique<Column>(DataType::kFloat64);
+  auto i = std::make_unique<Column>(DataType::kInt32);
+  for (const double d : {-0.0, 0.0, 1.0, -0.0, 0.0}) {
+    f->AppendFloat64(d);
+    i->AppendInt32(3);
+  }
+  rel.AddColumn("f", std::move(f));
+  rel.AddColumn("i", std::move(i));
+  for (const std::vector<std::string>& by :
+       {std::vector<std::string>{"f"}, std::vector<std::string>{"i", "f"}}) {
+    const Relation agg = HashAggregate(ColumnSource(rel), by,
+                                       {{AggFn::kCountStar, "", "n"}},
+                                       nullptr);
+    ASSERT_EQ(agg.num_rows(), 2);
+    EXPECT_TRUE(std::signbit(agg.column("f").F64Data()[0]));
+    EXPECT_EQ(agg.column("f").F64Data()[1], 1.0);
+    EXPECT_EQ(agg.column("n").I64Data()[0], 4);
+    EXPECT_EQ(agg.column("n").I64Data()[1], 1);
+  }
+
+  Column build(DataType::kFloat64);
+  build.AppendFloat64(-0.0);
+  build.AppendFloat64(2.0);
+  Column probe(DataType::kFloat64);
+  probe.AppendFloat64(0.0);
+  probe.AppendFloat64(-0.0);
+  probe.AppendFloat64(2.0);
+  const JoinResult jr =
+      HashJoin({&build}, {&probe}, JoinKind::kInner, nullptr);
+  EXPECT_EQ(jr.build_idx, (std::vector<int32_t>{0, 0, 1}));
+  EXPECT_EQ(jr.probe_idx, (std::vector<int32_t>{0, 1, 2}));
 }
 
 TEST_P(ExecPropertyTest, SortPermOrdersAndIsStable) {

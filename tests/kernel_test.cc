@@ -3,19 +3,25 @@
 // candidate lists, sequentially and on four threads with small morsels,
 // with the boundary values that branch-free kernels get wrong first
 // (INT32_MIN/INT32_MAX, empty ranges, NaN, empty inputs). The parallel run
-// must also reproduce the sequential run's OpStats exactly.
+// must also reproduce the sequential run's OpStats exactly. Hash
+// aggregation runs every key reader and AggFn against the row-at-a-time
+// reference (tests/reference_aggregate.cc), bit for bit.
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
 #include <functional>
 #include <limits>
+#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
 
 #include "common/rng.h"
 #include "common/strings.h"
+#include "exec/aggregate.h"
+#include "exec/counters.h"
 #include "exec/exec_options.h"
 #include "exec/filter.h"
 #include "exec/join.h"
@@ -553,11 +559,20 @@ TEST(JoinKernelTest, EveryKeyReaderMatchesReference) {
     std::vector<std::string> cols;
   };
   // Single int32, date, string-code and int64 keys take the typed readers;
-  // a float64 key and a two-column key take the generic one. String keys
-  // compare dictionary codes (the join's contract is a shared dictionary).
-  const Keys keys[] = {{"i32", {"i32"}},       {"date", {"date"}},
-                       {"str", {"str"}},       {"i64", {"i64"}},
-                       {"f64", {"f64"}},       {"i32+str", {"i32", "str"}}};
+  // two int32-class columns (negative values and INT32_MIN/INT32_MAX
+  // included) take the packed reader; a float64 key and other multi-column
+  // keys take the generic one. String keys compare dictionary codes (the
+  // join's contract is a shared dictionary).
+  const Keys keys[] = {{"i32", {"i32"}},
+                       {"date", {"date"}},
+                       {"str", {"str"}},
+                       {"i64", {"i64"}},
+                       {"f64", {"f64"}},
+                       {"pair i32+str", {"i32", "str"}},
+                       {"pair i32+i32b", {"i32", "i32b"}},
+                       {"pair date+i32", {"date", "i32"}},
+                       {"generic i32+i64", {"i32", "i64"}},
+                       {"generic i32+i32b+str", {"i32", "i32b", "str"}}};
   for (const Keys& k : keys) {
     SCOPED_TRACE(k.name);
     std::vector<const Column*> bk, pk;
@@ -597,6 +612,318 @@ TEST(JoinKernelTest, EveryKeyReaderMatchesReference) {
       }
       ExpectSameStats(stats[0], stats[1]);
     }
+  }
+}
+
+// ---------- Hash aggregation ----------
+
+// Each row's bits as u64 (int32-class values through uint32_t), so every
+// column type compares exactly, NaN payloads and the sign of zero included.
+uint64_t Bits(const Column& c, int64_t row) {
+  switch (c.type()) {
+    case DataType::kInt64:
+      return static_cast<uint64_t>(c.I64Data()[row]);
+    case DataType::kFloat64:
+      return std::bit_cast<uint64_t>(c.F64Data()[row]);
+    default:
+      return static_cast<uint32_t>(c.I32Data()[row]);
+  }
+}
+
+std::vector<uint64_t> Bits(const Column& c) {
+  std::vector<uint64_t> out(static_cast<size_t>(c.size()));
+  for (int64_t r = 0; r < c.size(); ++r) out[r] = Bits(c, r);
+  return out;
+}
+
+// The finalized bits of reference state `s`, group by group.
+std::vector<uint64_t> FinalBits(const tpch_ref::RefAggState& s,
+                                size_t groups) {
+  std::vector<uint64_t> out(groups);
+  for (size_t g = 0; g < groups; ++g) {
+    switch (s.fn) {
+      case AggFn::kSum:
+        out[g] = std::bit_cast<uint64_t>(s.f64[g]);
+        break;
+      case AggFn::kAvg:
+        out[g] = std::bit_cast<uint64_t>(
+            s.i64[g] == 0 ? 0.0 : s.f64[g] / static_cast<double>(s.i64[g]));
+        break;
+      case AggFn::kMin:
+      case AggFn::kMax:
+        if (s.in->type() == DataType::kFloat64) {
+          out[g] = std::bit_cast<uint64_t>(s.f64[g]);
+        } else if (s.in->type() == DataType::kInt64) {
+          out[g] = static_cast<uint64_t>(s.i64[g]);
+        } else {
+          out[g] = static_cast<uint32_t>(static_cast<int32_t>(s.i64[g]));
+        }
+        break;
+      default:
+        out[g] = static_cast<uint64_t>(s.i64[g]);
+        break;
+    }
+  }
+  return out;
+}
+
+DataType OutputType(const AggSpec& a, const ColumnSource& src) {
+  switch (a.fn) {
+    case AggFn::kSum:
+    case AggFn::kAvg:
+      return DataType::kFloat64;
+    case AggFn::kMin:
+    case AggFn::kMax:
+      return src.column(a.in).type();
+    default:
+      return DataType::kInt64;
+  }
+}
+
+constexpr int64_t kTwo53 = int64_t{1} << 53;
+
+// Key columns k32/k32b (pair halves: k32b repeats its few negative values
+// under every k32, so a sign-extending pack would merge groups), kdate,
+// k64, kf64 (-0.0 and +0.0 both present) and kstr, all functions of the
+// row's key id; input columns v32 (with INT32_MIN/INT32_MAX), vdate, v64
+// (with ±(2^53+1) and 2^53+3, which a double accumulator rounds) and vf64
+// (with NaN and -0.0), drawn per row.
+Relation AggTable(int64_t rows, const std::function<int64_t(int64_t)>& id,
+                  uint64_t seed) {
+  Rng rng(seed);
+  auto k32 = std::make_unique<Column>(DataType::kInt32);
+  auto k32b = std::make_unique<Column>(DataType::kInt32);
+  auto kdate = std::make_unique<Column>(DataType::kDate);
+  auto k64 = std::make_unique<Column>(DataType::kInt64);
+  auto kf64 = std::make_unique<Column>(DataType::kFloat64);
+  auto kstr = std::make_unique<Column>(DataType::kString);
+  auto v32 = std::make_unique<Column>(DataType::kInt32);
+  auto vdate = std::make_unique<Column>(DataType::kDate);
+  auto v64 = std::make_unique<Column>(DataType::kInt64);
+  auto vf64 = std::make_unique<Column>(DataType::kFloat64);
+  constexpr int32_t kHalves[] = {-1, -2, 0, kMin32, 7};
+  for (int64_t r = 0; r < rows; ++r) {
+    const int64_t k = id(r);
+    const int64_t a = k / 5;
+    k32->AppendInt32(a == 0   ? kMin32
+                     : a == 1 ? kMax32
+                              : static_cast<int32_t>(a % 2 ? -a : a));
+    k32b->AppendInt32(kHalves[k % 5]);
+    kdate->AppendInt32(static_cast<int32_t>(k));
+    k64->AppendInt64(k * 0x100000001LL - (k % 2 ? int64_t{1} << 62 : 0));
+    kf64->AppendFloat64(k % 7 == 3 ? -0.0 : k % 7 == 4 ? 0.0 : 0.5 * k);
+    std::string word = std::to_string(k % 50);
+    word.insert(word.begin(), static_cast<char>('a' + k % 26));
+    kstr->AppendString(word);
+    switch (rng.Uniform(0, 9)) {
+      case 0:
+        v32->AppendInt32(kMin32);
+        break;
+      case 1:
+        v32->AppendInt32(kMax32);
+        break;
+      default:
+        v32->AppendInt32(static_cast<int32_t>(rng.Uniform(-1000, 1000)));
+        break;
+    }
+    vdate->AppendInt32(static_cast<int32_t>(rng.Uniform(0, 20000)));
+    switch (rng.Uniform(0, 9)) {
+      case 0:
+        v64->AppendInt64(kTwo53 + 1);
+        break;
+      case 1:
+        v64->AppendInt64(kTwo53 + 3);
+        break;
+      case 2:
+        v64->AppendInt64(-kTwo53 - 1);
+        break;
+      default:
+        v64->AppendInt64(rng.Uniform(-(int64_t{1} << 40), int64_t{1} << 40));
+        break;
+    }
+    switch (rng.Uniform(0, 19)) {
+      case 0:
+        vf64->AppendFloat64(kNaN);
+        break;
+      case 1:
+        vf64->AppendFloat64(-0.0);
+        break;
+      default:
+        vf64->AppendFloat64(0.125 *
+                            static_cast<double>(rng.Uniform(-8000, 8000)));
+        break;
+    }
+  }
+  // Output keys must carry their source's statistics identity.
+  k32->set_origin(11);
+  kstr->set_origin(12);
+  Relation rel;
+  rel.AddColumn("k32", std::move(k32));
+  rel.AddColumn("k32b", std::move(k32b));
+  rel.AddColumn("kdate", std::move(kdate));
+  rel.AddColumn("k64", std::move(k64));
+  rel.AddColumn("kf64", std::move(kf64));
+  rel.AddColumn("kstr", std::move(kstr));
+  rel.AddColumn("v32", std::move(v32));
+  rel.AddColumn("vdate", std::move(vdate));
+  rel.AddColumn("v64", std::move(v64));
+  rel.AddColumn("vf64", std::move(vf64));
+  return rel;
+}
+
+// Every AggFn over every input type it accepts.
+std::vector<AggSpec> AllAggs() {
+  std::vector<AggSpec> aggs;
+  for (const char* in : {"v32", "vdate", "v64", "vf64"}) {
+    const std::string s(in);
+    aggs.push_back({AggFn::kSum, s, "sum_" + s});
+    aggs.push_back({AggFn::kMin, s, "min_" + s});
+    aggs.push_back({AggFn::kMax, s, "max_" + s});
+    aggs.push_back({AggFn::kCount, s, "count_" + s});
+    aggs.push_back({AggFn::kAvg, s, "avg_" + s});
+    if (s != "vf64") aggs.push_back({AggFn::kSumI64, s, "isum_" + s});
+  }
+  aggs.push_back({AggFn::kCountStar, "", "count_star"});
+  return aggs;
+}
+
+struct AggKeys {
+  const char* name;
+  std::vector<std::string> cols;
+};
+
+// One key set per reader: one int32-class column, one int64 column, two
+// int32-class columns packed, and the generic reader (a float64 key, mixed
+// widths, three columns), plus the global aggregate.
+const AggKeys kAggKeys[] = {{"i32", {"k32"}},
+                            {"date", {"kdate"}},
+                            {"str", {"kstr"}},
+                            {"i64", {"k64"}},
+                            {"pair", {"k32", "k32b"}},
+                            {"pair str+date", {"kstr", "kdate"}},
+                            {"generic f64", {"kf64"}},
+                            {"generic i32+i64", {"k32", "k64"}},
+                            {"generic 3 columns", {"k32b", "kstr", "k64"}},
+                            {"global", {}}};
+
+// HashAggregate against the reference, sequentially and on four threads
+// with 256-row morsels (the reference then runs on the same chunk split
+// and merges in chunk order): same groups in the same order, every output
+// bit, and the OpStats that depend on the table (compute_ops, rand_count).
+void CheckAggregate(const Relation& rel, const std::vector<std::string>& by,
+                    const std::vector<AggSpec>& aggs) {
+  const ColumnSource src(rel);
+  const int64_t n = rel.num_rows();
+  std::vector<const Column*> keys;
+  for (const std::string& k : by) keys.push_back(&rel.column(k));
+  std::vector<tpch_ref::RefAggInput> ref_aggs;
+  for (const AggSpec& a : aggs) {
+    ref_aggs.push_back(
+        {a.fn, a.fn == AggFn::kCountStar ? nullptr : &rel.column(a.in)});
+  }
+  for (const Mode& mode : Modes()) {
+    SCOPED_TRACE(mode.name);
+    ScopedExecOptions scope(mode.opts);
+    const int threads = PlannedThreads(n);
+    tpch_ref::RefGroups want;
+    if (threads <= 1) {
+      want = tpch_ref::RefAggregateRange(keys, ref_aggs, 0, n);
+    } else {
+      const int64_t chunk = (n + threads - 1) / threads;
+      std::vector<tpch_ref::RefGroups> parts;
+      for (int64_t b = 0; b < n; b += chunk) {
+        parts.push_back(tpch_ref::RefAggregateRange(keys, ref_aggs, b,
+                                                    std::min(n, b + chunk)));
+      }
+      want = tpch_ref::RefMergeChunks(keys, ref_aggs, parts);
+    }
+    const size_t groups = want.group_rep.size();
+
+    QueryStats stats;
+    const Relation got = HashAggregate(src, by, aggs, &stats);
+    ASSERT_EQ(got.num_columns(), static_cast<int>(by.size() + aggs.size()));
+    ASSERT_EQ(got.num_rows(), static_cast<int64_t>(groups));
+    for (size_t k = 0; k < keys.size(); ++k) {
+      SCOPED_TRACE(by[k]);
+      const Column& col = got.column(static_cast<int>(k));
+      EXPECT_EQ(col.type(), keys[k]->type());
+      EXPECT_EQ(col.dict(), keys[k]->dict());
+      EXPECT_EQ(col.origin(), keys[k]->origin());
+      std::vector<uint64_t> want_bits;
+      for (const int32_t r : want.group_rep) {
+        want_bits.push_back(Bits(*keys[k], r));
+      }
+      EXPECT_EQ(Bits(col), want_bits);
+    }
+    for (size_t i = 0; i < aggs.size(); ++i) {
+      SCOPED_TRACE(aggs[i].out);
+      const Column& col = got.column(static_cast<int>(by.size() + i));
+      EXPECT_EQ(col.type(), OutputType(aggs[i], src));
+      EXPECT_EQ(Bits(col), FinalBits(want.states[i], groups));
+    }
+
+    ASSERT_EQ(stats.ops.size(), 1u);
+    const OpStats& op = stats.ops[0];
+    const auto steps = static_cast<double>(want.chain_steps);
+    EXPECT_EQ(op.compute_ops,
+              static_cast<double>(n) *
+                      (cost::kHash * std::max<size_t>(keys.size(), 1) +
+                       cost::kAggUpdate * static_cast<double>(aggs.size())) +
+                  steps * cost::kCompare);
+    EXPECT_EQ(op.rand_count,
+              keys.empty() ? 0 : static_cast<double>(n) + steps);
+    EXPECT_EQ(op.rows_out, static_cast<double>(groups));
+  }
+}
+
+void CheckEveryReader(const Relation& rel) {
+  const std::vector<AggSpec> aggs = AllAggs();
+  for (const AggKeys& k : kAggKeys) {
+    SCOPED_TRACE(k.name);
+    CheckAggregate(rel, k.cols, aggs);
+  }
+}
+
+TEST(AggregateKernelTest, RandomGroupsMatchReference) {
+  Rng rng(71);
+  std::vector<int64_t> ids(5000);
+  for (int64_t& i : ids) i = rng.Uniform(0, 299);
+  CheckEveryReader(AggTable(5000, [&](int64_t r) { return ids[r]; }, 72));
+}
+
+TEST(AggregateKernelTest, EmptyInput) {
+  CheckEveryReader(AggTable(0, [](int64_t r) { return r; }, 73));
+}
+
+TEST(AggregateKernelTest, OneRow) {
+  CheckEveryReader(AggTable(1, [](int64_t) { return 12; }, 74));
+}
+
+TEST(AggregateKernelTest, AllRowsDistinct) {
+  CheckEveryReader(AggTable(3000, [](int64_t r) { return r; }, 75));
+}
+
+TEST(AggregateKernelTest, AllRowsEqual) {
+  CheckEveryReader(AggTable(2000, [](int64_t) { return 7; }, 76));
+}
+
+// Over a million groups: the tables and states grow many times, and the
+// prefetches run ahead over every batch.
+TEST(AggregateKernelTest, MoreThanAMillionGroups) {
+  const Relation rel =
+      AggTable(1'050'000, [](int64_t r) { return r; }, 77);
+  const std::vector<AggSpec> aggs = {{AggFn::kSum, "vf64", "sum"},
+                                     {AggFn::kMin, "v64", "min"},
+                                     {AggFn::kAvg, "v32", "avg"},
+                                     {AggFn::kCountStar, "", "n"}};
+  // Keys distinct per row, one set per reader.
+  const AggKeys distinct[] = {{"i32", {"kdate"}},
+                              {"i64", {"k64"}},
+                              {"pair", {"k32", "k32b"}},
+                              {"generic", {"k32", "k64"}}};
+  for (const AggKeys& k : distinct) {
+    SCOPED_TRACE(k.name);
+    CheckAggregate(rel, k.cols, aggs);
   }
 }
 

@@ -1,6 +1,12 @@
 #include "cluster/partials.h"
 
-#include "common/date.h"
+#include <algorithm>
+#include <map>
+#include <memory>
+#include <optional>
+#include <string>
+
+#include "cluster/partition.h"
 #include "exec/relation_ops.h"
 #include "obs/profiler.h"
 #include "tpch/queries.h"
@@ -9,297 +15,166 @@
 namespace wimpi::cluster {
 
 using engine::Database;
-using tpch::AggFn;
-using tpch::AggSpec;
-using tpch::CmpOp;
-using tpch::Cols;
-using tpch::ColumnSource;
-using tpch::JoinGather;
-using tpch::JoinKind;
-using tpch::Predicate;
-using tpch::QueryStats;
-using tpch::Relation;
-using tpch::ScanAll;
-using tpch::ScanGather;
-using tpch::SelVec;
+using exec::AggFn;
+using exec::AggSpec;
+using exec::QueryStats;
+using exec::Relation;
+using tpch::QuerySplit;
 
 namespace {
 
-void AddRevenue(Relation* r, const std::string& name, QueryStats* stats) {
-  auto one_minus = exec::ConstMinusF64(1.0, r->column("l_discount"), stats);
-  r->AddColumn(name,
-               exec::MulF64(r->column("l_extendedprice"), *one_minus, stats));
+// The three derivation rules described in partials.h.
+enum class Rule { kGrouped, kDisjoint, kKeyless };
+
+Rule RuleOf(const QuerySplit& s) {
+  const auto& keys = s.group_by;
+  if (keys.empty() &&
+      std::all_of(s.aggs.begin(), s.aggs.end(),
+                  [](const AggSpec& a) { return a.fn == AggFn::kSum; })) {
+    return Rule::kKeyless;
+  }
+  const bool on_partition_key =
+      std::find(keys.begin(), keys.end(), kPartitionKey) != keys.end();
+  return on_partition_key && !s.finish ? Rule::kDisjoint : Rule::kGrouped;
 }
 
-Relation ScalarF64(const std::string& name, double v) {
-  auto col = std::make_unique<storage::Column>(storage::DataType::kFloat64);
-  col->AppendFloat64(v);
-  Relation r;
-  r.AddColumn(name, std::move(col));
-  return r;
+// The grouped rule's node aggregate: every non-AVG spec keeps its own
+// state; AVG(x) reads a SUM(x) and a COUNT(*) state, reusing ones already
+// there. states[value[i]] holds spec i's value (an AVG's sum); count[i] is
+// an AVG's count state, -1 otherwise.
+struct Decomposed {
+  std::vector<AggSpec> states;
+  std::vector<int> value;
+  std::vector<int> count;
+};
+
+Decomposed Decompose(const std::vector<AggSpec>& aggs) {
+  Decomposed d;
+  d.value.assign(aggs.size(), -1);
+  d.count.assign(aggs.size(), -1);
+  auto add = [&](AggFn fn, const std::string& in) {
+    d.states.push_back({fn, in, "state" + std::to_string(d.states.size())});
+    return static_cast<int>(d.states.size()) - 1;
+  };
+  auto reuse = [&](AggFn fn, const std::string& in) {
+    for (size_t i = 0; i < d.states.size(); ++i) {
+      if (d.states[i].fn == fn &&
+          (fn == AggFn::kCountStar || d.states[i].in == in)) {
+        return static_cast<int>(i);
+      }
+    }
+    return add(fn, in);
+  };
+  for (size_t i = 0; i < aggs.size(); ++i) {
+    if (aggs[i].fn != AggFn::kAvg) d.value[i] = add(aggs[i].fn, aggs[i].in);
+  }
+  for (size_t i = 0; i < aggs.size(); ++i) {
+    if (aggs[i].fn != AggFn::kAvg) continue;
+    d.value[i] = reuse(AggFn::kSum, aggs[i].in);
+    d.count[i] = reuse(AggFn::kCountStar, "");
+  }
+  return d;
 }
 
-}  // namespace
-
-bool QueryFansOut(int q) { return tpch::InSf10Subset(q) && q != 13; }
-
-Relation ConcatRelations(std::vector<Relation> parts, QueryStats* stats) {
-  return exec::ConcatRelations(std::move(parts), stats);
+// How the coordinator folds one node state across nodes.
+AggFn MergeFn(AggFn fn) {
+  switch (fn) {
+    case AggFn::kMin:
+    case AggFn::kMax:
+      return fn;
+    case AggFn::kSum:
+      return AggFn::kSum;
+    default:  // counts and integral sums stay integral
+      return AggFn::kSumI64;
+  }
 }
 
-// ---------- Partial plans ----------
-
-namespace {
-
-Relation PartialQ1(const Database& db, QueryStats* stats) {
-  Relation r = ScanGather(
-      db.table("lineitem"),
-      {Predicate::CmpDate("l_shipdate", CmpOp::kLe,
-                          ParseDate("1998-12-01") - 90)},
-      {"l_returnflag", "l_linestatus", "l_quantity", "l_extendedprice",
-       "l_discount", "l_tax"},
-      stats);
-  auto one_minus = exec::ConstMinusF64(1.0, r.column("l_discount"), stats);
-  auto disc_price =
-      exec::MulF64(r.column("l_extendedprice"), *one_minus, stats);
-  auto one_plus = exec::ConstPlusF64(1.0, r.column("l_tax"), stats);
-  auto charge = exec::MulF64(*disc_price, *one_plus, stats);
-  r.AddColumn("disc_price", std::move(disc_price));
-  r.AddColumn("charge", std::move(charge));
-  // Decomposed aggregates: ship sums + counts so the coordinator can
-  // recombine exactly (avg = sum/count).
-  return exec::HashAggregate(ColumnSource(r),
-                             {"l_returnflag", "l_linestatus"},
-                             {{AggFn::kSum, "l_quantity", "sum_qty"},
-                              {AggFn::kSum, "l_extendedprice", "sum_base_price"},
-                              {AggFn::kSum, "disc_price", "sum_disc_price"},
-                              {AggFn::kSum, "charge", "sum_charge"},
-                              {AggFn::kSum, "l_discount", "sum_disc"},
-                              {AggFn::kCountStar, "", "count_order"}},
-                             stats);
-}
-
-Relation MergeQ1(std::vector<Relation> partials, QueryStats* stats) {
-  Relation all = exec::ConcatRelations(std::move(partials), stats);
-  Relation agg = exec::HashAggregate(
-      ColumnSource(all), {"l_returnflag", "l_linestatus"},
-      {{AggFn::kSum, "sum_qty", "sum_qty"},
-       {AggFn::kSum, "sum_base_price", "sum_base_price"},
-       {AggFn::kSum, "sum_disc_price", "sum_disc_price"},
-       {AggFn::kSum, "sum_charge", "sum_charge"},
-       {AggFn::kSum, "sum_disc", "sum_disc"},
-       {AggFn::kSumI64, "count_order", "count_order"}},
-      stats);
-  auto countf = exec::CastF64(agg.column("count_order"), stats);
+Relation MergeGrouped(const QuerySplit& s, const Database& coord_db,
+                      const Relation& all, QueryStats* stats) {
+  const Decomposed d = Decompose(s.aggs);
+  std::vector<AggSpec> fold;
+  for (const AggSpec& st : d.states) {
+    fold.push_back({MergeFn(st.fn), st.out, st.out});
+  }
+  Relation agg =
+      exec::HashAggregate(exec::ColumnSource(all), s.group_by, fold, stats);
+  const int nk = static_cast<int>(s.group_by.size());
+  // One CastF64 per count state an AVG divides by, then one DivF64 per AVG.
+  std::map<int, std::unique_ptr<storage::Column>> count_f64;
+  for (const int c : d.count) {
+    if (c >= 0 && count_f64.count(c) == 0) {
+      count_f64[c] = exec::CastF64(agg.column(nk + c), stats);
+    }
+  }
+  std::vector<std::unique_ptr<storage::Column>> avg(s.aggs.size());
+  for (size_t i = 0; i < s.aggs.size(); ++i) {
+    if (d.count[i] < 0) continue;
+    avg[i] = exec::DivF64(agg.column(nk + d.value[i]), *count_f64[d.count[i]],
+                          stats);
+  }
   Relation out;
-  out.AddColumn("l_returnflag", agg.TakeColumn(0));
-  out.AddColumn("l_linestatus", agg.TakeColumn(1));
-  out.AddColumn("sum_qty", agg.TakeColumn(2));
-  out.AddColumn("sum_base_price", agg.TakeColumn(3));
-  out.AddColumn("sum_disc_price", agg.TakeColumn(4));
-  out.AddColumn("sum_charge", agg.TakeColumn(5));
-  out.AddColumn("avg_qty", exec::DivF64(out.column("sum_qty"), *countf, stats));
-  out.AddColumn("avg_price",
-                exec::DivF64(out.column("sum_base_price"), *countf, stats));
-  auto sum_disc = agg.TakeColumn(6);
-  out.AddColumn("avg_disc", exec::DivF64(*sum_disc, *countf, stats));
-  out.AddColumn("count_order", agg.TakeColumn(7));
-  return exec::SortRelation(
-      out, {{"l_returnflag", true}, {"l_linestatus", true}}, stats);
+  for (int k = 0; k < nk; ++k) out.AddColumn(s.group_by[k], agg.TakeColumn(k));
+  for (size_t i = 0; i < s.aggs.size(); ++i) {
+    out.AddColumn(s.aggs[i].out, d.count[i] >= 0
+                                     ? std::move(avg[i])
+                                     : agg.TakeColumn(nk + d.value[i]));
+  }
+  return s.Finish(coord_db, std::move(out), stats);
 }
 
-Relation PartialQ3(const Database& db, QueryStats* stats) {
-  const int32_t cutoff = ParseDate("1995-03-15");
-  Relation cust = ScanGather(db.table("customer"),
-                             {Predicate::StrEq("c_mktsegment", "BUILDING")},
-                             {"c_custkey"}, stats);
-  Relation orders = ScanGather(
-      db.table("orders"),
-      {Predicate::CmpDate("o_orderdate", CmpOp::kLt, cutoff)},
-      {"o_orderkey", "o_custkey", "o_orderdate", "o_shippriority"}, stats);
-  Relation o2 = JoinGather(cust, {"c_custkey"}, {}, orders, {"o_custkey"},
-                           {"o_orderkey", "o_orderdate", "o_shippriority"},
-                           JoinKind::kSemi, stats);
-  Relation line = ScanGather(
-      db.table("lineitem"),
-      {Predicate::CmpDate("l_shipdate", CmpOp::kGt, cutoff)},
-      {"l_orderkey", "l_extendedprice", "l_discount"}, stats);
-  Relation j = JoinGather(o2, {"o_orderkey"},
-                          {"o_orderdate", "o_shippriority"}, line,
-                          {"l_orderkey"},
-                          {"l_orderkey", "l_extendedprice", "l_discount"},
-                          JoinKind::kInner, stats);
-  AddRevenue(&j, "rev", stats);
-  Relation agg = exec::HashAggregate(
-      ColumnSource(j), {"l_orderkey", "o_orderdate", "o_shippriority"},
-      {{AggFn::kSum, "rev", "revenue"}}, stats);
-  // Orders are partitioned by l_orderkey, so groups are disjoint across
-  // nodes: the node-local top 10 is sufficient for a correct global top 10.
-  return exec::SortRelation(agg, {{"revenue", false}, {"o_orderdate", true}},
-                            stats, 10);
-}
-
-Relation MergeQ3(std::vector<Relation> partials, QueryStats* stats) {
-  Relation all = exec::ConcatRelations(std::move(partials), stats);
-  // Re-sort on (revenue, o_orderdate): column order is
-  // l_orderkey, o_orderdate, o_shippriority, revenue.
-  return exec::SortRelation(all, {{"revenue", false}, {"o_orderdate", true}},
-                            stats, 10);
-}
-
-Relation PartialQ4(const Database& db, QueryStats* stats) {
-  const storage::Table& l = db.table("lineitem");
-  const SelVec late = exec::FilterColCmpCol(
-      ColumnSource(l), "l_commitdate", CmpOp::kLt, "l_receiptdate", stats);
-  Relation lkeys = exec::GatherColumns(ColumnSource(l),
-                                       Cols({"l_orderkey"}), late, stats);
-  const int32_t lo = ParseDate("1993-07-01");
-  Relation orders = ScanGather(
-      db.table("orders"),
-      {Predicate::BetweenDate("o_orderdate", lo, DateAddMonths(lo, 3) - 1)},
-      {"o_orderkey", "o_orderpriority"}, stats);
-  Relation j = JoinGather(lkeys, {"l_orderkey"}, {}, orders, {"o_orderkey"},
-                          {"o_orderpriority"}, JoinKind::kSemi, stats);
-  return exec::HashAggregate(ColumnSource(j), {"o_orderpriority"},
-                             {{AggFn::kCountStar, "", "order_count"}},
-                             stats);
-}
-
-Relation MergeQ4(std::vector<Relation> partials, QueryStats* stats) {
-  Relation all = exec::ConcatRelations(std::move(partials), stats);
-  Relation agg = exec::HashAggregate(
-      ColumnSource(all), {"o_orderpriority"},
-      {{AggFn::kSumI64, "order_count", "order_count"}}, stats);
-  return exec::SortRelation(agg, {{"o_orderpriority", true}}, stats);
-}
-
-Relation PartialQ5(const Database& db, QueryStats* stats) {
-  const std::vector<int32_t> asia = tpch::NationKeysInRegion(db, "ASIA");
-  const int32_t lo = ParseDate("1994-01-01");
-  Relation cust =
-      ScanAll(db.table("customer"), {"c_custkey", "c_nationkey"}, stats);
-  Relation orders = ScanGather(
-      db.table("orders"),
-      {Predicate::BetweenDate("o_orderdate", lo, DateAddMonths(lo, 12) - 1)},
-      {"o_orderkey", "o_custkey"}, stats);
-  Relation j1 =
-      JoinGather(cust, {"c_custkey"}, {"c_nationkey"}, orders, {"o_custkey"},
-                 {"o_orderkey"}, JoinKind::kInner, stats);
-  Relation line =
-      ScanAll(db.table("lineitem"),
-              {"l_orderkey", "l_suppkey", "l_extendedprice", "l_discount"},
-              stats);
-  Relation j2 = JoinGather(j1, {"o_orderkey"}, {"c_nationkey"}, line,
-                           {"l_orderkey"},
-                           {"l_suppkey", "l_extendedprice", "l_discount"},
-                           JoinKind::kInner, stats);
-  Relation supp = ScanGather(db.table("supplier"),
-                             {Predicate::InI32("s_nationkey", asia)},
-                             {"s_suppkey", "s_nationkey"}, stats);
-  Relation j3 = JoinGather(supp, {"s_suppkey", "s_nationkey"},
-                           {"s_nationkey"}, j2,
-                           {"l_suppkey", "c_nationkey"},
-                           {"l_extendedprice", "l_discount"},
-                           JoinKind::kInner, stats);
-  AddRevenue(&j3, "rev", stats);
-  return exec::HashAggregate(ColumnSource(j3), {"s_nationkey"},
-                             {{AggFn::kSum, "rev", "revenue"}}, stats);
-}
-
-Relation MergeQ5(const Database& coord_db, std::vector<Relation> partials,
-                 QueryStats* stats) {
-  Relation all = exec::ConcatRelations(std::move(partials), stats);
-  Relation agg = exec::HashAggregate(ColumnSource(all), {"s_nationkey"},
-                                     {{AggFn::kSum, "revenue", "revenue"}},
-                                     stats);
-  Relation nations =
-      ScanAll(coord_db.table("nation"), {"n_nationkey", "n_name"}, stats);
-  Relation named =
-      JoinGather(nations, {"n_nationkey"}, {"n_name"}, agg, {"s_nationkey"},
-                 {"revenue"}, JoinKind::kInner, stats);
-  return exec::SortRelation(named, {{"revenue", false}}, stats);
-}
-
-Relation PartialQ6(const Database& db, QueryStats* stats) {
-  const int32_t lo = ParseDate("1994-01-01");
-  Relation r = ScanGather(
-      db.table("lineitem"),
-      {Predicate::BetweenDate("l_shipdate", lo, DateAddMonths(lo, 12) - 1),
-       Predicate::BetweenF64("l_discount", 0.05, 0.07),
-       Predicate::CmpF64("l_quantity", CmpOp::kLt, 24)},
-      {"l_extendedprice", "l_discount"}, stats);
-  auto product =
-      exec::MulF64(r.column("l_extendedprice"), r.column("l_discount"),
-                   stats);
-  return ScalarF64("revenue", exec::SumF64(*product, stats));
-}
-
-Relation MergeScalarSum(const std::string& name,
-                        std::vector<Relation> partials, QueryStats* stats) {
-  Relation all = exec::ConcatRelations(std::move(partials), stats);
-  return ScalarF64(name, exec::SumF64(all.column(name), stats));
-}
-
-Relation PartialQ14(const Database& db, QueryStats* stats) {
-  const int32_t lo = ParseDate("1995-09-01");
-  Relation line = ScanGather(
-      db.table("lineitem"),
-      {Predicate::BetweenDate("l_shipdate", lo, DateAddMonths(lo, 1) - 1)},
-      {"l_partkey", "l_extendedprice", "l_discount"}, stats);
-  Relation parts =
-      ScanAll(db.table("part"), {"p_partkey", "p_type"}, stats);
-  Relation j = JoinGather(parts, {"p_partkey"}, {"p_type"}, line,
-                          {"l_partkey"}, {"l_extendedprice", "l_discount"},
-                          JoinKind::kInner, stats);
-  AddRevenue(&j, "rev", stats);
-  const auto promo = exec::StrMatchMask(
-      j.column("p_type"),
-      [](std::string_view s) { return s.substr(0, 5) == "PROMO"; }, 3.0,
-      stats);
-  auto promo_rev = exec::MaskedF64(j.column("rev"), promo, stats);
-  Relation out;
-  auto pcol = std::make_unique<storage::Column>(storage::DataType::kFloat64);
-  pcol->AppendFloat64(exec::SumF64(*promo_rev, stats));
-  auto tcol = std::make_unique<storage::Column>(storage::DataType::kFloat64);
-  tcol->AppendFloat64(exec::SumF64(j.column("rev"), stats));
-  out.AddColumn("promo", std::move(pcol));
-  out.AddColumn("total", std::move(tcol));
+// Keyless sums merge by summing each column again.
+std::vector<AggSpec> ResumSpecs(const std::vector<AggSpec>& aggs) {
+  std::vector<AggSpec> out;
+  for (const AggSpec& a : aggs) out.push_back({AggFn::kSum, a.out, a.out});
   return out;
 }
 
-Relation MergeQ14(std::vector<Relation> partials, QueryStats* stats) {
-  Relation all = exec::ConcatRelations(std::move(partials), stats);
-  const double promo = exec::SumF64(all.column("promo"), stats);
-  const double total = exec::SumF64(all.column("total"), stats);
-  return ScalarF64("promo_revenue", total == 0 ? 0 : 100.0 * promo / total);
-}
-
-Relation PartialQ19(const Database& db, QueryStats* stats) {
-  // Same plan as the single-node Q19; the scalar revenue merges by sum.
-  exec::Relation r = tpch::RunQuery(19, db, stats);
-  return r;
-}
-
 }  // namespace
+
+bool QueryFansOut(int q) { return tpch::SplitOf(q).has_value(); }
+
+Relation RunPartial(const QuerySplit& split, const Database& node_db,
+                    QueryStats* stats) {
+  const Relation in = split.input(node_db, stats);
+  switch (RuleOf(split)) {
+    case Rule::kKeyless:
+      return tpch::ScalarSums(in, split.aggs, stats);
+    case Rule::kDisjoint: {
+      // Groups never span nodes, so the node-local top-k is enough for a
+      // correct global top-k.
+      Relation agg = split.Aggregate(in, stats);
+      if (split.limit < 0) return agg;
+      return exec::SortRelation(agg, split.order_by, stats, split.limit);
+    }
+    case Rule::kGrouped:
+      break;
+  }
+  return exec::HashAggregate(exec::ColumnSource(in), split.group_by,
+                             Decompose(split.aggs).states, stats);
+}
+
+Relation MergePartials(const QuerySplit& split, const Database& coord_db,
+                       std::vector<Relation> partials, QueryStats* stats) {
+  Relation all = exec::ConcatRelations(std::move(partials), stats);
+  switch (RuleOf(split)) {
+    case Rule::kKeyless:
+      return split.Finish(
+          coord_db, tpch::ScalarSums(all, ResumSpecs(split.aggs), stats),
+          stats);
+    case Rule::kDisjoint:
+      return split.Finish(coord_db, std::move(all), stats);
+    case Rule::kGrouped:
+      break;
+  }
+  return MergeGrouped(split, coord_db, all, stats);
+}
 
 Relation RunPartial(int q, const Database& node_db, QueryStats* stats) {
   obs::OpScope scope("RunPartial", 0);
-  Relation r = [&]() -> Relation {
-    switch (q) {
-      case 1: return PartialQ1(node_db, stats);
-      case 3: return PartialQ3(node_db, stats);
-      case 4: return PartialQ4(node_db, stats);
-      case 5: return PartialQ5(node_db, stats);
-      case 6: return PartialQ6(node_db, stats);
-      case 13: return tpch::RunQuery(13, node_db, stats);  // single node
-      case 14: return PartialQ14(node_db, stats);
-      case 19: return PartialQ19(node_db, stats);
-      default:
-        WIMPI_CHECK(false) << "Q" << q
-                           << " is not in the distributed subset";
-        return Relation();
-    }
-  }();
+  const std::optional<QuerySplit> split = tpch::SplitOf(q);
+  // A query without a split runs whole on one node.
+  Relation r = split ? RunPartial(*split, node_db, stats)
+                     : tpch::RunQuery(q, node_db, stats);
   scope.set_rows_out(r.num_rows());
   return r;
 }
@@ -309,24 +184,11 @@ Relation MergePartials(int q, const Database& coord_db,
   int64_t rows_in = 0;
   for (const Relation& p : partials) rows_in += p.num_rows();
   obs::OpScope scope("MergePartials", rows_in);
-  Relation r = [&]() -> Relation {
-    switch (q) {
-      case 1: return MergeQ1(std::move(partials), stats);
-      case 3: return MergeQ3(std::move(partials), stats);
-      case 4: return MergeQ4(std::move(partials), stats);
-      case 5: return MergeQ5(coord_db, std::move(partials), stats);
-      case 6: return MergeScalarSum("revenue", std::move(partials), stats);
-      case 13:
-        WIMPI_CHECK_EQ(partials.size(), 1u);
-        return std::move(partials[0]);
-      case 14: return MergeQ14(std::move(partials), stats);
-      case 19: return MergeScalarSum("revenue", std::move(partials), stats);
-      default:
-        WIMPI_CHECK(false) << "Q" << q
-                           << " is not in the distributed subset";
-        return Relation();
-    }
-  }();
+  const std::optional<QuerySplit> split = tpch::SplitOf(q);
+  WIMPI_CHECK(split || partials.size() == 1);
+  Relation r = split ? MergePartials(*split, coord_db, std::move(partials),
+                                     stats)
+                     : std::move(partials[0]);
   scope.set_rows_out(r.num_rows());
   return r;
 }

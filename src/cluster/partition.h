@@ -8,6 +8,9 @@
 
 namespace wimpi::cluster {
 
+// The column the cluster partitions lineitem on, as the paper does.
+inline constexpr const char* kPartitionKey = "l_orderkey";
+
 // Hash-partitions `table` into `num_parts` tables on an int64 key column
 // (the paper partitions lineitem on l_orderkey). Row order within each
 // partition preserves source order; string columns share the source

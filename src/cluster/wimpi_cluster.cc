@@ -26,7 +26,7 @@ WimpiCluster::WimpiCluster(const engine::Database& db,
     : opts_(opts) {
   WIMPI_CHECK_GT(opts.num_nodes, 0);
   const auto parts =
-      PartitionByKey(db.table("lineitem"), "l_orderkey", opts.num_nodes);
+      PartitionByKey(db.table("lineitem"), kPartitionKey, opts.num_nodes);
   node_dbs_.resize(opts.num_nodes);
   for (int i = 0; i < opts.num_nodes; ++i) {
     for (const auto& [name, table] : db.tables()) {
@@ -85,6 +85,82 @@ const char* FaultLabel(const AttemptRecord& a, const FaultPlan& plan) {
   return f != nullptr ? FaultKindName(f->kind) : "unavailable";
 }
 
+// Event builders for the modeled-time process of `root`'s trace.
+obs::TraceEvent ModeledEvent(std::string name, const char* category, int tid,
+                             double t, const obs::SpanContext& root) {
+  obs::TraceEvent e;
+  e.name = std::move(name);
+  e.category = category;
+  e.pid = obs::kTracePidCluster;
+  e.tid = tid;
+  e.ts_us = ModeledUs(t);
+  e.trace_id = root.trace_id;
+  return e;
+}
+
+// The run's root span on lane 0, covering the whole modeled run.
+void RecordRoot(std::string name, double seconds, std::string args,
+                const obs::SpanContext& root) {
+  obs::TraceEvent e = ModeledEvent(std::move(name), "cluster", 0, 0, root);
+  e.dur_us = ModeledUs(seconds);
+  e.span_id = root.span_id;
+  e.args_json = std::move(args);
+  obs::TraceSink::Global().Record(std::move(e));
+}
+
+// A span from t0 to t1 (or, with phase 'i', an instant at t0) under
+// `parent`; returns its span id.
+uint64_t RecordSpan(std::string name, const char* category, int tid,
+                    double t0, double t1, uint64_t parent, std::string args,
+                    const obs::SpanContext& root, char phase = 'X') {
+  obs::TraceEvent e = ModeledEvent(std::move(name), category, tid, t0, root);
+  e.phase = phase;
+  if (phase == 'X') e.dur_us = ModeledUs(t1) - e.ts_us;
+  e.span_id = obs::NewSpanId();
+  e.parent_id = parent;
+  e.args_json = std::move(args);
+  const uint64_t id = e.span_id;
+  obs::TraceSink::Global().Record(std::move(e));
+  return id;
+}
+
+void RecordInstant(std::string name, const char* category, int tid, double t,
+                   uint64_t parent, std::string args,
+                   const obs::SpanContext& root) {
+  RecordSpan(std::move(name), category, tid, t, t, parent, std::move(args),
+             root, 'i');
+}
+
+// The fault instant of a failed attempt, on its node's lane.
+void RecordFault(const AttemptRecord& a, const FaultPlan& plan,
+                 uint64_t attempt_span, const obs::SpanContext& root) {
+  RecordInstant(FaultLabel(a, plan), "cluster.fault", NodeLane(a.node),
+                a.end_seconds, attempt_span, "", root);
+}
+
+// A causal arrow (an 's'/'f' flow pair) from `from_node`'s lane at t_from
+// to `to_node`'s lane at t_to.
+void RecordFlow(const char* name, int from_node, double t_from, int to_node,
+                double t_to, const obs::SpanContext& root) {
+  const uint64_t flow = obs::NewSpanId();
+  for (const bool start : {true, false}) {
+    const int node = start ? from_node : to_node;
+    obs::TraceEvent e = ModeledEvent(name, "cluster.flow", NodeLane(node),
+                                     start ? t_from : t_to, root);
+    e.phase = start ? 's' : 'f';
+    e.flow_id = flow;
+    obs::TraceSink::Global().Record(std::move(e));
+  }
+}
+
+// The umbrella span of partition `p` from t0 to t1; returns its span id.
+uint64_t RecordPartition(int p, double t0, double t1, std::string args,
+                         const obs::SpanContext& root) {
+  return RecordSpan("partition " + std::to_string(p), "cluster.partition",
+                    PartitionLane(p), t0, t1, root.span_id, std::move(args),
+                    root);
+}
+
 // Exports the run's modeled timeline as one causal span tree under
 // `root`:
 //
@@ -100,25 +176,12 @@ const char* FaultLabel(const AttemptRecord& a, const FaultPlan& plan) {
 // directly off the trace.
 void EmitClusterTrace(int q, const DistributedRun& run, const FaultPlan& plan,
                       const obs::SpanContext& root) {
-  auto& sink = obs::TraceSink::Global();
-
-  {
-    obs::TraceEvent e;
-    e.name = "Q" + std::to_string(q) + " distributed";
-    e.category = "cluster";
-    e.pid = obs::kTracePidCluster;
-    e.tid = 0;
-    e.ts_us = 0;
-    e.dur_us = ModeledUs(run.total_seconds);
-    e.trace_id = root.trace_id;
-    e.span_id = root.span_id;
-    char args[120];
-    std::snprintf(args, sizeof(args),
-                  "{\"nodes\":%d,\"retries\":%d,\"reassigned\":%d}",
-                  run.nodes_used, run.retries, run.reassigned_partitions);
-    e.args_json = args;
-    sink.Record(std::move(e));
-  }
+  char args[120];
+  std::snprintf(args, sizeof(args),
+                "{\"nodes\":%d,\"retries\":%d,\"reassigned\":%d}",
+                run.nodes_used, run.retries, run.reassigned_partitions);
+  RecordRoot("Q" + std::to_string(q) + " distributed", run.total_seconds,
+             args, root);
 
   // Group the (partition-ordered) timeline by partition.
   std::map<int, std::vector<const AttemptRecord*>> by_partition;
@@ -127,82 +190,29 @@ void EmitClusterTrace(int q, const DistributedRun& run, const FaultPlan& plan,
   }
 
   for (const auto& [p, attempts] : by_partition) {
-    obs::TraceEvent part;
-    part.name = "partition " + std::to_string(p);
-    part.category = "cluster.partition";
-    part.pid = obs::kTracePidCluster;
-    part.tid = PartitionLane(p);
-    part.ts_us = ModeledUs(attempts.front()->start_seconds);
-    part.dur_us = ModeledUs(attempts.back()->end_seconds) - part.ts_us;
-    part.trace_id = root.trace_id;
-    part.span_id = obs::NewSpanId();
-    part.parent_id = root.span_id;
-    const uint64_t partition_span = part.span_id;
-    sink.Record(std::move(part));
-
-    uint64_t prev_span = partition_span;
+    uint64_t prev_span =
+        RecordPartition(p, attempts.front()->start_seconds,
+                        attempts.back()->end_seconds, "", root);
     for (size_t i = 0; i < attempts.size(); ++i) {
       const AttemptRecord& a = *attempts[i];
-      obs::TraceEvent e;
       char name[64];
       std::snprintf(name, sizeof(name), "Q%d p%d try%d", q, a.partition,
                     a.attempt);
-      e.name = name;
-      e.category = "cluster.attempt";
-      e.pid = obs::kTracePidCluster;
-      e.tid = NodeLane(a.node);
-      e.ts_us = ModeledUs(a.start_seconds);
-      e.dur_us = ModeledUs(a.end_seconds) - e.ts_us;
-      e.trace_id = root.trace_id;
-      e.span_id = obs::NewSpanId();
-      e.parent_id = prev_span;
-      char args[120];
       std::snprintf(
           args, sizeof(args),
           "{\"partition\":%d,\"node\":%d,\"attempt\":%d,\"outcome\":\"%s\"}",
           a.partition, a.node, a.attempt,
           Status::CodeName(a.outcome).c_str());
-      e.args_json = args;
-      const uint64_t attempt_span = e.span_id;
-      sink.Record(std::move(e));
-
+      const uint64_t attempt_span =
+          RecordSpan(name, "cluster.attempt", NodeLane(a.node),
+                     a.start_seconds, a.end_seconds, prev_span, args, root);
       if (a.outcome != StatusCode::kOk) {
-        obs::TraceEvent fault;
-        fault.name = FaultLabel(a, plan);
-        fault.category = "cluster.fault";
-        fault.phase = 'i';
-        fault.pid = obs::kTracePidCluster;
-        fault.tid = NodeLane(a.node);
-        fault.ts_us = ModeledUs(a.end_seconds);
-        fault.trace_id = root.trace_id;
-        fault.span_id = obs::NewSpanId();
-        fault.parent_id = attempt_span;
-        sink.Record(std::move(fault));
-
+        RecordFault(a, plan, attempt_span, root);
         if (i + 1 < attempts.size()) {
           // Causal arrow: this failure triggered the next attempt.
           const AttemptRecord& next = *attempts[i + 1];
-          const uint64_t flow = obs::NewSpanId();
-          obs::TraceEvent s;
-          s.name = "retry";
-          s.category = "cluster.flow";
-          s.phase = 's';
-          s.pid = obs::kTracePidCluster;
-          s.tid = NodeLane(a.node);
-          s.ts_us = ModeledUs(a.end_seconds);
-          s.trace_id = root.trace_id;
-          s.flow_id = flow;
-          sink.Record(std::move(s));
-          obs::TraceEvent f;
-          f.name = "retry";
-          f.category = "cluster.flow";
-          f.phase = 'f';
-          f.pid = obs::kTracePidCluster;
-          f.tid = NodeLane(next.node);
-          f.ts_us = ModeledUs(next.start_seconds);
-          f.trace_id = root.trace_id;
-          f.flow_id = flow;
-          sink.Record(std::move(f));
+          RecordFlow("retry", a.node, a.end_seconds, next.node,
+                     next.start_seconds, root);
         }
       }
       prev_span = attempt_span;
@@ -228,27 +238,14 @@ void EmitFineTrace(int q, const DistributedRun& run, const FaultPlan& plan,
                    const std::vector<int>& morsels,
                    const std::vector<CheckpointRecord>& ckpts,
                    const obs::SpanContext& root) {
-  auto& sink = obs::TraceSink::Global();
-
-  {
-    obs::TraceEvent e;
-    e.name = "Q" + std::to_string(q) + " distributed [fine]";
-    e.category = "cluster";
-    e.pid = obs::kTracePidCluster;
-    e.tid = 0;
-    e.ts_us = 0;
-    e.dur_us = ModeledUs(run.total_seconds);
-    e.trace_id = root.trace_id;
-    e.span_id = root.span_id;
-    char args[160];
-    std::snprintf(args, sizeof(args),
-                  "{\"nodes\":%d,\"steals\":%d,\"ckpts\":%d,"
-                  "\"recovered\":%d,\"mode\":\"fine\"}",
-                  run.nodes_used, run.steals, run.checkpoints,
-                  run.recovered_morsels);
-    e.args_json = args;
-    sink.Record(std::move(e));
-  }
+  char args[180];
+  std::snprintf(args, sizeof(args),
+                "{\"nodes\":%d,\"steals\":%d,\"ckpts\":%d,"
+                "\"recovered\":%d,\"mode\":\"fine\"}",
+                run.nodes_used, run.steals, run.checkpoints,
+                run.recovered_morsels);
+  RecordRoot("Q" + std::to_string(q) + " distributed [fine]",
+             run.total_seconds, args, root);
 
   std::map<int, std::vector<const AttemptRecord*>> by_partition;
   for (const AttemptRecord& a : run.attempts) {
@@ -264,92 +261,35 @@ void EmitFineTrace(int q, const DistributedRun& run, const FaultPlan& plan,
       t0 = std::min(t0, a->start_seconds);
       t1 = std::max(t1, a->end_seconds);
     }
-    obs::TraceEvent part;
-    part.name = "partition " + std::to_string(p);
-    part.category = "cluster.partition";
-    part.pid = obs::kTracePidCluster;
-    part.tid = PartitionLane(p);
-    part.ts_us = ModeledUs(t0);
-    part.dur_us = ModeledUs(t1) - part.ts_us;
-    part.trace_id = root.trace_id;
-    part.span_id = obs::NewSpanId();
-    part.parent_id = root.span_id;
-    char pargs[64];
-    std::snprintf(pargs, sizeof(pargs), "{\"partition\":%d,\"morsels\":%d}",
-                  p, morsels[p]);
-    part.args_json = pargs;
-    partition_span[p] = part.span_id;
-    sink.Record(std::move(part));
+    std::snprintf(args, sizeof(args), "{\"partition\":%d,\"morsels\":%d}", p,
+                  morsels[p]);
+    partition_span[p] = RecordPartition(p, t0, t1, args, root);
 
-    for (size_t i = 0; i < segs.size(); ++i) {
-      const AttemptRecord& a = *segs[i];
-      obs::TraceEvent e;
+    for (const AttemptRecord* a : segs) {
       char name[64];
-      std::snprintf(name, sizeof(name), "Q%d p%d seg%d", q, a.partition,
-                    a.attempt);
-      e.name = name;
-      e.category = "cluster.attempt";
-      e.pid = obs::kTracePidCluster;
-      e.tid = NodeLane(a.node);
-      e.ts_us = ModeledUs(a.start_seconds);
-      e.dur_us = ModeledUs(a.end_seconds) - e.ts_us;
-      e.trace_id = root.trace_id;
-      e.span_id = obs::NewSpanId();
-      e.parent_id = partition_span[p];
-      char args[180];
+      std::snprintf(name, sizeof(name), "Q%d p%d seg%d", q, a->partition,
+                    a->attempt);
       std::snprintf(args, sizeof(args),
                     "{\"partition\":%d,\"node\":%d,\"begin\":%d,\"end\":%d,"
                     "\"stolen\":%s,\"prev\":%d,\"outcome\":\"%s\"}",
-                    a.partition, a.node, a.morsel_begin, a.morsel_end,
-                    a.stolen ? "true" : "false", a.prev_node,
-                    Status::CodeName(a.outcome).c_str());
-      e.args_json = args;
-      span_of[&a] = e.span_id;
-      sink.Record(std::move(e));
-
-      if (a.outcome != StatusCode::kOk) {
-        obs::TraceEvent fault;
-        fault.name = FaultLabel(a, plan);
-        fault.category = "cluster.fault";
-        fault.phase = 'i';
-        fault.pid = obs::kTracePidCluster;
-        fault.tid = NodeLane(a.node);
-        fault.ts_us = ModeledUs(a.end_seconds);
-        fault.trace_id = root.trace_id;
-        fault.span_id = obs::NewSpanId();
-        fault.parent_id = span_of[&a];
-        sink.Record(std::move(fault));
-
-        // The segment that re-executes the lost range starts at its
-        // begin morsel after the loss: link the fault to it.
-        for (const AttemptRecord* b : segs) {
-          if (b == &a || b->morsel_begin != a.morsel_begin ||
-              b->start_seconds < a.end_seconds - 1e-9) {
-            continue;
-          }
-          const uint64_t flow = obs::NewSpanId();
-          obs::TraceEvent s;
-          s.name = "recover";
-          s.category = "cluster.flow";
-          s.phase = 's';
-          s.pid = obs::kTracePidCluster;
-          s.tid = NodeLane(a.node);
-          s.ts_us = ModeledUs(a.end_seconds);
-          s.trace_id = root.trace_id;
-          s.flow_id = flow;
-          sink.Record(std::move(s));
-          obs::TraceEvent f;
-          f.name = "recover";
-          f.category = "cluster.flow";
-          f.phase = 'f';
-          f.pid = obs::kTracePidCluster;
-          f.tid = NodeLane(b->node);
-          f.ts_us = ModeledUs(b->start_seconds);
-          f.trace_id = root.trace_id;
-          f.flow_id = flow;
-          sink.Record(std::move(f));
-          break;
+                    a->partition, a->node, a->morsel_begin, a->morsel_end,
+                    a->stolen ? "true" : "false", a->prev_node,
+                    Status::CodeName(a->outcome).c_str());
+      span_of[a] = RecordSpan(name, "cluster.attempt", NodeLane(a->node),
+                              a->start_seconds, a->end_seconds,
+                              partition_span[p], args, root);
+      if (a->outcome == StatusCode::kOk) continue;
+      RecordFault(*a, plan, span_of[a], root);
+      // The segment that re-executes the lost range starts at its begin
+      // morsel after the loss: link the fault to it.
+      for (const AttemptRecord* b : segs) {
+        if (b == a || b->morsel_begin != a->morsel_begin ||
+            b->start_seconds < a->end_seconds - 1e-9) {
+          continue;
         }
+        RecordFlow("recover", a->node, a->end_seconds, b->node,
+                   b->start_seconds, root);
+        break;
       }
     }
   }
@@ -363,64 +303,22 @@ void EmitFineTrace(int q, const DistributedRun& run, const FaultPlan& plan,
         break;
       }
     }
-    obs::TraceEvent e;
-    e.name = "steal";
-    e.category = "cluster.steal";
-    e.phase = 'i';
-    e.pid = obs::kTracePidCluster;
-    e.tid = NodeLane(sr.thief);
-    e.ts_us = ModeledUs(sr.at_seconds);
-    e.trace_id = root.trace_id;
-    e.span_id = obs::NewSpanId();
-    e.parent_id = parent;
-    char args[120];
     std::snprintf(args, sizeof(args),
                   "{\"partition\":%d,\"victim\":%d,\"thief\":%d,"
                   "\"morsels\":%d}",
                   sr.partition, sr.victim, sr.thief, sr.end - sr.begin);
-    e.args_json = args;
-    sink.Record(std::move(e));
-
-    const uint64_t flow = obs::NewSpanId();
-    obs::TraceEvent s;
-    s.name = "steal";
-    s.category = "cluster.flow";
-    s.phase = 's';
-    s.pid = obs::kTracePidCluster;
-    s.tid = NodeLane(sr.victim);
-    s.ts_us = ModeledUs(sr.at_seconds);
-    s.trace_id = root.trace_id;
-    s.flow_id = flow;
-    sink.Record(std::move(s));
-    obs::TraceEvent f;
-    f.name = "steal";
-    f.category = "cluster.flow";
-    f.phase = 'f';
-    f.pid = obs::kTracePidCluster;
-    f.tid = NodeLane(sr.thief);
-    f.ts_us = ModeledUs(sr.at_seconds);
-    f.trace_id = root.trace_id;
-    f.flow_id = flow;
-    sink.Record(std::move(f));
+    RecordInstant("steal", "cluster.steal", NodeLane(sr.thief),
+                  sr.at_seconds, parent, args, root);
+    RecordFlow("steal", sr.victim, sr.at_seconds, sr.thief, sr.at_seconds,
+               root);
   }
 
   for (const CheckpointRecord& ck : ckpts) {
-    obs::TraceEvent e;
-    e.name = "ckpt";
-    e.category = "cluster.ckpt";
-    e.phase = 'i';
-    e.pid = obs::kTracePidCluster;
-    e.tid = NodeLane(ck.node);
-    e.ts_us = ModeledUs(ck.at_seconds);
-    e.trace_id = root.trace_id;
-    e.span_id = obs::NewSpanId();
-    e.parent_id = partition_span[ck.partition];
-    char args[120];
     std::snprintf(args, sizeof(args),
                   "{\"partition\":%d,\"morsels\":%d,\"bytes\":%.0f}",
                   ck.partition, ck.morsels, ck.bytes);
-    e.args_json = args;
-    sink.Record(std::move(e));
+    RecordInstant("ckpt", "cluster.ckpt", NodeLane(ck.node), ck.at_seconds,
+                  partition_span[ck.partition], args, root);
   }
 }
 
@@ -477,14 +375,10 @@ Result<DistributedRun> WimpiCluster::Run(int q,
       obs::ScopedSpanContext adopt(traced ? root_ctx
                                           : obs::CurrentSpanContext());
       obs::Span span("partial p" + std::to_string(p), "cluster.exec", "");
-      if (plan.empty()) {
-        pe.partial = RunPartial(q, node_dbs_[p], &stats);
-      } else {
-        exec::ExecOptions eopts = exec::CurrentExecOptions();
-        eopts.cancellation = &cancel;
-        exec::ScopedExecOptions scope(eopts);
-        pe.partial = RunPartial(q, node_dbs_[p], &stats);
-      }
+      exec::ExecOptions eopts = exec::CurrentExecOptions();
+      eopts.cancellation = &cancel;
+      exec::ScopedExecOptions scope(eopts);
+      pe.partial = RunPartial(q, node_dbs_[p], &stats);
     }
     stats.Scale(opts_.sf_scale);
     pe.work_s = model.WorkSeconds(pi, stats, opts_.threads_per_node);
@@ -919,14 +813,17 @@ Result<DistributedRun> WimpiCluster::Run(int q,
       ++n_attempts[a.node];
       if (a.outcome != StatusCode::kOk) ++n_failed[a.node];
     }
-    const int roll_nodes = fan_out ? pool_nodes : 1;
-    std::vector<std::map<std::string, double>> per_node(roll_nodes);
-    for (int n = 0; n < roll_nodes; ++n) {
-      per_node[n]["node.busy_s"] = node_clock[n];
-      per_node[n]["node.spill_s"] = node_spill[n];
-      per_node[n]["node.attempts"] = n_attempts[n];
-      per_node[n]["node.failed_attempts"] = n_failed[n];
-      per_node[n]["node.dead"] = alive[n] ? 0.0 : 1.0;
+    // A query that does not fan out rolls up node 0 plus every node a
+    // fault moved it to.
+    std::vector<std::map<std::string, double>> per_node;
+    for (int n = 0; n < pool_nodes; ++n) {
+      if (!fan_out && n != 0 && n_attempts[n] == 0) continue;
+      auto& row = per_node.emplace_back();
+      row["node.busy_s"] = node_clock[n];
+      row["node.spill_s"] = node_spill[n];
+      row["node.attempts"] = n_attempts[n];
+      row["node.failed_attempts"] = n_failed[n];
+      row["node.dead"] = alive[n] ? 0.0 : 1.0;
     }
     run.node_rollups = obs::AggregateNodeScalars(per_node);
   }

@@ -36,9 +36,9 @@ struct ClusterOptions {
   int threads_per_node = 4;
 
   // ---- fault injection & recovery (DESIGN.md §9) ----
-  // Empty plan (the default) disables the whole fault path: Run() takes
-  // the exact pre-fault code shape and produces bit-identical results and
-  // modeled times.
+  // Empty plan (the default): every partition runs once on its home node,
+  // and the results and modeled times are bit-identical to a run of any
+  // plan that leaves a live node, minus the recovery time.
   FaultPlan faults;
   // Failed attempts tolerated on one node before the partition is
   // reassigned to a surviving node (crashes reassign immediately).

@@ -21,48 +21,38 @@ using exec::I32EqMask;
 using exec::MaskedF64;
 using exec::MulF64;
 using exec::SortRelation;
-using exec::StrMatchMask;
 using exec::SubF64;
 using exec::SumF64;
 
-namespace {
-
-// revenue = l_extendedprice * (1 - l_discount), appended as `name`.
-void AddRevenue(Relation* r, const std::string& name, QueryStats* stats) {
-  auto one_minus = ConstMinusF64(1.0, r->column("l_discount"), stats);
-  r->AddColumn(name, MulF64(r->column("l_extendedprice"), *one_minus, stats));
-}
-
-}  // namespace
-
-exec::Relation RunQ1(const Database& db, QueryStats* stats) {
-  Relation r = ScanGather(
-      db.table("lineitem"),
-      {Predicate::CmpDate("l_shipdate", CmpOp::kLe,
-                          ParseDate("1998-12-01") - 90)},
-      {"l_returnflag", "l_linestatus", "l_quantity", "l_extendedprice",
-       "l_discount", "l_tax"},
-      stats);
-  auto one_minus = ConstMinusF64(1.0, r.column("l_discount"), stats);
-  auto disc_price = MulF64(r.column("l_extendedprice"), *one_minus, stats);
-  auto one_plus = ConstPlusF64(1.0, r.column("l_tax"), stats);
-  auto charge = MulF64(*disc_price, *one_plus, stats);
-  r.AddColumn("disc_price", std::move(disc_price));
-  r.AddColumn("charge", std::move(charge));
-
-  Relation agg = HashAggregate(
-      ColumnSource(r), {"l_returnflag", "l_linestatus"},
-      {{AggFn::kSum, "l_quantity", "sum_qty"},
-       {AggFn::kSum, "l_extendedprice", "sum_base_price"},
-       {AggFn::kSum, "disc_price", "sum_disc_price"},
-       {AggFn::kSum, "charge", "sum_charge"},
-       {AggFn::kAvg, "l_quantity", "avg_qty"},
-       {AggFn::kAvg, "l_extendedprice", "avg_price"},
-       {AggFn::kAvg, "l_discount", "avg_disc"},
-       {AggFn::kCountStar, "", "count_order"}},
-      stats);
-  return SortRelation(
-      agg, {{"l_returnflag", true}, {"l_linestatus", true}}, stats);
+QuerySplit SplitQ1() {
+  QuerySplit s;
+  s.input = [](const Database& db, QueryStats* stats) {
+    Relation r = ScanGather(
+        db.table("lineitem"),
+        {Predicate::CmpDate("l_shipdate", CmpOp::kLe,
+                            ParseDate("1998-12-01") - 90)},
+        {"l_returnflag", "l_linestatus", "l_quantity", "l_extendedprice",
+         "l_discount", "l_tax"},
+        stats);
+    auto one_minus = ConstMinusF64(1.0, r.column("l_discount"), stats);
+    auto disc_price = MulF64(r.column("l_extendedprice"), *one_minus, stats);
+    auto one_plus = ConstPlusF64(1.0, r.column("l_tax"), stats);
+    auto charge = MulF64(*disc_price, *one_plus, stats);
+    r.AddColumn("disc_price", std::move(disc_price));
+    r.AddColumn("charge", std::move(charge));
+    return r;
+  };
+  s.group_by = {"l_returnflag", "l_linestatus"};
+  s.aggs = {{AggFn::kSum, "l_quantity", "sum_qty"},
+            {AggFn::kSum, "l_extendedprice", "sum_base_price"},
+            {AggFn::kSum, "disc_price", "sum_disc_price"},
+            {AggFn::kSum, "charge", "sum_charge"},
+            {AggFn::kAvg, "l_quantity", "avg_qty"},
+            {AggFn::kAvg, "l_extendedprice", "avg_price"},
+            {AggFn::kAvg, "l_discount", "avg_disc"},
+            {AggFn::kCountStar, "", "count_order"}};
+  s.order_by = {{"l_returnflag", true}, {"l_linestatus", true}};
+  return s;
 }
 
 exec::Relation RunQ2(const Database& db, QueryStats* stats) {
@@ -119,116 +109,133 @@ exec::Relation RunQ2(const Database& db, QueryStats* stats) {
                       stats, 100);
 }
 
-exec::Relation RunQ3(const Database& db, QueryStats* stats) {
-  const int32_t cutoff = ParseDate("1995-03-15");
-  Relation cust = ScanGather(db.table("customer"),
-                             {Predicate::StrEq("c_mktsegment", "BUILDING")},
-                             {"c_custkey"}, stats);
-  Relation orders = ScanGather(
-      db.table("orders"),
-      {Predicate::CmpDate("o_orderdate", CmpOp::kLt, cutoff)},
-      {"o_orderkey", "o_custkey", "o_orderdate", "o_shippriority"}, stats);
-  Relation o2 = JoinGather(
-      cust, {"c_custkey"}, {}, orders, {"o_custkey"},
-      {"o_orderkey", "o_orderdate", "o_shippriority"}, JoinKind::kSemi, stats);
+QuerySplit SplitQ3() {
+  QuerySplit s;
+  s.input = [](const Database& db, QueryStats* stats) {
+    const int32_t cutoff = ParseDate("1995-03-15");
+    Relation cust = ScanGather(db.table("customer"),
+                               {Predicate::StrEq("c_mktsegment", "BUILDING")},
+                               {"c_custkey"}, stats);
+    Relation orders = ScanGather(
+        db.table("orders"),
+        {Predicate::CmpDate("o_orderdate", CmpOp::kLt, cutoff)},
+        {"o_orderkey", "o_custkey", "o_orderdate", "o_shippriority"}, stats);
+    Relation o2 = JoinGather(cust, {"c_custkey"}, {}, orders, {"o_custkey"},
+                             {"o_orderkey", "o_orderdate", "o_shippriority"},
+                             JoinKind::kSemi, stats);
 
-  Relation line = ScanGather(
-      db.table("lineitem"),
-      {Predicate::CmpDate("l_shipdate", CmpOp::kGt, cutoff)},
-      {"l_orderkey", "l_extendedprice", "l_discount"}, stats);
-  Relation j = JoinGather(o2, {"o_orderkey"},
-                          {"o_orderdate", "o_shippriority"}, line,
-                          {"l_orderkey"},
-                          {"l_orderkey", "l_extendedprice", "l_discount"},
-                          JoinKind::kInner, stats);
-  AddRevenue(&j, "rev", stats);
-  Relation agg = HashAggregate(
-      ColumnSource(j), {"l_orderkey", "o_orderdate", "o_shippriority"},
-      {{AggFn::kSum, "rev", "revenue"}}, stats);
-  return SortRelation(agg, {{"revenue", false}, {"o_orderdate", true}},
-                      stats, 10);
+    Relation line = ScanGather(
+        db.table("lineitem"),
+        {Predicate::CmpDate("l_shipdate", CmpOp::kGt, cutoff)},
+        {"l_orderkey", "l_extendedprice", "l_discount"}, stats);
+    Relation j = JoinGather(o2, {"o_orderkey"},
+                            {"o_orderdate", "o_shippriority"}, line,
+                            {"l_orderkey"},
+                            {"l_orderkey", "l_extendedprice", "l_discount"},
+                            JoinKind::kInner, stats);
+    AddRevenue(&j, "rev", stats);
+    return j;
+  };
+  s.group_by = {"l_orderkey", "o_orderdate", "o_shippriority"};
+  s.aggs = {{AggFn::kSum, "rev", "revenue"}};
+  s.order_by = {{"revenue", false}, {"o_orderdate", true}};
+  s.limit = 10;
+  return s;
 }
 
-exec::Relation RunQ4(const Database& db, QueryStats* stats) {
-  const storage::Table& l = db.table("lineitem");
-  const SelVec late = exec::FilterColCmpCol(
-      ColumnSource(l), "l_commitdate", CmpOp::kLt, "l_receiptdate", stats);
-  Relation lkeys = exec::GatherColumns(ColumnSource(l),
-                                       Cols({"l_orderkey"}), late, stats);
+QuerySplit SplitQ4() {
+  QuerySplit s;
+  s.input = [](const Database& db, QueryStats* stats) {
+    const storage::Table& l = db.table("lineitem");
+    const SelVec late = exec::FilterColCmpCol(
+        ColumnSource(l), "l_commitdate", CmpOp::kLt, "l_receiptdate", stats);
+    Relation lkeys = exec::GatherColumns(ColumnSource(l),
+                                         Cols({"l_orderkey"}), late, stats);
 
-  const int32_t lo = ParseDate("1993-07-01");
-  Relation orders = ScanGather(
-      db.table("orders"),
-      {Predicate::BetweenDate("o_orderdate", lo,
-                              DateAddMonths(lo, 3) - 1)},
-      {"o_orderkey", "o_orderpriority"}, stats);
+    const int32_t lo = ParseDate("1993-07-01");
+    Relation orders = ScanGather(
+        db.table("orders"),
+        {Predicate::BetweenDate("o_orderdate", lo,
+                                DateAddMonths(lo, 3) - 1)},
+        {"o_orderkey", "o_orderpriority"}, stats);
 
-  Relation j = JoinGather(lkeys, {"l_orderkey"}, {}, orders, {"o_orderkey"},
-                          {"o_orderpriority"}, JoinKind::kSemi, stats);
-  Relation agg =
-      HashAggregate(ColumnSource(j), {"o_orderpriority"},
-                    {{AggFn::kCountStar, "", "order_count"}}, stats);
-  return SortRelation(agg, {{"o_orderpriority", true}}, stats);
+    return JoinGather(lkeys, {"l_orderkey"}, {}, orders, {"o_orderkey"},
+                      {"o_orderpriority"}, JoinKind::kSemi, stats);
+  };
+  s.group_by = {"o_orderpriority"};
+  s.aggs = {{AggFn::kCountStar, "", "order_count"}};
+  s.order_by = {{"o_orderpriority", true}};
+  return s;
 }
 
-exec::Relation RunQ5(const Database& db, QueryStats* stats) {
-  const std::vector<int32_t> asia = NationKeysInRegion(db, "ASIA");
-  const int32_t lo = ParseDate("1994-01-01");
+QuerySplit SplitQ5() {
+  QuerySplit s;
+  s.input = [](const Database& db, QueryStats* stats) {
+    const std::vector<int32_t> asia = NationKeysInRegion(db, "ASIA");
+    const int32_t lo = ParseDate("1994-01-01");
 
-  Relation cust =
-      ScanAll(db.table("customer"), {"c_custkey", "c_nationkey"}, stats);
-  Relation orders = ScanGather(
-      db.table("orders"),
-      {Predicate::BetweenDate("o_orderdate", lo, DateAddMonths(lo, 12) - 1)},
-      {"o_orderkey", "o_custkey"}, stats);
-  Relation j1 =
-      JoinGather(cust, {"c_custkey"}, {"c_nationkey"}, orders, {"o_custkey"},
-                 {"o_orderkey"}, JoinKind::kInner, stats);
+    Relation cust =
+        ScanAll(db.table("customer"), {"c_custkey", "c_nationkey"}, stats);
+    Relation orders = ScanGather(
+        db.table("orders"),
+        {Predicate::BetweenDate("o_orderdate", lo,
+                                DateAddMonths(lo, 12) - 1)},
+        {"o_orderkey", "o_custkey"}, stats);
+    Relation j1 =
+        JoinGather(cust, {"c_custkey"}, {"c_nationkey"}, orders,
+                   {"o_custkey"}, {"o_orderkey"}, JoinKind::kInner, stats);
 
-  Relation line =
-      ScanAll(db.table("lineitem"),
-              {"l_orderkey", "l_suppkey", "l_extendedprice", "l_discount"},
-              stats);
-  Relation j2 = JoinGather(j1, {"o_orderkey"}, {"c_nationkey"}, line,
-                           {"l_orderkey"},
-                           {"l_suppkey", "l_extendedprice", "l_discount"},
-                           JoinKind::kInner, stats);
+    Relation line =
+        ScanAll(db.table("lineitem"),
+                {"l_orderkey", "l_suppkey", "l_extendedprice", "l_discount"},
+                stats);
+    Relation j2 = JoinGather(j1, {"o_orderkey"}, {"c_nationkey"}, line,
+                             {"l_orderkey"},
+                             {"l_suppkey", "l_extendedprice", "l_discount"},
+                             JoinKind::kInner, stats);
 
-  Relation supp = ScanGather(db.table("supplier"),
-                             {Predicate::InI32("s_nationkey", asia)},
-                             {"s_suppkey", "s_nationkey"}, stats);
-  // Two-key join enforces both l_suppkey = s_suppkey and the correlated
-  // c_nationkey = s_nationkey condition.
-  Relation j3 = JoinGather(supp, {"s_suppkey", "s_nationkey"},
-                           {"s_nationkey"}, j2,
-                           {"l_suppkey", "c_nationkey"},
-                           {"l_extendedprice", "l_discount"},
-                           JoinKind::kInner, stats);
-  AddRevenue(&j3, "rev", stats);
-  Relation agg = HashAggregate(ColumnSource(j3), {"s_nationkey"},
-                               {{AggFn::kSum, "rev", "revenue"}}, stats);
-  Relation nations =
-      ScanAll(db.table("nation"), {"n_nationkey", "n_name"}, stats);
-  Relation named =
-      JoinGather(nations, {"n_nationkey"}, {"n_name"}, agg, {"s_nationkey"},
-                 {"revenue"}, JoinKind::kInner, stats);
-  return SortRelation(named, {{"revenue", false}}, stats);
+    Relation supp = ScanGather(db.table("supplier"),
+                               {Predicate::InI32("s_nationkey", asia)},
+                               {"s_suppkey", "s_nationkey"}, stats);
+    // Two-key join enforces both l_suppkey = s_suppkey and the correlated
+    // c_nationkey = s_nationkey condition.
+    Relation j3 = JoinGather(supp, {"s_suppkey", "s_nationkey"},
+                             {"s_nationkey"}, j2,
+                             {"l_suppkey", "c_nationkey"},
+                             {"l_extendedprice", "l_discount"},
+                             JoinKind::kInner, stats);
+    AddRevenue(&j3, "rev", stats);
+    return j3;
+  };
+  s.group_by = {"s_nationkey"};
+  s.aggs = {{AggFn::kSum, "rev", "revenue"}};
+  s.finish = [](const Database& db, Relation agg, QueryStats* stats) {
+    Relation nations =
+        ScanAll(db.table("nation"), {"n_nationkey", "n_name"}, stats);
+    return JoinGather(nations, {"n_nationkey"}, {"n_name"}, agg,
+                      {"s_nationkey"}, {"revenue"}, JoinKind::kInner, stats);
+  };
+  s.order_by = {{"revenue", false}};
+  return s;
 }
 
-exec::Relation RunQ6(const Database& db, QueryStats* stats) {
-  const int32_t lo = ParseDate("1994-01-01");
-  Relation r = ScanGather(
-      db.table("lineitem"),
-      {Predicate::BetweenDate("l_shipdate", lo, DateAddMonths(lo, 12) - 1),
-       Predicate::BetweenF64("l_discount", 0.05, 0.07),
-       Predicate::CmpF64("l_quantity", CmpOp::kLt, 24)},
-      {"l_extendedprice", "l_discount"}, stats);
-  auto product =
-      MulF64(r.column("l_extendedprice"), r.column("l_discount"), stats);
-  Relation rev;
-  rev.AddColumn("product", std::move(product));
-  return HashAggregate(ColumnSource(rev), {},
-                       {{AggFn::kSum, "product", "revenue"}}, stats);
+QuerySplit SplitQ6() {
+  QuerySplit s;
+  s.input = [](const Database& db, QueryStats* stats) {
+    const int32_t lo = ParseDate("1994-01-01");
+    Relation r = ScanGather(
+        db.table("lineitem"),
+        {Predicate::BetweenDate("l_shipdate", lo, DateAddMonths(lo, 12) - 1),
+         Predicate::BetweenF64("l_discount", 0.05, 0.07),
+         Predicate::CmpF64("l_quantity", CmpOp::kLt, 24)},
+        {"l_extendedprice", "l_discount"}, stats);
+    Relation rev;
+    rev.AddColumn("product", MulF64(r.column("l_extendedprice"),
+                                    r.column("l_discount"), stats));
+    return rev;
+  };
+  s.aggs = {{AggFn::kSum, "product", "revenue"}};
+  return s;
 }
 
 exec::Relation RunQ7(const Database& db, QueryStats* stats) {

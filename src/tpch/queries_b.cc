@@ -11,27 +11,15 @@ namespace wimpi::tpch {
 
 using engine::Database;
 using exec::CastF64;
-using exec::ConstMinusF64;
-using exec::DivF64;
 using exec::HashAggregate;
 using exec::MaskedF64;
 using exec::MaxF64;
 using exec::MulConstF64;
-using exec::MulF64;
 using exec::SortRelation;
 using exec::StrMatchMask;
 using exec::SumF64;
 
 namespace {
-
-// A single-row, single-column relation holding a scalar query answer.
-Relation ScalarRelation(const std::string& name, double value) {
-  auto col = std::make_unique<storage::Column>(storage::DataType::kFloat64);
-  col->AppendFloat64(value);
-  Relation r;
-  r.AddColumn(name, std::move(col));
-  return r;
-}
 
 // 0/1 mask as a float64 column (for conditional counts like Q12).
 std::unique_ptr<storage::Column> MaskToF64(const std::vector<uint8_t>& mask,
@@ -78,11 +66,6 @@ std::unique_ptr<storage::Column> AddConstI32(const storage::Column& a,
     stats->Add(std::move(op));
   }
   return col;
-}
-
-void AddRevenue(Relation* r, const std::string& name, QueryStats* stats) {
-  auto one_minus = ConstMinusF64(1.0, r->column("l_discount"), stats);
-  r->AddColumn(name, MulF64(r->column("l_extendedprice"), *one_minus, stats));
 }
 
 }  // namespace
@@ -145,25 +128,37 @@ exec::Relation RunQ13(const Database& db, QueryStats* stats) {
   return SortRelation(agg, {{"custdist", false}, {"c_count", false}}, stats);
 }
 
-exec::Relation RunQ14(const Database& db, QueryStats* stats) {
-  const int32_t lo = ParseDate("1995-09-01");
-  Relation line = ScanGather(
-      db.table("lineitem"),
-      {Predicate::BetweenDate("l_shipdate", lo, DateAddMonths(lo, 1) - 1)},
-      {"l_partkey", "l_extendedprice", "l_discount"}, stats);
-  Relation parts = ScanAll(db.table("part"), {"p_partkey", "p_type"}, stats);
-  Relation j = JoinGather(parts, {"p_partkey"}, {"p_type"}, line,
-                          {"l_partkey"}, {"l_extendedprice", "l_discount"},
-                          JoinKind::kInner, stats);
-  AddRevenue(&j, "rev", stats);
-  const auto promo = StrMatchMask(
-      j.column("p_type"),
-      [](std::string_view s) { return StartsWith(s, "PROMO"); }, 3.0, stats);
-  auto promo_rev = MaskedF64(j.column("rev"), promo, stats);
-  const double promo_sum = SumF64(*promo_rev, stats);
-  const double total = SumF64(j.column("rev"), stats);
-  return ScalarRelation("promo_revenue",
-                        total == 0 ? 0 : 100.0 * promo_sum / total);
+QuerySplit SplitQ14() {
+  QuerySplit s;
+  s.input = [](const Database& db, QueryStats* stats) {
+    const int32_t lo = ParseDate("1995-09-01");
+    Relation line = ScanGather(
+        db.table("lineitem"),
+        {Predicate::BetweenDate("l_shipdate", lo, DateAddMonths(lo, 1) - 1)},
+        {"l_partkey", "l_extendedprice", "l_discount"}, stats);
+    Relation parts =
+        ScanAll(db.table("part"), {"p_partkey", "p_type"}, stats);
+    Relation j = JoinGather(parts, {"p_partkey"}, {"p_type"}, line,
+                            {"l_partkey"}, {"l_extendedprice", "l_discount"},
+                            JoinKind::kInner, stats);
+    AddRevenue(&j, "rev", stats);
+    const auto promo = StrMatchMask(
+        j.column("p_type"),
+        [](std::string_view s) { return StartsWith(s, "PROMO"); }, 3.0,
+        stats);
+    j.AddColumn("promo_rev", MaskedF64(j.column("rev"), promo, stats));
+    return j;
+  };
+  s.aggs = {{AggFn::kSum, "promo_rev", "promo"},
+            {AggFn::kSum, "rev", "total"}};
+  s.sum_f64 = true;
+  s.finish = [](const Database&, Relation sums, QueryStats*) {
+    const double promo = sums.column("promo").F64Data()[0];
+    const double total = sums.column("total").F64Data()[0];
+    return ScalarRelation({"promo_revenue"},
+                          {total == 0 ? 0 : 100.0 * promo / total});
+  };
+  return s;
 }
 
 exec::Relation RunQ15(const Database& db, QueryStats* stats) {
@@ -256,7 +251,7 @@ exec::Relation RunQ17(const Database& db, QueryStats* stats) {
                                       Cols({"l_extendedprice"}), below,
                                       stats);
   const double total = SumF64(kept.column("l_extendedprice"), stats);
-  return ScalarRelation("avg_yearly", total / 7.0);
+  return ScalarRelation({"avg_yearly"}, {total / 7.0});
 }
 
 exec::Relation RunQ18(const Database& db, QueryStats* stats) {
@@ -289,50 +284,56 @@ exec::Relation RunQ18(const Database& db, QueryStats* stats) {
                       stats, 100);
 }
 
-exec::Relation RunQ19(const Database& db, QueryStats* stats) {
-  Relation line = ScanGather(
-      db.table("lineitem"),
-      {Predicate::StrEq("l_shipinstruct", "DELIVER IN PERSON"),
-       Predicate::StrIn("l_shipmode", {"AIR", "AIR REG"})},
-      {"l_partkey", "l_quantity", "l_extendedprice", "l_discount"}, stats);
-  Relation parts = ScanAll(db.table("part"),
-                           {"p_partkey", "p_brand", "p_container", "p_size"},
-                           stats);
-  Relation j = JoinGather(
-      parts, {"p_partkey"}, {"p_brand", "p_container", "p_size"}, line,
-      {"l_partkey"}, {"l_quantity", "l_extendedprice", "l_discount"},
-      JoinKind::kInner, stats);
+QuerySplit SplitQ19() {
+  QuerySplit s;
+  s.input = [](const Database& db, QueryStats* stats) {
+    Relation line = ScanGather(
+        db.table("lineitem"),
+        {Predicate::StrEq("l_shipinstruct", "DELIVER IN PERSON"),
+         Predicate::StrIn("l_shipmode", {"AIR", "AIR REG"})},
+        {"l_partkey", "l_quantity", "l_extendedprice", "l_discount"}, stats);
+    Relation parts = ScanAll(db.table("part"),
+                             {"p_partkey", "p_brand", "p_container", "p_size"},
+                             stats);
+    Relation j = JoinGather(
+        parts, {"p_partkey"}, {"p_brand", "p_container", "p_size"}, line,
+        {"l_partkey"}, {"l_quantity", "l_extendedprice", "l_discount"},
+        JoinKind::kInner, stats);
 
-  const ColumnSource src(j);
-  const SelVec b1 = exec::Filter(
-      src,
-      {Predicate::StrEq("p_brand", "Brand#12"),
-       Predicate::StrIn("p_container",
-                        {"SM CASE", "SM BOX", "SM PACK", "SM PKG"}),
-       Predicate::BetweenF64("l_quantity", 1, 11),
-       Predicate::BetweenI32("p_size", 1, 5)},
-      stats);
-  const SelVec b2 = exec::Filter(
-      src,
-      {Predicate::StrEq("p_brand", "Brand#23"),
-       Predicate::StrIn("p_container",
-                        {"MED BAG", "MED BOX", "MED PKG", "MED PACK"}),
-       Predicate::BetweenF64("l_quantity", 10, 20),
-       Predicate::BetweenI32("p_size", 1, 10)},
-      stats);
-  const SelVec b3 = exec::Filter(
-      src,
-      {Predicate::StrEq("p_brand", "Brand#34"),
-       Predicate::StrIn("p_container",
-                        {"LG CASE", "LG BOX", "LG PACK", "LG PKG"}),
-       Predicate::BetweenF64("l_quantity", 20, 30),
-       Predicate::BetweenI32("p_size", 1, 15)},
-      stats);
-  const SelVec all = exec::UnionSel({&b1, &b2, &b3}, stats);
-  Relation kept = exec::GatherColumns(
-      src, Cols({"l_extendedprice", "l_discount"}), all, stats);
-  AddRevenue(&kept, "rev", stats);
-  return ScalarRelation("revenue", SumF64(kept.column("rev"), stats));
+    const ColumnSource src(j);
+    const SelVec b1 = exec::Filter(
+        src,
+        {Predicate::StrEq("p_brand", "Brand#12"),
+         Predicate::StrIn("p_container",
+                          {"SM CASE", "SM BOX", "SM PACK", "SM PKG"}),
+         Predicate::BetweenF64("l_quantity", 1, 11),
+         Predicate::BetweenI32("p_size", 1, 5)},
+        stats);
+    const SelVec b2 = exec::Filter(
+        src,
+        {Predicate::StrEq("p_brand", "Brand#23"),
+         Predicate::StrIn("p_container",
+                          {"MED BAG", "MED BOX", "MED PKG", "MED PACK"}),
+         Predicate::BetweenF64("l_quantity", 10, 20),
+         Predicate::BetweenI32("p_size", 1, 10)},
+        stats);
+    const SelVec b3 = exec::Filter(
+        src,
+        {Predicate::StrEq("p_brand", "Brand#34"),
+         Predicate::StrIn("p_container",
+                          {"LG CASE", "LG BOX", "LG PACK", "LG PKG"}),
+         Predicate::BetweenF64("l_quantity", 20, 30),
+         Predicate::BetweenI32("p_size", 1, 15)},
+        stats);
+    const SelVec all = exec::UnionSel({&b1, &b2, &b3}, stats);
+    Relation kept = exec::GatherColumns(
+        src, Cols({"l_extendedprice", "l_discount"}), all, stats);
+    AddRevenue(&kept, "rev", stats);
+    return kept;
+  };
+  s.aggs = {{AggFn::kSum, "rev", "revenue"}};
+  s.sum_f64 = true;
+  return s;
 }
 
 exec::Relation RunQ20(const Database& db, QueryStats* stats) {
@@ -494,14 +495,44 @@ exec::Relation RunQ22(const Database& db, QueryStats* stats) {
   return SortRelation(agg, {{"cntrycode", true}}, stats);
 }
 
-exec::Relation RunQuery(int q, const Database& db, QueryStats* stats) {
+Relation QuerySplit::Aggregate(const Relation& in, QueryStats* stats) const {
+  if (sum_f64) {
+    WIMPI_CHECK(group_by.empty()) << "SumF64 aggregates are keyless";
+    return ScalarSums(in, aggs, stats);
+  }
+  return HashAggregate(ColumnSource(in), group_by, aggs, stats);
+}
+
+Relation QuerySplit::Finish(const Database& db, Relation agg,
+                            QueryStats* stats) const {
+  if (finish) agg = finish(db, std::move(agg), stats);
+  if (order_by.empty()) return agg;
+  return SortRelation(agg, order_by, stats, limit);
+}
+
+Relation QuerySplit::Run(const Database& db, QueryStats* stats) const {
+  return Finish(db, Aggregate(input(db, stats), stats), stats);
+}
+
+std::optional<QuerySplit> SplitOf(int q) {
   switch (q) {
-    case 1: return RunQ1(db, stats);
+    case 1: return SplitQ1();
+    case 3: return SplitQ3();
+    case 4: return SplitQ4();
+    case 5: return SplitQ5();
+    case 6: return SplitQ6();
+    case 14: return SplitQ14();
+    case 19: return SplitQ19();
+    default: return std::nullopt;
+  }
+}
+
+exec::Relation RunQuery(int q, const Database& db, QueryStats* stats) {
+  if (const std::optional<QuerySplit> split = SplitOf(q)) {
+    return split->Run(db, stats);
+  }
+  switch (q) {
     case 2: return RunQ2(db, stats);
-    case 3: return RunQ3(db, stats);
-    case 4: return RunQ4(db, stats);
-    case 5: return RunQ5(db, stats);
-    case 6: return RunQ6(db, stats);
     case 7: return RunQ7(db, stats);
     case 8: return RunQ8(db, stats);
     case 9: return RunQ9(db, stats);
@@ -509,12 +540,10 @@ exec::Relation RunQuery(int q, const Database& db, QueryStats* stats) {
     case 11: return RunQ11(db, stats);
     case 12: return RunQ12(db, stats);
     case 13: return RunQ13(db, stats);
-    case 14: return RunQ14(db, stats);
     case 15: return RunQ15(db, stats);
     case 16: return RunQ16(db, stats);
     case 17: return RunQ17(db, stats);
     case 18: return RunQ18(db, stats);
-    case 19: return RunQ19(db, stats);
     case 20: return RunQ20(db, stats);
     case 21: return RunQ21(db, stats);
     case 22: return RunQ22(db, stats);

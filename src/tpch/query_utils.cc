@@ -65,6 +65,36 @@ Relation JoinGather(const Relation& build,
   return out;
 }
 
+void AddRevenue(Relation* r, const std::string& name, QueryStats* stats) {
+  auto one_minus = exec::ConstMinusF64(1.0, r->column("l_discount"), stats);
+  r->AddColumn(name,
+               exec::MulF64(r->column("l_extendedprice"), *one_minus, stats));
+}
+
+Relation ScalarRelation(const std::vector<std::string>& names,
+                        const std::vector<double>& values) {
+  WIMPI_CHECK_EQ(names.size(), values.size());
+  Relation r;
+  for (size_t i = 0; i < names.size(); ++i) {
+    auto col = std::make_unique<storage::Column>(storage::DataType::kFloat64);
+    col->AppendFloat64(values[i]);
+    r.AddColumn(names[i], std::move(col));
+  }
+  return r;
+}
+
+Relation ScalarSums(const Relation& in, const std::vector<AggSpec>& aggs,
+                    QueryStats* stats) {
+  std::vector<std::string> names;
+  std::vector<double> sums;
+  for (const AggSpec& a : aggs) {
+    WIMPI_CHECK(a.fn == AggFn::kSum) << "scalar sums take kSum specs only";
+    names.push_back(a.out);
+    sums.push_back(exec::SumF64(in.column(a.in), stats));
+  }
+  return ScalarRelation(names, sums);
+}
+
 int32_t NationKey(const engine::Database& db, const std::string& name) {
   const storage::Table& nation = db.table("nation");
   const auto& names = nation.column("n_name");

@@ -50,6 +50,18 @@ Relation JoinGather(const Relation& build,
                     const std::vector<std::string>& probe_cols,
                     JoinKind kind, QueryStats* stats);
 
+// revenue = l_extendedprice * (1 - l_discount), appended as `name`.
+void AddRevenue(Relation* r, const std::string& name, QueryStats* stats);
+
+// A one-row float64 relation: column names[i] holds values[i].
+Relation ScalarRelation(const std::vector<std::string>& names,
+                        const std::vector<double>& values);
+
+// One exec::SumF64 per spec (each must be a kSum) over `in`, as a one-row
+// relation named by the specs' outputs.
+Relation ScalarSums(const Relation& in, const std::vector<AggSpec>& aggs,
+                    QueryStats* stats);
+
 // n_nationkey for a nation name; CHECK-fails if unknown.
 int32_t NationKey(const engine::Database& db, const std::string& name);
 

@@ -1,12 +1,16 @@
 // Distributed-correctness and cluster-simulation tests: the WIMPI driver
 // must produce exactly the single-node answer at every cluster size, and
 // the timing model must show the paper's qualitative effects.
+#include <cstring>
+
+#include "cluster/partials.h"
 #include "cluster/partition.h"
 #include "cluster/wimpi_cluster.h"
 #include "gtest/gtest.h"
 #include "test_util.h"
 #include "tpch/dbgen.h"
 #include "tpch/queries.h"
+#include "tpch/query_utils.h"
 
 namespace wimpi {
 namespace {
@@ -51,11 +55,156 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(::testing::ValuesIn(std::vector<int>(
                            tpch::kSf10Queries,
                            tpch::kSf10Queries + tpch::kNumSf10Queries)),
-                       ::testing::Values(2, 3, 5)),
+                       ::testing::Values(2, 3, 5, 24)),
     [](const ::testing::TestParamInfo<std::tuple<int, int>>& info) {
       return "Q" + std::to_string(std::get<0>(info.param)) + "_N" +
              std::to_string(std::get<1>(info.param));
     });
+
+// ---- Derived partial + merge on synthetic splits ----
+//
+// A 997-row table whose float64 values are small integers, so every sum
+// and every sum/count quotient is exact whatever the partitioning: the
+// merged result must equal the single-node result bit for bit.
+std::shared_ptr<storage::Table> SplitTestTable() {
+  using storage::DataType;
+  auto t = std::make_shared<storage::Table>(
+      "t", storage::Schema({{cluster::kPartitionKey, DataType::kInt64},
+                            {"g", DataType::kInt32},
+                            {"x", DataType::kFloat64},
+                            {"y", DataType::kFloat64}}));
+  for (int i = 0; i < 997; ++i) {
+    t->column(0).AppendInt64(i / 3);
+    t->column(1).AppendInt32(i % 5);
+    t->column(2).AppendFloat64(i % 7);
+    t->column(3).AppendFloat64((i * 3) % 11);
+  }
+  t->FinishLoad();
+  return t;
+}
+
+tpch::QuerySplit ScanSplit() {
+  tpch::QuerySplit s;
+  s.input = [](const engine::Database& db, exec::QueryStats* stats) {
+    return tpch::ScanAll(db.table("t"),
+                         {cluster::kPartitionKey, "g", "x", "y"}, stats);
+  };
+  return s;
+}
+
+void ExpectSameBits(const exec::Relation& actual,
+                    const exec::Relation& expected) {
+  ASSERT_EQ(actual.num_columns(), expected.num_columns());
+  ASSERT_EQ(actual.num_rows(), expected.num_rows());
+  for (int c = 0; c < expected.num_columns(); ++c) {
+    const storage::Column& a = actual.column(c);
+    const storage::Column& e = expected.column(c);
+    EXPECT_EQ(actual.name(c), expected.name(c));
+    ASSERT_EQ(a.type(), e.type()) << expected.name(c);
+    auto data = [](const storage::Column& col) -> const void* {
+      switch (col.type()) {
+        case storage::DataType::kInt64: return col.I64Data();
+        case storage::DataType::kFloat64: return col.F64Data();
+        default: return col.I32Data();
+      }
+    };
+    EXPECT_EQ(std::memcmp(data(a), data(e),
+                          expected.num_rows() * storage::TypeWidth(e.type())),
+              0)
+        << expected.name(c);
+  }
+}
+
+// Runs `split` single-node and derived over 1, 2 and 7 partitions;
+// returns the largest partial's row count at 7 partitions.
+int64_t CheckSplit(const tpch::QuerySplit& split) {
+  const auto table = SplitTestTable();
+  engine::Database whole;
+  whole.AddTable(table);
+  const exec::Relation expected = split.Run(whole, nullptr);
+  EXPECT_GT(expected.num_rows(), 0);
+  int64_t max_partial_rows = 0;
+  for (const int n : {1, 2, 7}) {
+    SCOPED_TRACE(std::to_string(n) + " partitions");
+    std::vector<engine::Database> nodes(n);
+    const auto parts =
+        cluster::PartitionByKey(*table, cluster::kPartitionKey, n);
+    std::vector<exec::Relation> partials;
+    max_partial_rows = 0;
+    for (int p = 0; p < n; ++p) {
+      nodes[p].AddTable(parts[p]);
+      partials.push_back(cluster::RunPartial(split, nodes[p], nullptr));
+      max_partial_rows = std::max(max_partial_rows, partials.back().num_rows());
+    }
+    ExpectSameBits(
+        cluster::MergePartials(split, nodes[0], std::move(partials), nullptr),
+        expected);
+  }
+  return max_partial_rows;
+}
+
+TEST(DerivedSplitTest, GroupedAvgReusesSumAndCountStates) {
+  tpch::QuerySplit s = ScanSplit();
+  s.group_by = {"g"};
+  s.aggs = {{exec::AggFn::kSum, "x", "sx"},
+            {exec::AggFn::kAvg, "x", "ax"},
+            {exec::AggFn::kCountStar, "", "n"},
+            {exec::AggFn::kAvg, "y", "ay"}};
+  s.order_by = {{"g", true}};
+  CheckSplit(s);
+  // The node aggregate holds SUM(x), COUNT(*) and SUM(y): three states.
+  engine::Database db;
+  db.AddTable(SplitTestTable());
+  EXPECT_EQ(cluster::RunPartial(s, db, nullptr).num_columns(), 1 + 3);
+}
+
+TEST(DerivedSplitTest, GroupedAvgWithoutReusableStates) {
+  tpch::QuerySplit s = ScanSplit();
+  s.group_by = {"g"};
+  s.aggs = {{exec::AggFn::kAvg, "x", "ax"},
+            {exec::AggFn::kMax, "y", "my"},
+            {exec::AggFn::kCount, "y", "cy"},
+            {exec::AggFn::kAvg, "y", "ay"}};
+  s.order_by = {{"ax", false}, {"g", true}};
+  CheckSplit(s);
+}
+
+TEST(DerivedSplitTest, KeylessSumsWithFinish) {
+  for (const bool sum_f64 : {false, true}) {
+    SCOPED_TRACE(sum_f64 ? "SumF64" : "keyless HashAggregate");
+    tpch::QuerySplit s = ScanSplit();
+    s.aggs = {{exec::AggFn::kSum, "x", "sx"}, {exec::AggFn::kSum, "y", "sy"}};
+    s.sum_f64 = sum_f64;
+    s.finish = [](const engine::Database&, exec::Relation sums,
+                  exec::QueryStats*) {
+      return tpch::ScalarRelation(
+          {"ratio"}, {sums.column("sx").F64Data()[0] /
+                      sums.column("sy").F64Data()[0]});
+    };
+    EXPECT_EQ(CheckSplit(s), 1);
+  }
+}
+
+TEST(DerivedSplitTest, DisjointGroupsShipNodeLocalTopK) {
+  tpch::QuerySplit s = ScanSplit();
+  s.group_by = {cluster::kPartitionKey};
+  s.aggs = {{exec::AggFn::kSum, "x", "sx"}, {exec::AggFn::kAvg, "y", "ay"}};
+  s.order_by = {{"sx", false}, {cluster::kPartitionKey, true}};
+  s.limit = 10;
+  EXPECT_EQ(CheckSplit(s), 10);
+}
+
+TEST(DerivedSplitTest, PartitionKeyWithFinishFallsBackToGrouped) {
+  tpch::QuerySplit s = ScanSplit();
+  s.group_by = {cluster::kPartitionKey};
+  s.aggs = {{exec::AggFn::kSum, "x", "sx"}, {exec::AggFn::kAvg, "y", "ay"}};
+  s.finish = [](const engine::Database&, exec::Relation agg,
+                exec::QueryStats*) { return agg; };
+  s.order_by = {{"sx", false}, {cluster::kPartitionKey, true}};
+  s.limit = 10;
+  // Every group of the partition ships: no top-k on the node.
+  EXPECT_GT(CheckSplit(s), 10);
+}
 
 TEST(ClusterApiTest, UnsupportedQueryIsInvalidArgument) {
   // Queries outside the distributed subset must come back as a Status, not

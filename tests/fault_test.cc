@@ -133,6 +133,18 @@ TEST(FaultRecoveryTest, CrashedPartitionIsReassigned) {
   EXPECT_TRUE(saw_rerun);
 }
 
+TEST(FaultRecoveryTest, RollupsIncludeTheNodeANonFanOutQueryMovedTo) {
+  // Q13 runs on one node. When node 0 crashes it is reassigned, and the
+  // per-node rollups must cover the node that finally ran it.
+  const auto r = RunWith(13, cluster::FaultPlan::Crash({0}));
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  ASSERT_EQ(r->attempts.size(), 2u);
+  EXPECT_EQ(r->node_rollups.at("node.attempts.sum"),
+            static_cast<double>(r->attempts.size()));
+  EXPECT_EQ(r->node_rollups.at("node.busy_s.max"), r->max_node_seconds);
+  EXPECT_EQ(r->node_rollups.at("node.dead.sum"), 1.0);
+}
+
 TEST(FaultRecoveryTest, MoreCrashesNeverSpeedThingsUp) {
   // Nested crash sets: each superset must cost at least as much modeled
   // time as its subset (survivors absorb strictly more work).

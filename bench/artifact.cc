@@ -207,14 +207,9 @@ CompareResult CompareArtifacts(const RunArtifact& base,
     return opts.only.empty() || metric.find(opts.only) != std::string::npos;
   };
   for (const auto& [series, metrics] : base.rows) {
-    const auto cur_series = current.rows.find(series);
     for (const auto& [metric, base_v] : metrics) {
       if (!selected(metric)) continue;
-      const double* cur_v = nullptr;
-      if (cur_series != current.rows.end()) {
-        const auto it = cur_series->second.find(metric);
-        if (it != cur_series->second.end()) cur_v = &it->second;
-      }
+      const double* cur_v = FindMetric(current, series, metric);
       if (cur_v == nullptr) {
         if (opts.fail_on_missing) {
           r.errors.push_back("missing in current artifact: " + series +
@@ -315,6 +310,167 @@ std::string CompareResult::Format() const {
   for (const auto& n : notes) out << "note: " << n << "\n";
   out << (ok ? "PASS" : "FAIL") << "\n";
   return out.str();
+}
+
+bool Fail(std::string* error, const std::string& msg) {
+  if (!error->empty()) *error += '\n';
+  *error += msg;
+  return false;
+}
+
+const double* FindMetric(const RunArtifact& a, const std::string& series,
+                         const std::string& metric) {
+  const auto s = a.rows.find(series);
+  if (s == a.rows.end()) return nullptr;
+  const auto m = s->second.find(metric);
+  return m == s->second.end() ? nullptr : &m->second;
+}
+
+namespace {
+
+std::string Num(double v) {
+  char buf[64];
+  std::snprintf(buf, sizeof(buf), "%g", v);
+  return buf;
+}
+
+// Fetches series/metric into *out, or fails naming it: chaos artifacts
+// must be complete.
+bool Require(const RunArtifact& a, const std::string& series,
+             const std::string& metric, double* out, std::string* error) {
+  const double* v = FindMetric(a, series, metric);
+  if (v == nullptr) {
+    return Fail(error, "series '" + series + "' misses metric '" + metric +
+                           "'");
+  }
+  *out = *v;
+  return true;
+}
+
+bool CheckSweep(const RunArtifact& a, const std::string& series,
+                double min_seeds, std::string* error) {
+  double v = 0;
+  if (!Require(a, series, "seeds", &v, error)) return false;
+  if (v < min_seeds) {
+    return Fail(error, series + ": only " + Num(v) + " seeds (need >= " +
+                           Num(min_seeds) + ")");
+  }
+  if (!Require(a, series, "checksum_mismatches", &v, error)) return false;
+  if (v != 0) {
+    return Fail(error, series + ": " + Num(v) +
+                           " checksum mismatch(es) — answers are not "
+                           "bit-identical");
+  }
+  // The sweep must exercise every recovery mechanism, or the "200 green
+  // seeds" claim is hollow: a regression that silently disables stealing
+  // (or checkpointing, or membership changes) would still pass checksums.
+  for (const char* counter : {"steals", "stolen_morsels", "checkpoints",
+                              "recovered_morsels", "joins", "leaves"}) {
+    if (!Require(a, series, counter, &v, error)) return false;
+    if (v <= 0) {
+      return Fail(error, series + ": counter '" + counter +
+                             "' is zero — the sweep never exercised it");
+    }
+  }
+  return true;
+}
+
+}  // namespace
+
+bool CheckChaosArtifact(const RunArtifact& a, std::string* error) {
+  if (!CheckSweep(a, "chaos", kMinSeeds, error) ||
+      !CheckSweep(a, "chaos_sf10", kMinSf10Seeds, error)) {
+    return false;
+  }
+  // The recovery series is the point of the whole subsystem: at the tail,
+  // re-executing only unacknowledged morsels (plus stealing from
+  // stragglers) must beat re-running whole partitions. Strict inequality
+  // at p95 and above; the median may tie (mild faults recover cheaply
+  // either way).
+  double fine = 0, retry = 0;
+  for (const std::string p : {"p95", "p99", "max"}) {
+    if (!Require(a, "recovery", "fine_" + p + "_s", &fine, error) ||
+        !Require(a, "recovery", "retry_" + p + "_s", &retry, error)) {
+      return false;
+    }
+    if (!(fine < retry)) {
+      return Fail(error, "recovery: fine_" + p + "_s (" + Num(fine) +
+                             ") does not beat retry_" + p + "_s (" +
+                             Num(retry) + ")");
+    }
+  }
+  if (!Require(a, "recovery", "fine_p50_s", &fine, error) ||
+      !Require(a, "recovery", "retry_p50_s", &retry, error)) {
+    return false;
+  }
+  if (fine > retry * 1.05) {
+    return Fail(error, "recovery: fine-grained median is more than 5% worse "
+                       "than retry (" + Num(fine) + " vs " + Num(retry) +
+                       ") — checkpoint overhead regressed");
+  }
+  return true;
+}
+
+bool CheckStatsArtifact(const RunArtifact& a, std::string* error) {
+  bool ok = true;
+  const auto check = [&](bool cond, const std::string& msg) {
+    if (!cond) ok = Fail(error, msg);
+  };
+  check(a.bench == "stats_qerror",
+        "artifact bench is '" + a.bench + "', want 'stats_qerror'");
+
+  if (a.rows.count("cardinality") == 0) {
+    check(false, "artifact has no 'cardinality' series");
+  } else {
+    const double* mismatches =
+        FindMetric(a, "cardinality", "answer_mismatches");
+    check(mismatches != nullptr && *mismatches == 0,
+          "cardinality.answer_mismatches must be present and 0 (got " +
+              (mismatches != nullptr ? Num(*mismatches) : "none") + ")");
+    for (int q = 1; q <= 22; ++q) {
+      const std::string p = "Q" + std::to_string(q);
+      const double* maxq = FindMetric(a, "cardinality", p + ".qerror.max");
+      const double* geo = FindMetric(a, "cardinality", p + ".qerror.geomean");
+      const double* est = FindMetric(a, "cardinality", p + ".ops.estimated");
+      const double* rec = FindMetric(a, "cardinality", p + ".ops.recorded");
+      if (maxq == nullptr || geo == nullptr || est == nullptr ||
+          rec == nullptr) {
+        check(false, "cardinality series is missing metrics for " + p);
+        continue;
+      }
+      check(*est >= 1, p + ": no operators were estimated");
+      check(*rec >= *est, p + ": recorded ops (" + Num(*rec) +
+                              ") < estimated (" + Num(*est) + ")");
+      check(*maxq >= 1 && std::isfinite(*maxq),
+            p + ": qerror.max " + Num(*maxq) +
+                " is not a finite value >= 1");
+      check(*geo >= 1 && *geo <= *maxq + 1e-9,
+            p + ": qerror.geomean " + Num(*geo) + " outside [1, max=" +
+                Num(*maxq) + "]");
+    }
+  }
+
+  const auto sketch = a.rows.find("sketch");
+  if (sketch == a.rows.end()) {
+    check(false, "artifact has no 'sketch' series");
+  } else {
+    int ndv_metrics = 0;
+    for (const auto& [metric, value] : sketch->second) {
+      if (metric.find("ndv_rel_err") != std::string::npos) {
+        ++ndv_metrics;
+        check(value <= kMaxNdvErr, "sketch." + metric + " = " + Num(value) +
+                                       " exceeds NDV-error bound " +
+                                       Num(kMaxNdvErr));
+      }
+      if (metric.find("quantile_rank_err") != std::string::npos) {
+        check(value <= kMaxRankErr, "sketch." + metric + " = " + Num(value) +
+                                        " exceeds rank-error bound " +
+                                        Num(kMaxRankErr));
+      }
+    }
+    check(ndv_metrics > 0, "sketch series has no ndv_rel_err metrics");
+  }
+  return ok;
 }
 
 }  // namespace wimpi::bench

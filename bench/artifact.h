@@ -9,7 +9,7 @@ namespace wimpi::bench {
 
 // Schema-versioned benchmark run artifact: the stable machine-readable
 // record every runtime bench emits with --json=<path>, compared across
-// commits by wimpi_bench_compare. Documented in README.md ("Benchmark
+// commits by `wimpi_check compare`. Documented in README.md ("Benchmark
 // artifacts & regression gate"). Bump kArtifactSchemaVersion on any
 // incompatible change; the reader accepts every version back to
 // kArtifactMinSchemaVersion (older artifacts simply lack the newer
@@ -108,10 +108,50 @@ struct CompareResult {
 
 // Compares `current` against `base`. Improvements beyond tolerance are
 // reported but do not fail; regressions and structural mismatches set
-// ok=false (wimpi_bench_compare exits nonzero).
+// ok=false (`wimpi_check compare` exits nonzero).
 CompareResult CompareArtifacts(const RunArtifact& base,
                                const RunArtifact& current,
                                const CompareOptions& opts);
+
+// ---------- checks (wimpi_check) ----------
+
+// Appends `msg` as one line of *error and returns false: how every
+// wimpi_check rule, on artifacts or traces, reports a violation.
+bool Fail(std::string* error, const std::string& msg);
+
+// The value of series/metric in `a`'s rows, or nullptr when absent.
+const double* FindMetric(const RunArtifact& a, const std::string& series,
+                         const std::string& metric);
+
+// Seed floors of the chaos soak (bench_chaos --seeds 200 --sf10-seeds 16).
+inline constexpr double kMinSeeds = 200;
+inline constexpr double kMinSf10Seeds = 16;
+
+// The chaos-soak artifact (bench_chaos --json): in the "chaos" and
+// "chaos_sf10" series the sweep met its seed floor, every scenario gave
+// the bit-identical answer (zero checksum_mismatches), and every recovery
+// mechanism fired (steals, stolen_morsels, checkpoints, recovered_morsels,
+// joins, leaves all nonzero); in the "recovery" series fine-grained
+// recovery strictly beats whole-partition retry at p95, p99 and max, and
+// its median is at most 5% above retry's. Stops at the first violation.
+bool CheckChaosArtifact(const RunArtifact& a, std::string* error);
+
+// Sketch error bounds of the plan-quality artifact: NDV relative error
+// (target < 3% at the default 2^14-register HLL; the bound leaves
+// headroom) and quantile rank error (one equi-depth bucket of 64 holds
+// ~1.6% of the mass; a few buckets of slack for sampled builds and
+// duplicate-heavy columns).
+inline constexpr double kMaxNdvErr = 0.05;
+inline constexpr double kMaxRankErr = 0.08;
+
+// The plan-quality artifact (bench_stats_qerror --json): bench is
+// "stats_qerror"; the "cardinality" series has answer_mismatches == 0 and,
+// for each of Q1..Q22, qerror.max finite and >= 1, qerror.geomean in
+// [1, max], ops.estimated >= 1 and ops.recorded >= ops.estimated; the
+// "sketch" series has at least one ndv_rel_err, every ndv_rel_err is
+// <= kMaxNdvErr and every quantile_rank_err <= kMaxRankErr. Reports every
+// violation, one per line.
+bool CheckStatsArtifact(const RunArtifact& a, std::string* error);
 
 }  // namespace wimpi::bench
 

@@ -11,8 +11,8 @@
 // so the checkpoint-only path stays covered. Fault-only seeds additionally
 // run the same plan under whole-partition retry, producing the paired
 // modeled-latency distributions behind the "recovery" artifact series: the
-// fine-grained tail must dominate retry-only (gated by wimpi_chaos_check,
-// value drift gated by wimpi_bench_compare against the committed baseline).
+// fine-grained tail must dominate retry-only (gated by `wimpi_check chaos`,
+// value drift by `wimpi_check compare` against the committed baseline).
 #include <algorithm>
 #include <cstdint>
 #include <cstdio>
@@ -244,7 +244,7 @@ int main(int argc, char** argv) {
   }
 
   // --- Trace export (--trace): one representative fine-grained scenario,
-  // for wimpi_trace_check (steal/ckpt span causality). ---
+  // for `wimpi_check cluster` (steal/ckpt span causality). ---
   if (!trace_path.empty()) {
     obs::TraceSink::Global().Clear();
     obs::TraceSink::Global().set_enabled(true);
@@ -285,7 +285,7 @@ int main(int argc, char** argv) {
     fill("chaos", sf1);
     fill("chaos_sf10", sf10);
     // Modeled (deterministic) tail latencies; names avoid the noisy
-    // "seconds"/"wall" patterns so wimpi_bench_compare gates them.
+    // "seconds"/"wall" patterns so `wimpi_check compare` gates them.
     auto& rec = artifact.rows["recovery"];
     for (const auto& [prefix, v] :
          {std::pair<const char*, const std::vector<double>*>{"fine",

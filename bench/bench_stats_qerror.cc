@@ -5,8 +5,9 @@
 //   * every answer with stats collection + cardinality capture enabled is
 //     bit-identical to the same plan run on the seed path (no estimator);
 //   * the artifact's series are fully deterministic (counts and ratios
-//     derived from modeled execution, never wall time), so CI can gate
-//     them at the default tolerance via wimpi_stats_check.
+//     derived from modeled execution, never wall time), so CI gates them
+//     at zero tolerance via `wimpi_check compare` and checks their
+//     invariants via `wimpi_check stats`.
 //
 // Artifact (--json=<path>, unit "ratio"):
 //   series "cardinality": per query Q<n>.qerror.max / .qerror.geomean /

@@ -145,8 +145,7 @@ int main(int argc, char** argv) {
   std::map<int, wimpi::cluster::DistributedRun> fault_runs;
   if (fault_seed != 0) {
     // Telemetry export (--trace): the degraded-mode runs record span
-    // trees; results and modeled times are bit-identical either way. A
-    // path ending in ".jsonl" gets one event per line instead.
+    // trees; results and modeled times are bit-identical either way.
     if (!trace_path.empty()) {
       wimpi::obs::TraceSink::Global().Clear();
       wimpi::obs::TraceSink::Global().set_enabled(true);

@@ -25,7 +25,7 @@
 //   --expo PATH         write the Prometheus exposition after the run
 //   --flight-off        disable the always-on flight recorder (overhead
 //                       A/B: run once with this flag, once without, and
-//                       gate mean_latency via wimpi_bench_compare --only)
+//                       gate mean_latency via `wimpi_check compare --only`)
 #include <algorithm>
 #include <atomic>
 #include <chrono>
@@ -275,7 +275,7 @@ int main(int argc, char** argv) {
     wimpi::bench::RunArtifact artifact =
         wimpi::bench::MakeArtifact("throughput", physical_sf);
     auto& row = artifact.rows["throughput"];
-    // Deterministic (gated at the default tolerance).
+    // Deterministic (gated at zero tolerance).
     row["completed"] = static_cast<double>(completed.load());
     row["rejected"] = static_cast<double>(rejected.load());
     row["failed"] = static_cast<double>(failed.load());

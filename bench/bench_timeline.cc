@@ -6,17 +6,17 @@
 // Three jobs, mirroring the flight-recorder bench conventions:
 //   * Overhead A/B: run once with --off and once without, write --json
 //     artifacts, and gate mean latency via
-//       wimpi_bench_compare off.json on.json --only mean_latency --wall-tol T
+//       wimpi_check compare off.json on.json --only mean_latency --wall-tol T
 //     (the sampler must cost <= a few percent at the default 1 ms period).
 //   * Deterministic model rows: series "model:<profile>" carries each
 //     query's bandwidth-bound verdict and bandwidth-op fraction on the
 //     fixed Table I profiles — byte-stable across hosts, gated against the
-//     committed baseline at the default tolerance (like BENCH_stats.json).
-//   * --dump <path>: a Chrome trace checked by `wimpi_trace_check
-//     timeline` — one timeline.meta instant (host roofline, sampler
-//     period), one timeline.query span per query over its last lap with
-//     the summary as args (modeled vs measured class, agreement tallies),
-//     and the sampled timeline.* counter tracks.
+//     committed baseline at zero tolerance (like BENCH_stats.json).
+//   * --dump <path>: a Chrome trace checked by `wimpi_check timeline` —
+//     one timeline.meta instant (host roofline, sampler period), one
+//     timeline.query span per query over its last lap with the summary as
+//     args (modeled vs measured class, agreement tallies), and the sampled
+//     timeline.* counter tracks.
 //
 // Answers are checksummed every lap: a sampler that changes any answer bit
 // fails the bench (the test suite enforces the same at SF 0.01).
@@ -229,7 +229,7 @@ int main(int argc, char** argv) {
     if (!wimpi::bench::WriteArtifact(json_path, artifact)) return 1;
   }
 
-  // ---- Dump for `wimpi_trace_check timeline` ----
+  // ---- Dump for `wimpi_check timeline` ----
   if (!dump_path.empty()) {
     std::vector<wimpi::obs::TraceEvent> events;
     {

@@ -11,6 +11,16 @@ namespace wimpi::cluster {
 
 namespace {
 
+// Fewest un-started morsels a victim must hold before a thief splits
+// its range (parallel/steal.h).
+constexpr int kMinStealMorsels = 2;
+// Publish deadline: a checkpoint publish that would stall longer than
+// this (a network-stall fault) is abandoned and the chunk re-executed —
+// the fine-grained analogue of the retry path's per-attempt timeout.
+// Losing at most `checkpoint_interval` morsels is what bounds a stalled
+// link's blast radius; waiting out the stall would not.
+constexpr double kPublishTimeoutS = 0.05;
+
 // A contiguous morsel range waiting on some worker's deque.
 struct PendingRange {
   int partition = 0;
@@ -125,11 +135,11 @@ FineSchedule SimulateFineGrained(const FineInputs& in) {
     if (f != nullptr && f->kind == FaultKind::kNetworkStall &&
         w.stalled_publishes < f->fail_attempts) {
       ++w.stalled_publishes;
-      if (f->stall_seconds > in.opts.publish_timeout_s) {
+      if (f->stall_seconds > kPublishTimeoutS) {
         // Stalled past the publish deadline: abandon the publish (the
         // chunk is lost) instead of waiting out the stall. The caller
         // re-executes at most checkpoint_interval morsels.
-        w.clock += in.opts.publish_timeout_s;
+        w.clock += kPublishTimeoutS;
         return false;
       }
       cost += f->stall_seconds;
@@ -340,7 +350,7 @@ FineSchedule SimulateFineGrained(const FineInputs& in) {
                 : unstarted_front - 1;  // victim keeps the morsel in flight
       }
       const int victim =
-          parallel::PickVictim(loads, thief, in.opts.min_steal_morsels);
+          parallel::PickVictim(loads, thief, kMinStealMorsels);
       if (victim < 0) break;
       Worker& vw = workers[victim];
       PendingRange stolen;
@@ -353,7 +363,7 @@ FineSchedule SimulateFineGrained(const FineInputs& in) {
         parallel::MorselRange rest{pr.range.begin + vw.executed,
                                    pr.range.end};
         parallel::MorselRange taken =
-            parallel::StealHalf(&rest, in.opts.min_steal_morsels);
+            parallel::StealHalf(&rest, kMinStealMorsels);
         if (taken.empty()) break;
         pr.range.end = rest.end;
         stolen.partition = pr.partition;

@@ -32,9 +32,9 @@ struct RecoveryOptions {
   RecoveryMode mode = RecoveryMode::kRetry;
   // Morsel granularity: one modeled morsel covers `morsel_rows` rows of
   // the partition's driving table at the model SF (the engine's intra-node
-  // 64K-row convention), capped so SF-100-class runs stay cheap to model.
+  // 64K-row convention), capped so SF-100-class runs stay cheap to model
+  // (kMaxMorselsPerPartition in wimpi_cluster.cc).
   int64_t morsel_rows = 64 * 1024;
-  int max_morsels_per_partition = 256;
   // Checkpoint boundary rule: a node publishes a merge-ready partial
   // covering every `checkpoint_interval` completed morsels (and at range
   // end). Publishing costs modeled time — one round trip plus the chunk's
@@ -45,13 +45,6 @@ struct RecoveryOptions {
   // most-loaded worker's remaining range (fixed victim order, half-split;
   // see parallel/steal.h). Off = checkpoint-only recovery.
   bool steal = true;
-  int min_steal_morsels = 2;
-  // Publish deadline: a checkpoint publish that would stall longer than
-  // this (a network-stall fault) is abandoned and the chunk re-executed —
-  // the fine-grained analogue of the retry path's per-attempt timeout.
-  // Losing at most `checkpoint_interval` morsels is what bounds a stalled
-  // link's blast radius; waiting out the stall would not.
-  double publish_timeout_s = 0.05;
 };
 
 // One contiguous run of morsels by one worker. `prev_node` records where

@@ -54,6 +54,22 @@ double WimpiCluster::NodeLogicalBytes(double model_sf) const {
 
 namespace {
 
+// Failed attempts tolerated on one node before the partition is
+// reassigned to a surviving node (crashes reassign immediately).
+constexpr int kMaxRetries = 3;
+// Capped exponential backoff between attempts of one partition:
+// min(kRetryBackoffS * 2^(attempt-1), kRetryBackoffCapS), charged to
+// modeled time.
+constexpr double kRetryBackoffS = 0.05;
+constexpr double kRetryBackoffCapS = 1.0;
+// Per-attempt deadline: kTimeoutFactor * the partition's expected node
+// seconds under the cost model, floored at kMinTimeoutS.
+constexpr double kTimeoutFactor = 4.0;
+constexpr double kMinTimeoutS = 0.01;
+// Cap on modeled morsels per partition (RecoveryOptions::morsel_rows
+// sets their size), so SF-100-class runs stay cheap to model.
+constexpr int kMaxMorselsPerPartition = 256;
+
 // Cached real execution of one lineitem partition's partial plan. The
 // partition's data and plan are fixed (deterministic hash ranges + replicas
 // physically shared in host memory), so its relation and counters are
@@ -231,7 +247,7 @@ void EmitClusterTrace(int q, const DistributedRun& run, const FaultPlan& plan,
 // stolen segment) plus a "steal" flow arrow from the victim's lane; every
 // checkpoint publish gets a "ckpt" instant carrying {partition, morsels,
 // bytes} — so per partition the ckpt morsels sum to the partition's
-// morsel count, the invariant wimpi_trace_check enforces. Lost segments
+// morsel count, the invariant `wimpi_check cluster` enforces. Lost segments
 // get a fault instant and a "recover" flow to the segment that re-executes
 // the lost range.
 void EmitFineTrace(int q, const DistributedRun& run, const FaultPlan& plan,
@@ -457,7 +473,7 @@ Result<DistributedRun> WimpiCluster::Run(int q,
       fin.morsels.push_back(parallel::MorselCountForRows(
           node_dbs_[p].table(basis).num_rows(), opts_.sf_scale,
           opts_.recovery.morsel_rows,
-          opts_.recovery.max_morsels_per_partition));
+          kMaxMorselsPerPartition));
     }
 
     FineSchedule sched = SimulateFineGrained(fin);
@@ -614,7 +630,7 @@ Result<DistributedRun> WimpiCluster::Run(int q,
   // ---- Attempt schedule (modeled). Every partition retries on its home
   // node with capped exponential backoff, then reassigns to the surviving
   // node with the least accumulated work; crashes reassign immediately.
-  // A partition that has failed 2*max_retries attempts (or has only one
+  // A partition that has failed 2*kMaxRetries attempts (or has only one
   // node left to run on) stops honouring the deadline and completes as a
   // straggler, so any plan that leaves one live node always finishes. ----
   const int pool_nodes = opts_.num_nodes;
@@ -660,7 +676,7 @@ Result<DistributedRun> WimpiCluster::Run(int q,
       const PartitionExec& pe = ensure_exec(p);
       const double w = pe.work_s;
       const double deadline =
-          std::max(opts_.min_timeout_s, opts_.timeout_factor * w);
+          std::max(kMinTimeoutS, kTimeoutFactor * w);
       // Jittered exponential backoff, capped: the jitter factor in
       // [0.5, 1.5) is a pure hash of (plan seed, partition, attempt), so
       // concurrent retries against a recovering node decorrelate while the
@@ -668,8 +684,8 @@ Result<DistributedRun> WimpiCluster::Run(int q,
       const double backoff =
           attempt_idx == 0
               ? 0.0
-              : std::min(opts_.retry_backoff_cap_s,
-                         opts_.retry_backoff_s *
+              : std::min(kRetryBackoffCapS,
+                         kRetryBackoffS *
                              std::pow(2.0, attempt_idx - 1) *
                              (0.5 + DeterministicJitter(
                                         plan.seed, static_cast<uint64_t>(p),
@@ -677,7 +693,7 @@ Result<DistributedRun> WimpiCluster::Run(int q,
       // Degraded last resort: no alternative node, or the partition has
       // bounced long enough — accept a straggler run over the deadline.
       const bool last_resort =
-          live <= 1 || attempt_idx >= 2 * opts_.max_retries;
+          live <= 1 || attempt_idx >= 2 * kMaxRetries;
 
       const NodeFault* f = plan.FaultFor(node);
       double dur = w;
@@ -739,10 +755,10 @@ Result<DistributedRun> WimpiCluster::Run(int q,
         // adversarial plan (every node flaky, forever) exhausts
         // deterministically instead of bouncing partitions for thousands
         // of modeled attempts. Generated plans stay far under the default
-        // budget of 4 * max_retries * num_nodes.
+        // budget of 4 * kMaxRetries * num_nodes.
         const int budget = opts_.retry_budget > 0
                                ? opts_.retry_budget
-                               : 4 * opts_.max_retries * pool_nodes;
+                               : 4 * kMaxRetries * pool_nodes;
         if (run.retries > budget) {
           obs::MetricsRegistry::Global()
               .counter("cluster.retry.exhausted")
@@ -765,7 +781,7 @@ Result<DistributedRun> WimpiCluster::Run(int q,
             node, static_cast<int64_t>(outcome));
         if (alive[node]) {
           ++tries_on_node;
-          if (tries_on_node >= opts_.max_retries && live > 1) {
+          if (tries_on_node >= kMaxRetries && live > 1) {
             // Give up on this node: move to the cheapest other survivor.
             int best = -1;
             for (int n = 0; n < pool_nodes; ++n) {

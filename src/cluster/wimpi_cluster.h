@@ -40,24 +40,13 @@ struct ClusterOptions {
   // and the results and modeled times are bit-identical to a run of any
   // plan that leaves a live node, minus the recovery time.
   FaultPlan faults;
-  // Failed attempts tolerated on one node before the partition is
-  // reassigned to a surviving node (crashes reassign immediately).
-  int max_retries = 3;
-  // Capped exponential backoff between attempts of one partition:
-  // min(retry_backoff_s * 2^(attempt-1), retry_backoff_cap_s), charged to
-  // modeled time.
-  double retry_backoff_s = 0.05;
-  double retry_backoff_cap_s = 1.0;
-  // Per-attempt deadline: timeout_factor * the partition's expected node
-  // seconds under the cost model, floored at min_timeout_s.
-  double timeout_factor = 4.0;
-  double min_timeout_s = 0.01;
   // Total failed attempts tolerated across the whole run before Run()
   // stops retrying and returns kUnavailable (surfaced through the
   // cluster.retry.exhausted counter). 0 derives the default budget,
-  // 4 * max_retries * num_nodes — generous enough that every generated
+  // 4 * kMaxRetries * num_nodes — generous enough that every generated
   // FaultPlan converges, tight enough that an adversarial plan exhausts
-  // deterministically instead of spinning.
+  // deterministically instead of spinning. The per-node retry limit, the
+  // backoff and the per-attempt deadline are constants in wimpi_cluster.cc.
   int retry_budget = 0;
 
   // ---- fine-grained recovery (DESIGN.md §14) ----

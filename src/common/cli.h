@@ -9,6 +9,9 @@ namespace wimpi {
 
 // Minimal command-line flag parser for the benchmark and example binaries.
 // Accepts "--name=value" and "--name value"; bare "--name" is "true".
+// GetInt/GetDouble/GetBool print "invalid value for --<name>: '<text>'"
+// and exit 2 when a present value does not parse completely and in range
+// (booleans: true/false/1/0/yes/no).
 class CommandLine {
  public:
   CommandLine(int argc, char** argv);

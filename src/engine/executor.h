@@ -47,9 +47,6 @@ class Executor {
   void set_cardinality_estimator(const exec::CardinalityEstimator* est) {
     opts_.cardinality_estimator = est;
   }
-  // Allows a registry with EnableAutoCollect to build missing table stats
-  // lazily from a stride sample on first use (see ExecOptions).
-  void set_collect_scan_stats(bool on) { opts_.collect_scan_stats = on; }
 
   // Runs `plan` (any callable taking QueryStats* — typically returning a
   // Relation) with this executor's options installed, restoring the

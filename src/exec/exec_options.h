@@ -45,12 +45,6 @@ struct ExecOptions {
   // execution: answers are bit-identical with or without an estimator.
   // Null (the default) keeps est_rows at -1 everywhere.
   const CardinalityEstimator* cardinality_estimator = nullptr;
-  // Lets an installed estimator that supports it (stats::StatsRegistry
-  // with EnableAutoCollect) build missing table statistics lazily from a
-  // deterministic stride sample the first time a scan asks for an estimate
-  // on an un-collected table. Off (the default): unknown tables simply
-  // yield no estimate.
-  bool collect_scan_stats = false;
 };
 
 // Ambient options consulted by the operator library on the thread that

@@ -115,10 +115,10 @@ class FlightRecorder {
       const std::vector<FlightEvent>& events);
 
   // Dumps the window since `since_us` to the one file `path` through
-  // obs::WriteTraceFile (Chrome JSON, or JSONL for a ".jsonl" path): the
-  // ToTraceEvents rendering plus the counter tracks of the timeline
-  // `slice` (none when it is empty). Returns false and fills *error when
-  // the file cannot be written or the window is empty.
+  // obs::WriteTraceFile as one Chrome trace: the ToTraceEvents rendering
+  // plus the counter tracks of the timeline `slice` (none when it is
+  // empty). Returns false and fills *error when the file cannot be written
+  // or the window is empty.
   bool DumpSince(int64_t since_us, const std::string& path,
                  const timeline::QueryTimeline& slice = {},
                  std::string* error = nullptr) const;

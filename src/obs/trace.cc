@@ -84,10 +84,6 @@ std::string TraceSink::ToJson() const {
   return TraceEventsToJson(Snapshot());
 }
 
-std::string TraceSink::ToJsonl() const {
-  return TraceEventsToJsonl(Snapshot());
-}
-
 bool TraceSink::WriteFile(const std::string& path) const {
   std::string error;
   if (!WriteTraceFile(path, Snapshot(), &error)) {
@@ -129,27 +125,10 @@ std::string TraceEventsToJson(const std::vector<TraceEvent>& events) {
   return w.str();
 }
 
-std::string TraceEventsToJsonl(const std::vector<TraceEvent>& events) {
-  std::string out;
-  for (const TraceEvent& e : events) {
-    JsonWriter w;
-    w.BeginObject();
-    WriteEventBody(w, e);
-    w.EndObject();
-    out += w.str();
-    out += '\n';
-  }
-  return out;
-}
-
 bool WriteTraceFile(const std::string& path,
                     const std::vector<TraceEvent>& events,
                     std::string* error) {
-  const bool jsonl =
-      path.size() >= 6 && path.compare(path.size() - 6, 6, ".jsonl") == 0;
-  return WriteTextFile(
-      path, jsonl ? TraceEventsToJsonl(events) : TraceEventsToJson(events),
-      error);
+  return WriteTextFile(path, TraceEventsToJson(events), error);
 }
 
 }  // namespace wimpi::obs

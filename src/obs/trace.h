@@ -70,9 +70,8 @@ class TraceSink {
 
   std::vector<TraceEvent> Snapshot() const;
 
-  // TraceEventsToJson / TraceEventsToJsonl over Snapshot().
+  // TraceEventsToJson over Snapshot().
   std::string ToJson() const;
-  std::string ToJsonl() const;
 
   // WriteTraceFile over Snapshot(); returns false (and logs) when the file
   // cannot be written.
@@ -97,13 +96,9 @@ class TraceSink {
 // "parent" hex strings) so external tools can rebuild the causal tree.
 std::string TraceEventsToJson(const std::vector<TraceEvent>& events);
 
-// One JSON object per line per event (same fields as the Chrome JSON,
-// flat), for streaming consumers and line-oriented diffing.
-std::string TraceEventsToJsonl(const std::vector<TraceEvent>& events);
-
-// Writes `events` to `path`: the JSONL rendering when the path ends in
-// ".jsonl", the Chrome JSON otherwise. Every trace and telemetry dump file
-// goes through here. Returns false and fills *error when it cannot write.
+// Writes `events` to `path` as one Chrome trace (TraceEventsToJson). Every
+// trace and telemetry dump file goes through here. Returns false and fills
+// *error when it cannot write.
 bool WriteTraceFile(const std::string& path,
                     const std::vector<TraceEvent>& events,
                     std::string* error = nullptr);

@@ -24,6 +24,12 @@ namespace internal {
 
 namespace flight = obs::flight;
 
+// Priority applied when a QuerySpec leaves its own at 0.
+constexpr double kDefaultPriority = 1.0;
+// History included in a flight dump before the triggering query's submit
+// time, so the dump shows what the node was busy with while it waited.
+constexpr int64_t kDumpWindowMarginUs = 200 * 1000;
+
 // Service-wide query ids tag flight-recorder events; process-global so
 // dumps mixing several QueryService instances stay unambiguous.
 std::atomic<uint64_t> g_next_query_id{1};
@@ -226,10 +232,9 @@ struct ServiceCore {
     // and (when configured) schedules a retroactive flight dump. Dumps
     // are queued for after the mutex release (see pending_dumps).
     const char* trigger = nullptr;
-    if (opts.flight.on_error &&
-        (code == StatusCode::kDeadlineExceeded ||
-         code == StatusCode::kCancelled ||
-         code == StatusCode::kResourceExhausted)) {
+    if (code == StatusCode::kDeadlineExceeded ||
+        code == StatusCode::kCancelled ||
+        code == StatusCode::kResourceExhausted) {
       trigger = "status";
     }
     int64_t threshold = opts.flight.latency_threshold_us;
@@ -257,7 +262,7 @@ struct ServiceCore {
           path += std::to_string(dump_seq);
         }
         ++dump_seq;
-        pending_dumps.push_back({t->submit_us - opts.flight.window_margin_us,
+        pending_dumps.push_back({t->submit_us - kDumpWindowMarginUs,
                                  std::move(path), qtl});
       }
     }
@@ -523,8 +528,8 @@ QueryTicket QueryService::Submit(QuerySpec spec) {
   t->spec = std::move(spec);
   t->query_id =
       internal::g_next_query_id.fetch_add(1, std::memory_order_relaxed);
-  t->priority = t->spec.priority > 0 ? t->spec.priority
-                                     : core.opts.default_priority;
+  t->priority =
+      t->spec.priority > 0 ? t->spec.priority : internal::kDefaultPriority;
   t->threads =
       t->spec.num_threads > 0 ? t->spec.num_threads : core.opts.query_threads;
   t->submit_us = obs::NowMicros();

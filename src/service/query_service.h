@@ -55,21 +55,17 @@ namespace wimpi::service {
 struct FlightTriggerOptions {
   // Wall-time threshold marking a completed query slow. 0 falls back to
   // the query's SLO objective (if SLOs are configured); < 0 disables
-  // latency triggers.
+  // latency triggers. kDeadlineExceeded / kCancelled / kResourceExhausted
+  // always trigger.
   int64_t latency_threshold_us = 0;
-  // Also trigger on kDeadlineExceeded / kCancelled / kResourceExhausted.
-  bool on_error = true;
   // Dump destination: one trace file per dump (FlightRecorder::DumpSince:
   // flight spans and instants, plus the triggering query's timeline.*
-  // counter tracks when the sampler was running; JSONL for a ".jsonl"
-  // path). Later dumps append ".1", ".2", ... Empty path = log slow
-  // queries without writing dump files.
+  // counter tracks when the sampler was running). Later dumps append
+  // ".1", ".2", ... Empty path = log slow queries without writing dump
+  // files.
   std::string dump_path;
   // Cap on dump files per service (each dump rewrites the whole window).
   int max_dumps = 4;
-  // History included before the triggering query's submit time, so the
-  // dump shows what the node was busy with while the query waited.
-  int64_t window_margin_us = 200 * 1000;
 };
 
 struct ServiceOptions {
@@ -84,8 +80,6 @@ struct ServiceOptions {
   // Threads (including the driver) each query's parallel phases may use.
   int query_threads = 4;
   int64_t morsel_rows = 64 * 1024;
-  // Priority applied when a QuerySpec leaves its own at 0.
-  double default_priority = 1.0;
   // Also record per-session latency histograms
   // ("service.session.<id>.latency_us"). Off by default: thousands of
   // sessions would otherwise each allocate a registry histogram.
@@ -111,7 +105,7 @@ struct QuerySpec {
   // Estimated working set (see EstimateWorkingSetBytes); reserved against
   // the budget for the query's whole run. <= 0 reserves nothing.
   int64_t estimated_bytes = 0;
-  // Stride-scheduling weight; 0 means ServiceOptions::default_priority.
+  // Stride-scheduling weight; 0 means kDefaultPriority (1.0).
   double priority = 0;
   // Overrides ServiceOptions::query_threads when > 0.
   int num_threads = 0;

@@ -155,15 +155,6 @@ void StatsRegistry::CollectDatabase(const engine::Database& db,
   }
 }
 
-void StatsRegistry::EnableAutoCollect(const engine::Database* db,
-                                      StatsBuildOptions opts) {
-  std::unique_lock lock(mu_);
-  auto_collect_db_ = db;
-  // Lazy collection exists to be cheap: force a sampled build.
-  if (opts.scan_stride <= 1) opts.scan_stride = 16;
-  auto_collect_opts_ = opts;
-}
-
 const TableStats* StatsRegistry::Find(const std::string& table) const {
   std::shared_lock lock(mu_);
   const auto it = tables_.find(table);
@@ -188,39 +179,15 @@ const ColumnStats* StatsRegistry::ResolveByOrigin(uint32_t origin) const {
   return FindByOriginLocked(origin);
 }
 
-const TableStats* StatsRegistry::MaybeAutoCollect(
-    const storage::Table& table) const {
-  StatsBuildOptions opts;
-  {
-    std::shared_lock lock(mu_);
-    if (auto_collect_db_ == nullptr) return nullptr;
-    if (!auto_collect_db_->HasTable(table.name())) return nullptr;
-    opts = auto_collect_opts_;
-  }
-  if (!exec::CurrentExecOptions().collect_scan_stats) return nullptr;
-  // Single-driver mode (see class comment): the const_cast stamps origin
-  // tags on the base table's columns, which is only metadata the operators
-  // never read, but is still a write — hence the documented restriction.
-  StatsRegistry* self = const_cast<StatsRegistry*>(this);
-  storage::Table& t = *auto_collect_db_->table_ptr(table.name());
-  return &self->Collect(t, opts);
-}
-
 const ColumnStats* StatsRegistry::ResolveColumn(
     const exec::ColumnSource& src, const std::string& column) const {
   const storage::Column& col = src.column(column);
-  {
-    std::shared_lock lock(mu_);
-    const ColumnStats* cs = FindByOriginLocked(col.origin());
-    if (cs != nullptr) return cs;
-    if (src.table() != nullptr) {
-      const auto it = tables_.find(src.table()->name());
-      if (it != tables_.end()) return it->second.Find(column);
-    }
-  }
+  std::shared_lock lock(mu_);
+  const ColumnStats* cs = FindByOriginLocked(col.origin());
+  if (cs != nullptr) return cs;
   if (src.table() != nullptr) {
-    const TableStats* ts = MaybeAutoCollect(*src.table());
-    if (ts != nullptr) return ts->Find(column);
+    const auto it = tables_.find(src.table()->name());
+    if (it != tables_.end()) return it->second.Find(column);
   }
   return nullptr;
 }

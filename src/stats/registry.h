@@ -29,11 +29,9 @@ namespace wimpi::stats {
 //
 // Concurrency: Find/Estimate* take a shared lock, Collect an exclusive
 // one, so concurrent estimation against a stable registry is safe, as is
-// eager collection of different tables from several threads. The lazy
-// EnableAutoCollect mode additionally stamps origins on base columns
-// during estimation, which can race with concurrent readers of those
-// columns' origin tags — use it only from a single query driver; services
-// running concurrent queries should CollectDatabase eagerly before
+// eager collection of different tables from several threads. Estimation
+// never collects: a table without statistics yields no estimate, so
+// services running concurrent queries CollectDatabase eagerly before
 // arming the estimator.
 class StatsRegistry : public exec::CardinalityEstimator {
  public:
@@ -47,20 +45,6 @@ class StatsRegistry : public exec::CardinalityEstimator {
   // Eagerly collects every table in `db` (deterministic name order).
   void CollectDatabase(const engine::Database& db,
                        const StatsBuildOptions& opts = {});
-
-  // Arms lazy collection: the first estimate that touches an un-collected
-  // base table of `db` builds its statistics from a deterministic stride
-  // sample (opts.scan_stride forced > 1) — but only while the ambient
-  // ExecOptions.collect_scan_stats flag is on. Single-driver only (see
-  // class comment). Pass nullptr to disarm.
-  void EnableAutoCollect(const engine::Database* db,
-                         StatsBuildOptions opts = DefaultSampledOptions());
-
-  static StatsBuildOptions DefaultSampledOptions() {
-    StatsBuildOptions o;
-    o.scan_stride = 16;
-    return o;
-  }
 
   // -- Lookup --
   const TableStats* Find(const std::string& table) const;
@@ -107,23 +91,16 @@ class StatsRegistry : public exec::CardinalityEstimator {
   const ColumnStats* FindByOriginLocked(uint32_t origin) const;
 
   // Resolves a named column of `src` to its statistics: by the column's
-  // origin tag first, then (base tables) by table name; triggers a lazy
-  // auto-collect when armed. Takes/releases the lock internally.
+  // origin tag first, then (base tables) by table name. Takes/releases
+  // the lock internally.
   const ColumnStats* ResolveColumn(const exec::ColumnSource& src,
                                    const std::string& column) const;
   const ColumnStats* ResolveByOrigin(uint32_t origin) const;
-
-  // Lazily collects `table` under auto-collect, if armed and allowed.
-  // Returns the table's stats or nullptr.
-  const TableStats* MaybeAutoCollect(const storage::Table& table) const;
 
   mutable std::shared_mutex mu_;
   // node-stable: ColumnStats pointers in by_origin_ point into this map.
   mutable std::map<std::string, TableStats> tables_;
   mutable std::map<uint32_t, const ColumnStats*> by_origin_;
-
-  const engine::Database* auto_collect_db_ = nullptr;
-  StatsBuildOptions auto_collect_opts_;
 };
 
 }  // namespace wimpi::stats

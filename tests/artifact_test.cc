@@ -1,5 +1,7 @@
-// Benchmark artifact pipeline: write/read round-trip, and the regression
-// comparison semantics wimpi_bench_compare and the CI gate rely on.
+// Benchmark artifact pipeline: write/read round-trip, the regression
+// comparison semantics `wimpi_check compare` relies on, and the chaos and
+// stats rules of `wimpi_check chaos|stats` on the committed baselines and
+// on mutations of them.
 #include "artifact.h"
 
 #include <unistd.h>
@@ -171,6 +173,91 @@ TEST(ArtifactCompare, TinyAbsoluteDifferencesIgnored) {
   cur.rows["op-e5"]["Qz"] = 5e-7;  // below abs_floor, infinite relative
   const CompareResult r = CompareArtifacts(base, cur, CompareOptions{});
   EXPECT_TRUE(r.ok) << r.Format();
+}
+
+// ---------- wimpi_check's artifact rules ----------
+
+RunArtifact Baseline(const std::string& name) {
+  RunArtifact a;
+  std::string error;
+  EXPECT_TRUE(ReadArtifact(std::string(WIMPI_BASELINE_DIR) + "/" + name, &a,
+                           &error))
+      << error;
+  return a;
+}
+
+// Runs `rule` on `a` and returns its error text ("" when it passes).
+template <typename Rule>
+std::string Violation(Rule rule, const RunArtifact& a) {
+  std::string error;
+  const bool ok = rule(a, &error);
+  EXPECT_EQ(ok, error.empty()) << error;
+  return error;
+}
+
+TEST(ArtifactChecks, CommittedBaselinesPass) {
+  EXPECT_EQ(Violation(CheckChaosArtifact, Baseline("BENCH_chaos.json")), "");
+  EXPECT_EQ(Violation(CheckStatsArtifact, Baseline("BENCH_stats.json")), "");
+}
+
+TEST(ArtifactChecks, ChaosMutationsFailNamingTheRule) {
+  const RunArtifact base = Baseline("BENCH_chaos.json");
+  const auto mutated = [&](const std::string& series,
+                           const std::string& metric, double value) {
+    RunArtifact a = base;
+    a.rows.at(series).at(metric) = value;
+    return Violation(CheckChaosArtifact, a);
+  };
+  EXPECT_NE(mutated("chaos", "seeds", kMinSeeds - 1)
+                .find("chaos: only 199 seeds (need >= 200)"),
+            std::string::npos);
+  EXPECT_NE(mutated("chaos_sf10", "seeds", kMinSf10Seeds - 1)
+                .find("chaos_sf10: only 15 seeds (need >= 16)"),
+            std::string::npos);
+  EXPECT_NE(mutated("chaos", "checksum_mismatches", 1)
+                .find("checksum mismatch"),
+            std::string::npos);
+  EXPECT_NE(mutated("chaos_sf10", "steals", 0)
+                .find("counter 'steals' is zero"),
+            std::string::npos);
+  const double retry_p95 = base.rows.at("recovery").at("retry_p95_s");
+  EXPECT_NE(mutated("recovery", "fine_p95_s", retry_p95)
+                .find("does not beat retry_p95_s"),
+            std::string::npos);
+  const double retry_p50 = base.rows.at("recovery").at("retry_p50_s");
+  EXPECT_EQ(mutated("recovery", "fine_p50_s", retry_p50 * 1.04), "");
+  EXPECT_NE(mutated("recovery", "fine_p50_s", retry_p50 * 1.06)
+                .find("median is more than 5% worse"),
+            std::string::npos);
+  RunArtifact missing = base;
+  missing.rows.at("recovery").erase("retry_max_s");
+  EXPECT_NE(Violation(CheckChaosArtifact, missing)
+                .find("series 'recovery' misses metric 'retry_max_s'"),
+            std::string::npos);
+}
+
+TEST(ArtifactChecks, StatsMutationsFailNamingTheRule) {
+  const RunArtifact base = Baseline("BENCH_stats.json");
+  const auto mutated = [&](const std::string& series,
+                           const std::string& metric, double value) {
+    RunArtifact a = base;
+    a.rows.at(series).at(metric) = value;
+    return Violation(CheckStatsArtifact, a);
+  };
+  EXPECT_NE(mutated("cardinality", "answer_mismatches", 1)
+                .find("cardinality.answer_mismatches must be present and 0"),
+            std::string::npos);
+  EXPECT_NE(mutated("cardinality", "Q7.qerror.max", 0.5)
+                .find("Q7: qerror.max 0.5 is not a finite value >= 1"),
+            std::string::npos);
+  EXPECT_NE(mutated("sketch", "lineitem.l_orderkey.ndv_rel_err", 0.06)
+                .find("sketch.lineitem.l_orderkey.ndv_rel_err = 0.06 exceeds "
+                      "NDV-error bound 0.05"),
+            std::string::npos);
+  RunArtifact missing = base;
+  missing.rows.at("cardinality").erase("Q7.ops.recorded");
+  EXPECT_EQ(Violation(CheckStatsArtifact, missing),
+            "cardinality series is missing metrics for Q7");
 }
 
 }  // namespace

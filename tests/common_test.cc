@@ -257,6 +257,49 @@ TEST(CommandLineTest, ParsesFlagsAndPositional) {
   EXPECT_EQ(cli.positional()[0], "input.txt");
 }
 
+TEST(CommandLineTest, ParsesValidNumbersAndBooleans) {
+  const char* argv[] = {"prog",         "--seeds=-200", "--tol=1e-6",
+                        "--sf=0.01",    "--big=9007199254740993",
+                        "--a=false",    "--b=no",       "--c=0",
+                        "--d=yes",      "--e=1"};
+  CommandLine cli(10, const_cast<char**>(argv));
+  EXPECT_EQ(cli.GetInt("seeds", 0), -200);
+  EXPECT_DOUBLE_EQ(cli.GetDouble("tol", 0), 1e-6);
+  EXPECT_DOUBLE_EQ(cli.GetDouble("sf", 0), 0.01);
+  EXPECT_EQ(cli.GetInt("big", 0), int64_t{9007199254740993});
+  EXPECT_FALSE(cli.GetBool("a", true));
+  EXPECT_FALSE(cli.GetBool("b", true));
+  EXPECT_FALSE(cli.GetBool("c", true));
+  EXPECT_TRUE(cli.GetBool("d", false));
+  EXPECT_TRUE(cli.GetBool("e", false));
+}
+
+// A malformed value used to read as its numeric prefix (or 0); now it is a
+// usage error: "invalid value for --<name>: '<text>'" and exit code 2.
+TEST(CommandLineTest, MalformedValuesExitTwo) {
+  const auto parse = [](const char* flag) {
+    const char* argv[] = {"prog", flag};
+    return CommandLine(2, const_cast<char**>(argv));
+  };
+  const auto exits2 = ::testing::ExitedWithCode(2);
+  EXPECT_EXIT(parse("--seeds=2OO").GetInt("seeds", 0), exits2,
+              "invalid value for --seeds: '2OO'");
+  EXPECT_EXIT(parse("--min-slow=two").GetInt("min-slow", 1), exits2,
+              "invalid value for --min-slow: 'two'");
+  EXPECT_EXIT(parse("--n=").GetInt("n", 1), exits2, "--n: ''");
+  EXPECT_EXIT(parse("--n=1.5").GetInt("n", 1), exits2, "--n: '1.5'");
+  EXPECT_EXIT(parse("--n=99999999999999999999").GetInt("n", 1), exits2,
+              "--n: '99999999999999999999'");
+  EXPECT_EXIT(parse("--physical-sf=0.O2").GetDouble("physical-sf", 1),
+              exits2, "invalid value for --physical-sf: '0.O2'");
+  EXPECT_EXIT(parse("--rel-tol=2%").GetDouble("rel-tol", 0), exits2,
+              "--rel-tol: '2%'");
+  EXPECT_EXIT(parse("--x=1e999").GetDouble("x", 0), exits2, "--x: '1e999'");
+  EXPECT_EXIT(parse("--x=nan").GetDouble("x", 0), exits2, "--x: 'nan'");
+  EXPECT_EXIT(parse("--native=ture").GetBool("native", false), exits2,
+              "invalid value for --native: 'ture'");
+}
+
 // ---------- whole-file writes ----------
 
 std::string TempPath(const std::string& name) {

@@ -1,5 +1,5 @@
 // Telemetry export pipeline: every JSON artifact the observability layer
-// emits (Chrome trace, trace JSONL, profile JSON, Prometheus exposition)
+// emits (Chrome trace, profile JSON, Prometheus exposition)
 // must round-trip through the repo's own JSON parser, the distributed
 // trace must form a coherent causal tree (every retry chained to the
 // attempt it retried, every fault flow-linked to the retry it caused), and
@@ -261,7 +261,7 @@ TEST(TraceExport, RollupsSummarizeNodeImbalance) {
 
 // --- Round-trips: every exported artifact parses with common/json. ---
 
-TEST(TraceExport, JsonAndJsonlParse) {
+TEST(TraceExport, ChromeJsonParses) {
   ScopedTracing tracing;
   const auto r = RunWith(3, cluster::FaultPlan::Crash({1}));
   ASSERT_TRUE(r.ok());
@@ -271,24 +271,15 @@ TEST(TraceExport, JsonAndJsonlParse) {
   ASSERT_TRUE(JsonValue::Parse(obs::TraceSink::Global().ToJson(), &doc,
                                &error))
       << error;
-
-  const std::string jsonl = obs::TraceSink::Global().ToJsonl();
-  size_t start = 0, lines = 0;
-  while (start < jsonl.size()) {
-    size_t end = jsonl.find('\n', start);
-    if (end == std::string::npos) end = jsonl.size();
-    const std::string line = jsonl.substr(start, end - start);
-    if (!line.empty()) {
-      ++lines;
-      JsonValue v;
-      ASSERT_TRUE(JsonValue::Parse(line, &v, &error))
-          << "line " << lines << ": " << error;
-      EXPECT_NE(v.Find("name"), nullptr);
-      EXPECT_NE(v.Find("ph"), nullptr);
-    }
-    start = end + 1;
+  const JsonValue* events = doc.Find("traceEvents");
+  ASSERT_NE(events, nullptr);
+  ASSERT_TRUE(events->is_array());
+  // Every recorded event plus the process_name metadata rows.
+  EXPECT_GE(events->AsArray().size(), obs::TraceSink::Global().size());
+  for (const JsonValue& e : events->AsArray()) {
+    EXPECT_NE(e.Find("name"), nullptr);
+    EXPECT_NE(e.Find("ph"), nullptr);
   }
-  EXPECT_EQ(lines, obs::TraceSink::Global().size());
 }
 
 TEST(ProfileJson, ParsesAndMatchesTreeShape) {

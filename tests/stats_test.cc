@@ -327,28 +327,18 @@ TEST(StatsRegistryTest, GroupByEstimateUsesNdv) {
   EXPECT_LE(est, 10);
 }
 
-TEST(StatsRegistryTest, AutoCollectBuildsStatsLazily) {
+TEST(StatsRegistryTest, UncollectedTableYieldsNoEstimate) {
+  // Estimation never collects: without Collect the registry stays empty
+  // and the estimator reports "unknown" (negative).
   stats::StatsRegistry reg;
-  reg.EnableAutoCollect(&TestDb());
   const storage::Table& li = TestDb().table("lineitem");
   const exec::ColumnSource src(li);
   const auto pred = exec::Predicate::CmpF64("l_quantity", exec::CmpOp::kLe, 25);
-
-  // Flag off (default): no estimate, nothing collected.
   EXPECT_LT(reg.EstimateFilterRows(src, pred, li.num_rows()), 0);
   EXPECT_EQ(reg.Find("lineitem"), nullptr);
 
-  // Flag on: the first estimate triggers a sampled build.
-  exec::ExecOptions opts;
-  opts.collect_scan_stats = true;
-  exec::ScopedExecOptions scope(opts);
-  const double est = reg.EstimateFilterRows(src, pred, li.num_rows());
-  EXPECT_GE(est, 0);
-  ASSERT_NE(reg.Find("lineitem"), nullptr);
-  // Sampled, not eager.
-  const stats::ColumnStats* cs = reg.FindColumn("lineitem", "l_quantity");
-  ASSERT_NE(cs, nullptr);
-  EXPECT_LT(cs->sample_rows, cs->row_count);
+  reg.Collect(*TestDb().table_ptr("lineitem"));
+  EXPECT_GE(reg.EstimateFilterRows(src, pred, li.num_rows()), 0);
 }
 
 TEST(StatsRegistryTest, ConcurrentCollectAndEstimate) {

@@ -246,20 +246,24 @@ int main(int argc, char** argv) {
   // --- Trace export (--trace): one representative fine-grained scenario,
   // for `wimpi_check cluster` (steal/ckpt span causality). ---
   if (!trace_path.empty()) {
-    obs::TraceSink::Global().Clear();
-    obs::TraceSink::Global().set_enabled(true);
-    const auto traced = run_once(
-        queries[trace_seed % queries.size()], 1.0,
-        cluster::RecoveryMode::kFineGrained, true,
-        cluster::FaultPlan::Generate(trace_seed, nodes),
-        cluster::ResizePlan::Generate(trace_seed, nodes));
-    obs::TraceSink::Global().set_enabled(false);
+    const int q = queries[trace_seed % queries.size()];
+    const cluster::FaultPlan faults =
+        cluster::FaultPlan::Generate(trace_seed, nodes);
+    const auto traced =
+        run_once(q, 1.0, cluster::RecoveryMode::kFineGrained, true, faults,
+                 cluster::ResizePlan::Generate(trace_seed, nodes));
     if (!traced.ok()) {
       std::fprintf(stderr, "[bench] trace scenario failed: %s\n",
                    traced.status().ToString().c_str());
       return 1;
     }
-    if (!obs::TraceSink::Global().WriteFile(trace_path)) return 1;
+    std::string error;
+    if (!obs::WriteTraceFile(trace_path,
+                             cluster::ClusterTrace(q, *traced, faults, 1),
+                             &error)) {
+      std::fprintf(stderr, "[bench] %s\n", error.c_str());
+      return 1;
+    }
     std::fprintf(stderr, "[bench] wrote trace %s (seed %llu, steals %d)\n",
                  trace_path.c_str(),
                  static_cast<unsigned long long>(trace_seed),

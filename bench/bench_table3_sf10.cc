@@ -144,12 +144,6 @@ int main(int argc, char** argv) {
   }
   std::map<int, wimpi::cluster::DistributedRun> fault_runs;
   if (fault_seed != 0) {
-    // Telemetry export (--trace): the degraded-mode runs record span
-    // trees; results and modeled times are bit-identical either way.
-    if (!trace_path.empty()) {
-      wimpi::obs::TraceSink::Global().Clear();
-      wimpi::obs::TraceSink::Global().set_enabled(true);
-    }
     wimpi::cluster::ClusterOptions fopts;
     fopts.num_nodes = 24;
     fopts.sf_scale = model_sf / physical_sf;
@@ -176,9 +170,20 @@ int main(int argc, char** argv) {
       fault_runs.emplace(q, std::move(*r));
     }
     ft.Print(std::cout);
+    // Telemetry export (--trace): each degraded-mode run rendered as its
+    // own trace, with the query number as trace id.
     if (!trace_path.empty()) {
-      wimpi::obs::TraceSink::Global().set_enabled(false);
-      if (!wimpi::obs::TraceSink::Global().WriteFile(trace_path)) return 1;
+      std::vector<wimpi::obs::TraceEvent> events;
+      for (const auto& [q, run] : fault_runs) {
+        const auto trace = wimpi::cluster::ClusterTrace(q, run, fopts.faults,
+                                                        q);
+        events.insert(events.end(), trace.begin(), trace.end());
+      }
+      std::string error;
+      if (!wimpi::obs::WriteTraceFile(trace_path, events, &error)) {
+        std::fprintf(stderr, "[bench] %s\n", error.c_str());
+        return 1;
+      }
       std::fprintf(stderr, "[bench] wrote trace %s\n", trace_path.c_str());
     }
   }

@@ -6,8 +6,10 @@
 //   * a cost-model residual report (measured vs modeled per-operator-class
 //     seconds, anchored to this host's total).
 //
-// Optionally dumps per-morsel/per-task spans as Chrome trace-event JSON
-// (chrome://tracing, ui.perfetto.dev) and the thread-pool latency metrics.
+// Optionally renders each query as Chrome trace-event JSON (chrome://tracing,
+// ui.perfetto.dev) — the operator tree from the profile plus the pipeline,
+// morsel and pool-task spans from the flight rings — and dumps the
+// thread-pool latency metrics.
 //
 // With --perf, hardware counters (perf_event_open) are attached to the run:
 // the tree gains per-operator IPC / LLC-miss columns and a counter-residual
@@ -46,9 +48,10 @@
 #include "engine/executor.h"
 #include "hw/cost_model.h"
 #include "hw/host_anchor.h"
-#include "obs/export/exposition.h"
-#include "obs/metrics.h"
 #include "obs/clock.h"
+#include "obs/export/exposition.h"
+#include "obs/flight/flight_recorder.h"
+#include "obs/metrics.h"
 #include "obs/profiler.h"
 #include "obs/residual.h"
 #include "obs/timeline/roofline.h"
@@ -195,7 +198,6 @@ int main(int argc, char** argv) {
   }
 
   wimpi::obs::ProfileOptions popts;
-  popts.trace = !trace_path.empty();
   popts.pool_metrics = pool_metrics;
   popts.perf_counters = perf;
   if (perf && threads > 1) {
@@ -224,8 +226,9 @@ int main(int argc, char** argv) {
   }
   const tl::RooflineSpec roofline_spec =
       tl::RooflineSpec::FromProfile(host, threads, model);
-  // Counter tracks of every query's slice, appended to the --trace file.
-  std::vector<wimpi::obs::TraceEvent> counter_tracks;
+  // The --trace file: every query's rendering plus its timeline slice's
+  // counter tracks.
+  std::vector<wimpi::obs::TraceEvent> trace_events;
 
   std::string profiles_json;  // accumulated {"Q1":{...},...} for --json
   for (const int q : queries) {
@@ -238,6 +241,16 @@ int main(int argc, char** argv) {
         },
         popts, &profile, &stats, "Q" + std::to_string(q));
     const int64_t tl_end = wimpi::obs::NowMicros();
+    if (!trace_path.empty()) {
+      // Rendered right after the query, while the flight rings still hold
+      // all of its records.
+      const auto ops = profile.ToTraceEvents(static_cast<uint64_t>(q));
+      const auto flight = wimpi::obs::flight::FlightRecorder::ToTraceEvents(
+          wimpi::obs::flight::FlightRecorder::Global().SnapshotSince(
+              tl_start));
+      trace_events.insert(trace_events.end(), ops.begin(), ops.end());
+      trace_events.insert(trace_events.end(), flight.begin(), flight.end());
+    }
     std::printf("\n=== Q%d: %lld result row%s ===\n", q,
                 static_cast<long long>(result.num_rows()),
                 result.num_rows() == 1 ? "" : "s");
@@ -301,7 +314,7 @@ int main(int argc, char** argv) {
         tl::CrossCheckWithModel(model, host, stats, threads, &summary);
         std::printf("%s", summary.Format().c_str());
       }
-      qtl.AppendCounterTracks(&counter_tracks);
+      qtl.AppendCounterTracks(&trace_events);
     }
   }
   if (sampling) sampler.Stop();
@@ -332,15 +345,9 @@ int main(int argc, char** argv) {
   if (!trace_path.empty()) {
     // Counter tracks render alongside the span tree in chrome://tracing /
     // Perfetto: bandwidth and occupancy as graphs above the operators.
-    std::vector<wimpi::obs::TraceEvent> events =
-        wimpi::obs::TraceSink::Global().Snapshot();
-    events.insert(events.end(), counter_tracks.begin(), counter_tracks.end());
-    std::string error;
-    if (!wimpi::obs::WriteTraceFile(trace_path, events, &error)) {
-      std::fprintf(stderr, "%s\n", error.c_str());
+    if (!WriteOutput(trace_path, wimpi::obs::TraceEventsToJson(trace_events)))
       return 1;
-    }
-    std::printf("\nWrote %zu trace events to %s\n", events.size(),
+    std::printf("\nWrote %zu trace events to %s\n", trace_events.size(),
                 trace_path.c_str());
   }
   return 0;

@@ -32,12 +32,12 @@ export TSAN_OPTIONS="halt_on_error=1 ${TSAN_OPTIONS:-}"
 # running the binary directly keeps the TSan pass quick while still covering
 # every query at every thread count.
 "${build_dir}/tests/parallel_queries_test"
-# Observability: profiling/trace/pool-metrics instrumentation races against
+# Observability: profiling/pool-metrics/flight instrumentation races against
 # worker threads would surface here (profiled runs at every thread count).
 "${build_dir}/tests/obs_test"
 "${build_dir}/tests/obs_queries_test"
-# Telemetry export: distributed-trace emission and the exposition writer
-# against traced fault-injected cluster runs.
+# Telemetry export: trace rendering of fault-injected cluster runs and the
+# exposition writer.
 "${build_dir}/tests/obs_export_test"
 # Perf-counter attach/detach around worker threads, and the MemoryTracker
 # concurrent used/peak accounting.

@@ -50,20 +50,32 @@ if [[ "${WIMPI_CI_SKIP_BENCH:-0}" != "1" ]]; then
   echo "=== [3/5] flight-recorder and sampler overhead gates ==="
   # The always-on recorder must not move mean latency: A/B on the same
   # straggler-free workload, flight off vs on; only the mean-latency
-  # rollup is compared (the answer checksums are gated in ctest). The
-  # tolerance is env-overridable because single-core CI hosts are noisy;
-  # the paper-facing budget is the TotalRecorded cost of one relaxed store
-  # per event, asserted in flight_test, not wall time.
+  # rollup is compared (the answer checksums are gated in ctest). One
+  # short run per side flaked (a single slow run on a busy host reads as
+  # overhead), so each side runs seven 6-lap runs, off and on interleaved so
+  # host drift hits both alike, and the gate compares each side's median
+  # run. The tolerance is env-overridable because single-core CI hosts
+  # are noisy; the paper-facing budget is the TotalRecorded cost of one
+  # relaxed store per event, asserted in flight_test, not wall time.
   flight_tol="${WIMPI_CI_FLIGHT_TOL:-0.15}"
-  flight_off="${build_dir}/BENCH_flight_off.json"
-  flight_on="${build_dir}/BENCH_flight_on.json"
-  WIMPI_PERF_DISABLE=1 "${bench}/bench_throughput" \
-    --streams 2 --laps 2 --physical-sf 0.01 --flight-off \
-    --json "${flight_off}" > /dev/null
-  WIMPI_PERF_DISABLE=1 "${bench}/bench_throughput" \
-    --streams 2 --laps 2 --physical-sf 0.01 \
-    --json "${flight_on}" > /dev/null
-  "${bench}/wimpi_check" compare "${flight_off}" "${flight_on}" \
+  flight_runs=7
+  for i in $(seq "${flight_runs}"); do
+    for side in off on; do
+      WIMPI_PERF_DISABLE=1 "${bench}/bench_throughput" \
+        --streams 2 --laps 6 --physical-sf 0.01 \
+        --flight-off "$([[ "${side}" == off ]] && echo true || echo false)" \
+        --json "${build_dir}/BENCH_flight_${side}_${i}.json" > /dev/null
+    done
+  done
+  # The artifact among "$@" whose mean latency is the median.
+  median_run() {
+    for f in "$@"; do
+      echo "$(sed -n 's/.*"mean_latency_seconds":\([^,}]*\).*/\1/p' "${f}") ${f}"
+    done | sort -g | sed -n "$(( ($# + 1) / 2 ))p" | cut -d' ' -f2
+  }
+  "${bench}/wimpi_check" compare \
+    "$(median_run "${build_dir}"/BENCH_flight_off_*.json)" \
+    "$(median_run "${build_dir}"/BENCH_flight_on_*.json)" \
     --only mean_latency --wall-tol "${flight_tol}"
 
   # Sampling must not move mean latency either: sampler off here vs the

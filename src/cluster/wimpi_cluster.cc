@@ -9,11 +9,10 @@
 #include "cluster/partials.h"
 #include "cluster/partition.h"
 #include "exec/exec_options.h"
+#include "obs/clock.h"
 #include "obs/export/aggregate.h"
 #include "obs/flight/flight_recorder.h"
 #include "obs/metrics.h"
-#include "obs/trace.h"
-#include "obs/tracing/span.h"
 #include "parallel/cancellation.h"
 #include "parallel/steal.h"
 #include "tpch/dbgen.h"
@@ -101,210 +100,166 @@ const char* FaultLabel(const AttemptRecord& a, const FaultPlan& plan) {
   return f != nullptr ? FaultKindName(f->kind) : "unavailable";
 }
 
-// Event builders for the modeled-time process of `root`'s trace.
-obs::TraceEvent ModeledEvent(std::string name, const char* category, int tid,
-                             double t, const obs::SpanContext& root) {
-  obs::TraceEvent e;
-  e.name = std::move(name);
-  e.category = category;
-  e.pid = obs::kTracePidCluster;
-  e.tid = tid;
-  e.ts_us = ModeledUs(t);
-  e.trace_id = root.trace_id;
-  return e;
-}
+// Appends the events of one run's trace. Span and flow ids count up from 1
+// within the trace (the root span is 1), so one run always renders to the
+// same events.
+class TraceBuilder {
+ public:
+  TraceBuilder(uint64_t trace_id, std::vector<obs::TraceEvent>* out)
+      : trace_id_(trace_id), out_(out) {}
 
-// The run's root span on lane 0, covering the whole modeled run.
-void RecordRoot(std::string name, double seconds, std::string args,
-                const obs::SpanContext& root) {
-  obs::TraceEvent e = ModeledEvent(std::move(name), "cluster", 0, 0, root);
-  e.dur_us = ModeledUs(seconds);
-  e.span_id = root.span_id;
-  e.args_json = std::move(args);
-  obs::TraceSink::Global().Record(std::move(e));
-}
+  static constexpr uint64_t kRoot = 1;
 
-// A span from t0 to t1 (or, with phase 'i', an instant at t0) under
-// `parent`; returns its span id.
-uint64_t RecordSpan(std::string name, const char* category, int tid,
-                    double t0, double t1, uint64_t parent, std::string args,
-                    const obs::SpanContext& root, char phase = 'X') {
-  obs::TraceEvent e = ModeledEvent(std::move(name), category, tid, t0, root);
-  e.phase = phase;
-  if (phase == 'X') e.dur_us = ModeledUs(t1) - e.ts_us;
-  e.span_id = obs::NewSpanId();
-  e.parent_id = parent;
-  e.args_json = std::move(args);
-  const uint64_t id = e.span_id;
-  obs::TraceSink::Global().Record(std::move(e));
-  return id;
-}
-
-void RecordInstant(std::string name, const char* category, int tid, double t,
-                   uint64_t parent, std::string args,
-                   const obs::SpanContext& root) {
-  RecordSpan(std::move(name), category, tid, t, t, parent, std::move(args),
-             root, 'i');
-}
-
-// The fault instant of a failed attempt, on its node's lane.
-void RecordFault(const AttemptRecord& a, const FaultPlan& plan,
-                 uint64_t attempt_span, const obs::SpanContext& root) {
-  RecordInstant(FaultLabel(a, plan), "cluster.fault", NodeLane(a.node),
-                a.end_seconds, attempt_span, "", root);
-}
-
-// A causal arrow (an 's'/'f' flow pair) from `from_node`'s lane at t_from
-// to `to_node`'s lane at t_to.
-void RecordFlow(const char* name, int from_node, double t_from, int to_node,
-                double t_to, const obs::SpanContext& root) {
-  const uint64_t flow = obs::NewSpanId();
-  for (const bool start : {true, false}) {
-    const int node = start ? from_node : to_node;
-    obs::TraceEvent e = ModeledEvent(name, "cluster.flow", NodeLane(node),
-                                     start ? t_from : t_to, root);
-    e.phase = start ? 's' : 'f';
-    e.flow_id = flow;
-    obs::TraceSink::Global().Record(std::move(e));
-  }
-}
-
-// The umbrella span of partition `p` from t0 to t1; returns its span id.
-uint64_t RecordPartition(int p, double t0, double t1, std::string args,
-                         const obs::SpanContext& root) {
-  return RecordSpan("partition " + std::to_string(p), "cluster.partition",
-                    PartitionLane(p), t0, t1, root.span_id, std::move(args),
-                    root);
-}
-
-// Exports the run's modeled timeline as one causal span tree under
-// `root`:
-//
-//   Q<q> distributed                      (root, lane 0)
-//   `- partition p                        (lane 1000+p)
-//      `- attempt 0 on its home node      (lane 1+node)
-//         `- attempt 1 ...                (retry chain: each retry is a
-//            `- attempt 2 ...              child of the attempt it retries)
-//
-// Every failed attempt additionally gets a fault instant event (child of
-// the failed attempt) and a flow arrow from the failure to the retry or
-// reassigned attempt it triggered, so a straggler's recovery history reads
-// directly off the trace.
-void EmitClusterTrace(int q, const DistributedRun& run, const FaultPlan& plan,
-                      const obs::SpanContext& root) {
-  char args[120];
-  std::snprintf(args, sizeof(args),
-                "{\"nodes\":%d,\"retries\":%d,\"reassigned\":%d}",
-                run.nodes_used, run.retries, run.reassigned_partitions);
-  RecordRoot("Q" + std::to_string(q) + " distributed", run.total_seconds,
-             args, root);
-
-  // Group the (partition-ordered) timeline by partition.
-  std::map<int, std::vector<const AttemptRecord*>> by_partition;
-  for (const AttemptRecord& a : run.attempts) {
-    by_partition[a.partition].push_back(&a);
+  // A modeled span from t0 to t1 (or, with phase 'i', an instant at t0)
+  // under `parent` (0 = the root itself); returns its span id.
+  uint64_t Span(std::string name, const char* category, int tid, double t0,
+                double t1, uint64_t parent, std::string args,
+                char phase = 'X') {
+    out_->push_back({.name = std::move(name),
+                     .category = category,
+                     .phase = phase,
+                     .ts_us = ModeledUs(t0),
+                     .dur_us = phase == 'X' ? ModeledUs(t1) - ModeledUs(t0) : 0,
+                     .tid = tid,
+                     .pid = obs::kTracePidCluster,
+                     .trace_id = trace_id_,
+                     .span_id = next_id_++,
+                     .parent_id = parent,
+                     .args_json = std::move(args)});
+    return out_->back().span_id;
   }
 
-  for (const auto& [p, attempts] : by_partition) {
-    uint64_t prev_span =
-        RecordPartition(p, attempts.front()->start_seconds,
-                        attempts.back()->end_seconds, "", root);
-    for (size_t i = 0; i < attempts.size(); ++i) {
-      const AttemptRecord& a = *attempts[i];
-      char name[64];
-      std::snprintf(name, sizeof(name), "Q%d p%d try%d", q, a.partition,
-                    a.attempt);
-      std::snprintf(
-          args, sizeof(args),
-          "{\"partition\":%d,\"node\":%d,\"attempt\":%d,\"outcome\":\"%s\"}",
-          a.partition, a.node, a.attempt,
-          Status::CodeName(a.outcome).c_str());
-      const uint64_t attempt_span =
-          RecordSpan(name, "cluster.attempt", NodeLane(a.node),
-                     a.start_seconds, a.end_seconds, prev_span, args, root);
-      if (a.outcome != StatusCode::kOk) {
-        RecordFault(a, plan, attempt_span, root);
-        if (i + 1 < attempts.size()) {
-          // Causal arrow: this failure triggered the next attempt.
-          const AttemptRecord& next = *attempts[i + 1];
-          RecordFlow("retry", a.node, a.end_seconds, next.node,
-                     next.start_seconds, root);
-        }
-      }
-      prev_span = attempt_span;
+  // A causal arrow (an 's'/'f' flow pair) from `from_node`'s lane at
+  // t_from to `to_node`'s lane at t_to. Viewers pair flow ends by id alone,
+  // so the id carries the trace id too: traces of several runs can share
+  // one file.
+  void Flow(const char* name, int from_node, double t_from, int to_node,
+            double t_to) {
+    const uint64_t flow = trace_id_ << 32 | next_id_++;
+    for (const bool start : {true, false}) {
+      out_->push_back({.name = name,
+                       .category = "cluster.flow",
+                       .phase = start ? 's' : 'f',
+                       .ts_us = ModeledUs(start ? t_from : t_to),
+                       .tid = NodeLane(start ? from_node : to_node),
+                       .pid = obs::kTracePidCluster,
+                       .trace_id = trace_id_,
+                       .flow_id = flow,
+                       .args_json = ""});
     }
   }
-}
 
-// Fine-grained recovery timeline (DESIGN.md §14). Same lane layout as the
-// retry trace, but the unit of work is a morsel-range segment:
+  // One real-clock span per executed partial, on the host process.
+  void HostPartials(const DistributedRun& run) {
+    for (size_t p = 0; p < run.partial_host_us.size(); ++p) {
+      const auto [start_us, end_us] = run.partial_host_us[p];
+      out_->push_back({.name = "partial p" + std::to_string(p),
+                       .category = "cluster.exec",
+                       .ts_us = start_us,
+                       .dur_us = end_us - start_us,
+                       .trace_id = trace_id_,
+                       .span_id = next_id_++,
+                       .parent_id = kRoot,
+                       .args_json = ""});
+    }
+  }
+
+ private:
+  uint64_t trace_id_;
+  uint64_t next_id_ = kRoot;
+  std::vector<obs::TraceEvent>* out_;
+};
+
+// The modeled timeline of either recovery mode, one lane per node:
 //
 //   Q<q> distributed [fine]                (root, lane 0)
 //   `- partition p {morsels:M}             (lane 1000+p)
-//      `- Q<q> p<p> seg<k>                 (lane 1+node, one per segment)
+//      `- Q<q> p<p> try<k> | seg<k>        (lane 1+node)
 //
-// Every steal gets an instant on the thief's lane (parented to the thief's
-// stolen segment) plus a "steal" flow arrow from the victim's lane; every
+// Retry mode chains its attempts (each retry is a child of the attempt it
+// retries); fine-grained recovery (DESIGN.md §14) hangs every morsel-range
+// segment off its partition. Every failed attempt gets a fault instant and
+// a flow arrow to the attempt that redid its work ("retry": the next
+// attempt; "recover": the segment that re-executes the lost range), so a
+// straggler's recovery history reads directly off the trace. Every steal
+// gets an instant on the thief's lane (parented to the thief's stolen
+// segment) plus a "steal" flow arrow from the victim's lane; every
 // checkpoint publish gets a "ckpt" instant carrying {partition, morsels,
-// bytes} — so per partition the ckpt morsels sum to the partition's
-// morsel count, the invariant `wimpi_check cluster` enforces. Lost segments
-// get a fault instant and a "recover" flow to the segment that re-executes
-// the lost range.
-void EmitFineTrace(int q, const DistributedRun& run, const FaultPlan& plan,
-                   const std::vector<int>& morsels,
-                   const std::vector<CheckpointRecord>& ckpts,
-                   const obs::SpanContext& root) {
+// bytes}, so per partition the ckpt morsels sum to the partition's morsel
+// count, the invariant `wimpi_check cluster` enforces.
+void ModeledTrace(int q, const DistributedRun& run, const FaultPlan& plan,
+                  TraceBuilder* b) {
+  const bool fine = !run.partition_morsels.empty();
   char args[180];
-  std::snprintf(args, sizeof(args),
-                "{\"nodes\":%d,\"steals\":%d,\"ckpts\":%d,"
-                "\"recovered\":%d,\"mode\":\"fine\"}",
-                run.nodes_used, run.steals, run.checkpoints,
-                run.recovered_morsels);
-  RecordRoot("Q" + std::to_string(q) + " distributed [fine]",
-             run.total_seconds, args, root);
+  if (fine) {
+    std::snprintf(args, sizeof(args),
+                  "{\"nodes\":%d,\"steals\":%d,\"ckpts\":%d,"
+                  "\"recovered\":%d,\"mode\":\"fine\"}",
+                  run.nodes_used, run.steals, run.checkpoints,
+                  run.recovered_morsels);
+  } else {
+    std::snprintf(args, sizeof(args),
+                  "{\"nodes\":%d,\"retries\":%d,\"reassigned\":%d}",
+                  run.nodes_used, run.retries, run.reassigned_partitions);
+  }
+  char name[64];
+  std::snprintf(name, sizeof(name), "Q%d distributed%s", q,
+                fine ? " [fine]" : "");
+  b->Span(name, "cluster", 0, 0, run.total_seconds, 0, args);
 
   std::map<int, std::vector<const AttemptRecord*>> by_partition;
   for (const AttemptRecord& a : run.attempts) {
     by_partition[a.partition].push_back(&a);
   }
-
   std::map<int, uint64_t> partition_span;
   std::map<const AttemptRecord*, uint64_t> span_of;
-  for (const auto& [p, segs] : by_partition) {
-    double t0 = segs.front()->start_seconds;
-    double t1 = segs.front()->end_seconds;
-    for (const AttemptRecord* a : segs) {
+  for (const auto& [p, attempts] : by_partition) {
+    double t0 = attempts.front()->start_seconds;
+    double t1 = attempts.front()->end_seconds;
+    for (const AttemptRecord* a : attempts) {
       t0 = std::min(t0, a->start_seconds);
       t1 = std::max(t1, a->end_seconds);
     }
     std::snprintf(args, sizeof(args), "{\"partition\":%d,\"morsels\":%d}", p,
-                  morsels[p]);
-    partition_span[p] = RecordPartition(p, t0, t1, args, root);
-
-    for (const AttemptRecord* a : segs) {
-      char name[64];
-      std::snprintf(name, sizeof(name), "Q%d p%d seg%d", q, a->partition,
-                    a->attempt);
-      std::snprintf(args, sizeof(args),
-                    "{\"partition\":%d,\"node\":%d,\"begin\":%d,\"end\":%d,"
-                    "\"stolen\":%s,\"prev\":%d,\"outcome\":\"%s\"}",
-                    a->partition, a->node, a->morsel_begin, a->morsel_end,
-                    a->stolen ? "true" : "false", a->prev_node,
-                    Status::CodeName(a->outcome).c_str());
-      span_of[a] = RecordSpan(name, "cluster.attempt", NodeLane(a->node),
-                              a->start_seconds, a->end_seconds,
-                              partition_span[p], args, root);
-      if (a->outcome == StatusCode::kOk) continue;
-      RecordFault(*a, plan, span_of[a], root);
-      // The segment that re-executes the lost range starts at its begin
-      // morsel after the loss: link the fault to it.
-      for (const AttemptRecord* b : segs) {
-        if (b == a || b->morsel_begin != a->morsel_begin ||
-            b->start_seconds < a->end_seconds - 1e-9) {
+                  fine ? run.partition_morsels[p] : 0);
+    partition_span[p] = b->Span("partition " + std::to_string(p),
+                                "cluster.partition", PartitionLane(p), t0, t1,
+                                TraceBuilder::kRoot, fine ? args : "");
+    uint64_t parent = partition_span[p];
+    for (size_t i = 0; i < attempts.size(); ++i) {
+      const AttemptRecord& a = *attempts[i];
+      std::snprintf(name, sizeof(name), "Q%d p%d %s%d", q, a.partition,
+                    fine ? "seg" : "try", a.attempt);
+      const std::string outcome = Status::CodeName(a.outcome);
+      if (fine) {
+        std::snprintf(args, sizeof(args),
+                      "{\"partition\":%d,\"node\":%d,\"begin\":%d,"
+                      "\"end\":%d,\"stolen\":%s,\"prev\":%d,"
+                      "\"outcome\":\"%s\"}",
+                      a.partition, a.node, a.morsel_begin, a.morsel_end,
+                      a.stolen ? "true" : "false", a.prev_node,
+                      outcome.c_str());
+      } else {
+        std::snprintf(args, sizeof(args),
+                      "{\"partition\":%d,\"node\":%d,\"attempt\":%d,"
+                      "\"outcome\":\"%s\"}",
+                      a.partition, a.node, a.attempt, outcome.c_str());
+      }
+      span_of[&a] = b->Span(name, "cluster.attempt", NodeLane(a.node),
+                            a.start_seconds, a.end_seconds, parent, args);
+      if (!fine) parent = span_of[&a];
+      if (a.outcome == StatusCode::kOk) continue;
+      b->Span(FaultLabel(a, plan), "cluster.fault", NodeLane(a.node),
+              a.end_seconds, 0, span_of[&a], "", 'i');
+      // Link the failure to the attempt that redid its work.
+      for (size_t j = fine ? 0 : i + 1; j < attempts.size(); ++j) {
+        const AttemptRecord& r = *attempts[j];
+        if (fine && (j == i || r.morsel_begin != a.morsel_begin ||
+                     r.start_seconds < a.end_seconds - 1e-9)) {
           continue;
         }
-        RecordFlow("recover", a->node, a->end_seconds, b->node,
-                   b->start_seconds, root);
+        b->Flow(fine ? "recover" : "retry", a.node, a.end_seconds, r.node,
+                r.start_seconds);
         break;
       }
     }
@@ -312,9 +267,8 @@ void EmitFineTrace(int q, const DistributedRun& run, const FaultPlan& plan,
 
   for (const StealRecord& sr : run.steal_log) {
     uint64_t parent = partition_span[sr.partition];
-    for (const AttemptRecord* a : by_partition[sr.partition]) {
-      if (a->node == sr.thief && a->stolen &&
-          a->morsel_begin == sr.begin) {
+    for (const AttemptRecord* a : by_partition.at(sr.partition)) {
+      if (a->node == sr.thief && a->stolen && a->morsel_begin == sr.begin) {
         parent = span_of[a];
         break;
       }
@@ -323,22 +277,30 @@ void EmitFineTrace(int q, const DistributedRun& run, const FaultPlan& plan,
                   "{\"partition\":%d,\"victim\":%d,\"thief\":%d,"
                   "\"morsels\":%d}",
                   sr.partition, sr.victim, sr.thief, sr.end - sr.begin);
-    RecordInstant("steal", "cluster.steal", NodeLane(sr.thief),
-                  sr.at_seconds, parent, args, root);
-    RecordFlow("steal", sr.victim, sr.at_seconds, sr.thief, sr.at_seconds,
-               root);
+    b->Span("steal", "cluster.steal", NodeLane(sr.thief), sr.at_seconds, 0,
+            parent, args, 'i');
+    b->Flow("steal", sr.victim, sr.at_seconds, sr.thief, sr.at_seconds);
   }
-
-  for (const CheckpointRecord& ck : ckpts) {
+  for (const CheckpointRecord& ck : run.checkpoint_log) {
     std::snprintf(args, sizeof(args),
                   "{\"partition\":%d,\"morsels\":%d,\"bytes\":%.0f}",
                   ck.partition, ck.morsels, ck.bytes);
-    RecordInstant("ckpt", "cluster.ckpt", NodeLane(ck.node), ck.at_seconds,
-                  partition_span[ck.partition], args, root);
+    b->Span("ckpt", "cluster.ckpt", NodeLane(ck.node), ck.at_seconds, 0,
+            partition_span[ck.partition], args, 'i');
   }
 }
 
 }  // namespace
+
+std::vector<obs::TraceEvent> ClusterTrace(int q, const DistributedRun& run,
+                                          const FaultPlan& faults,
+                                          uint64_t trace_id) {
+  std::vector<obs::TraceEvent> out;
+  TraceBuilder b(trace_id, &out);
+  ModeledTrace(q, run, faults, &b);
+  b.HostPartials(run);
+  return out;
+}
 
 Result<DistributedRun> WimpiCluster::Run(int q,
                                          const hw::CostModel& model) const {
@@ -356,18 +318,6 @@ Result<DistributedRun> WimpiCluster::Run(int q,
   DistributedRun run;
   run.nodes_used = nodes;
 
-  // Tracing context, allocated up front so the real-clock partial
-  // executions and the modeled timeline emitted at the end share one
-  // trace id. Purely observational: a traced run computes the exact same
-  // schedule, times, and result as an untraced one.
-  const bool traced = obs::TraceSink::Global().enabled();
-  obs::SpanContext root_ctx;
-  if (traced) {
-    root_ctx.trace_id = obs::NewTraceId();
-    root_ctx.span_id = obs::NewSpanId();
-    run.trace_id = root_ctx.trace_id;
-  }
-
   // Partial-result sizes that scale with data (per-group outputs like Q3's)
   // are projected to the model SF; few-row aggregates are not.
   auto scaled_bytes = [&](const exec::Relation& r) {
@@ -379,22 +329,19 @@ Result<DistributedRun> WimpiCluster::Run(int q,
   // never executes the remaining partitions, and the cancellation token
   // stops any in-flight morsel loop of the current one promptly). ----
   std::vector<PartitionExec> parts(nodes);
+  run.partial_host_us.assign(nodes, {0, 0});
   parallel::CancellationToken cancel;
   auto ensure_exec = [&](int p) -> const PartitionExec& {
     PartitionExec& pe = parts[p];
     if (pe.done) return pe;
     exec::QueryStats stats;
     {
-      // Join the host-side execution (operator scopes, morsel tasks on
-      // pool workers) to the distributed trace: the partial's real-clock
-      // spans become children of the run's modeled root span.
-      obs::ScopedSpanContext adopt(traced ? root_ctx
-                                          : obs::CurrentSpanContext());
-      obs::Span span("partial p" + std::to_string(p), "cluster.exec", "");
       exec::ExecOptions eopts = exec::CurrentExecOptions();
       eopts.cancellation = &cancel;
       exec::ScopedExecOptions scope(eopts);
+      const int64_t start_us = obs::NowMicros();
       pe.partial = RunPartial(q, node_dbs_[p], &stats);
+      run.partial_host_us[p] = {start_us, obs::NowMicros()};
     }
     stats.Scale(opts_.sf_scale);
     pe.work_s = model.WorkSeconds(pi, stats, opts_.threads_per_node);
@@ -514,6 +461,8 @@ Result<DistributedRun> WimpiCluster::Run(int q,
     run.joins = sched.joins;
     run.leaves = sched.leaves;
     run.steal_log = sched.steals;
+    run.partition_morsels = fin.morsels;
+    run.checkpoint_log = sched.checkpoints;
 
     // Attempt timeline: segments partition-major, per-partition in start
     // order — the provenance view wimpi_top renders.
@@ -619,10 +568,6 @@ Result<DistributedRun> WimpiCluster::Run(int q,
       obs::flight::FlightRecorder::Record(
           obs::flight::EventKind::kClusterCkpt, 0, ck.node,
           (static_cast<int64_t>(ck.partition) << 32) | ck.morsels);
-    }
-
-    if (traced) {
-      EmitFineTrace(q, run, plan, fin.morsels, sched.checkpoints, root_ctx);
     }
     return run;
   }
@@ -821,7 +766,7 @@ Result<DistributedRun> WimpiCluster::Run(int q,
 
   // Per-node scalar rollups (straggler diagnosis): min/max/sum/mean/skew
   // of each node's modeled load. Derived from modeled quantities only, so
-  // identical whether or not tracing was on.
+  // deterministic.
   {
     std::vector<int> n_attempts(pool_nodes, 0);
     std::vector<int> n_failed(pool_nodes, 0);
@@ -853,7 +798,6 @@ Result<DistributedRun> WimpiCluster::Run(int q,
         .Add(run.reassigned_partitions);
     reg.counter("cluster.fault.nodes_failed").Add(run.nodes_failed);
   }
-  if (traced) EmitClusterTrace(q, run, plan, root_ctx);
   return run;
 }
 

@@ -5,6 +5,7 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "cluster/fault.h"
@@ -14,6 +15,7 @@
 #include "exec/relation.h"
 #include "hw/cost_model.h"
 #include "hw/profile.h"
+#include "obs/trace.h"
 
 namespace wimpi::cluster {
 
@@ -114,11 +116,14 @@ struct DistributedRun {
   int leaves = 0;             // nodes that left gracefully mid-run
   std::vector<StealRecord> steal_log;
 
-  // ---- telemetry (populated only while the trace sink is enabled) ----
-  // Id of the distributed trace this run exported: the modeled span tree
-  // (root -> partition -> attempt chain) and the real-clock partial
-  // executions all carry it. 0 on an untraced run.
-  uint64_t trace_id = 0;
+  // ---- what ClusterTrace renders beyond the fields above ----
+  // Morsels per partition and the checkpoint publishes in schedule order
+  // (kFineGrained runs only; both empty on a retry-mode run).
+  std::vector<int> partition_morsels;
+  std::vector<CheckpointRecord> checkpoint_log;
+  // Host clock (NowMicros) start and end of each partition's one real
+  // partial execution, in partition order.
+  std::vector<std::pair<int64_t, int64_t>> partial_host_us;
 
   // Cluster-level rollups of per-node scalars (busy_s, spill_s, attempts,
   // retries, failed), each expanded to .min/.max/.sum/.mean/.skew — the
@@ -126,6 +131,18 @@ struct DistributedRun {
   // populated; derived purely from modeled quantities, so deterministic.
   std::map<std::string, double> node_rollups;
 };
+
+// Renders `run` (query `q`, fault plan `faults`) as one distributed trace
+// with id `trace_id`: the modeled timeline on kTracePidCluster (root ->
+// partition -> attempt chain or morsel-range segments, with fault, steal
+// and checkpoint instants and retry/steal/recover flow arrows), plus one
+// real-clock "cluster.exec" span per executed partial on kTracePidHost,
+// each a child of the root. Span ids count from 1 within the trace, so the
+// same run always renders to the same events. Per-morsel host detail of
+// the partials lives in flight dumps, not here.
+std::vector<obs::TraceEvent> ClusterTrace(int q, const DistributedRun& run,
+                                          const FaultPlan& faults,
+                                          uint64_t trace_id);
 
 // Simulated WIMPI cluster: lineitem is hash-partitioned on l_orderkey
 // across nodes, all other tables are fully replicated (physically shared in

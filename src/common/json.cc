@@ -306,6 +306,8 @@ class JsonParser {
           default:
             return Fail("unknown escape");
         }
+      } else if (static_cast<unsigned char>(c) < 0x20) {
+        return Fail("control character in string");
       } else {
         *out += c;
       }
@@ -327,6 +329,7 @@ class JsonParser {
     char* end = nullptr;
     const double v = std::strtod(tok.c_str(), &end);
     if (end == nullptr || *end != '\0') return Fail("malformed number");
+    if (!std::isfinite(v)) return Fail("number out of range");
     *out = JsonValue::MakeNumber(v);
     return true;
   }

@@ -58,11 +58,11 @@ class Executor {
   }
 
   // Like Run, but with profiling installed for the duration of the plan:
-  // `profile` receives the EXPLAIN ANALYZE-style operator tree (and, per
-  // `popts`, trace spans land in obs::TraceSink::Global() and pool metrics
-  // in obs::MetricsRegistry::Global()). The plan's results are identical to
-  // an unprofiled Run — instrumentation only reads clocks, it never alters
-  // execution.
+  // `profile` receives the EXPLAIN ANALYZE-style operator tree (render it
+  // as a trace with QueryProfile::ToTraceEvents), and per `popts` pool
+  // metrics land in obs::MetricsRegistry::Global(). The plan's results are
+  // identical to an unprofiled Run — instrumentation only reads clocks, it
+  // never alters execution.
   template <typename Plan>
   auto RunProfiled(const Plan& plan, const obs::ProfileOptions& popts,
                    obs::QueryProfile* profile,

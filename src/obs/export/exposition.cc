@@ -1,7 +1,10 @@
 #include "obs/export/exposition.h"
 
+#include <algorithm>
 #include <cctype>
+#include <cmath>
 #include <cstdlib>
+#include <limits>
 #include <utility>
 
 #include "common/json.h"
@@ -19,7 +22,11 @@ void WriteSample(std::string& out, const std::string& name,
     out += '}';
   }
   out += ' ';
-  out += JsonNumber(value);
+  // Non-finite values are spelled NaN, +Inf and -Inf (JsonNumber would
+  // write null).
+  out += std::isfinite(value) ? JsonNumber(value)
+         : std::isnan(value)  ? "NaN"
+                              : (value > 0 ? "+Inf" : "-Inf");
   out += '\n';
 }
 
@@ -220,6 +227,34 @@ std::string ExpositionFormat::WriteGlobal() {
 
 namespace {
 
+// Metric names match [a-zA-Z_:][a-zA-Z0-9_:]*, label names the same
+// without ':'.
+bool ValidName(const std::string& name, bool allow_colon) {
+  for (size_t i = 0; i < name.size(); ++i) {
+    const auto c = static_cast<unsigned char>(name[i]);
+    if (!std::isalpha(c) && c != '_' && !(allow_colon && c == ':') &&
+        !(i > 0 && std::isdigit(c))) {
+      return false;
+    }
+  }
+  return !name.empty();
+}
+
+// Parses a sample value: a finite decimal float, or NaN / +Inf / -Inf.
+// Overflowing literals (1e999) are malformed, not infinite.
+bool ParseSampleValue(const std::string& tok, double* out) {
+  if (tok == "NaN" || tok == "+Inf" || tok == "-Inf") {
+    constexpr double kInf = std::numeric_limits<double>::infinity();
+    *out = tok == "NaN" ? std::nan("") : tok[0] == '+' ? kInf : -kInf;
+    return true;
+  }
+  char* end = nullptr;
+  *out = std::strtod(tok.c_str(), &end);
+  return !tok.empty() && end == tok.c_str() + tok.size() &&
+         tok.find_first_not_of("0123456789.eE+-") == std::string::npos &&
+         std::isfinite(*out);
+}
+
 // Unescapes a `# HELP` payload: `\\` -> backslash, `\n` -> line feed.
 std::string UnescapeHelp(const std::string& s) {
   std::string out;
@@ -293,6 +328,7 @@ bool ExpositionFormat::Parse(const std::string& text,
     while (i < line.size() && line[i] != '{' && line[i] != ' ') ++i;
     if (i == 0) return fail("missing metric name");
     sample.name = line.substr(0, i);
+    if (!ValidName(sample.name, true)) return fail("invalid metric name");
     if (i < line.size() && line[i] == '{') {
       ++i;
       while (true) {
@@ -302,20 +338,23 @@ bool ExpositionFormat::Parse(const std::string& text,
           break;
         }
         const size_t eq = line.find('=', i);
-        if (eq == std::string::npos || eq == i) {
-          return fail("malformed label");
-        }
+        if (eq == std::string::npos) return fail("malformed label");
         const std::string key = line.substr(i, eq - i);
+        if (!ValidName(key, false)) return fail("invalid label name");
         i = eq + 1;
         if (i >= line.size() || line[i] != '"') return fail("malformed label");
         ++i;
         // Escape-aware value scan: \" stays inside the value, and a '}'
-        // inside quotes never terminates the label block.
+        // inside quotes never terminates the label block. The format has
+        // exactly three escapes: \\, \" and \n.
         std::string value;
         while (i < line.size() && line[i] != '"') {
           if (line[i] == '\\') {
             if (i + 1 >= line.size()) return fail("unterminated label value");
             const char c = line[i + 1];
+            if (c != '\\' && c != '"' && c != 'n') {
+              return fail("unknown escape in label value");
+            }
             value += c == 'n' ? '\n' : c;
             i += 2;
           } else {
@@ -325,14 +364,25 @@ bool ExpositionFormat::Parse(const std::string& text,
         if (i >= line.size()) return fail("unterminated label value");
         ++i;  // closing quote
         sample.labels[key] = std::move(value);
-        if (i < line.size() && line[i] == ',') ++i;
+        if (i < line.size() && line[i] == ',') {
+          ++i;
+        } else if (i >= line.size() || line[i] != '}') {
+          return fail("expected ',' or '}' after label");
+        }
       }
     }
+    // `<value> [<integer timestamp>]`, separated by spaces.
     while (i < line.size() && line[i] == ' ') ++i;
     if (i >= line.size()) return fail("missing sample value");
-    char* end = nullptr;
-    sample.value = std::strtod(line.c_str() + i, &end);
-    if (end == line.c_str() + i) return fail("malformed sample value");
+    const size_t value_end = std::min(line.find(' ', i), line.size());
+    if (!ParseSampleValue(line.substr(i, value_end - i), &sample.value)) {
+      return fail("malformed sample value");
+    }
+    const size_t ts = line.find_first_not_of(' ', value_end);
+    if (ts != std::string::npos &&
+        line.find_first_not_of("-0123456789", ts) != std::string::npos) {
+      return fail("malformed timestamp");
+    }
     out->push_back(std::move(sample));
   }
   return true;

@@ -1,6 +1,7 @@
 #include "obs/flight/flight_recorder.h"
 
 #include <algorithm>
+#include <cstdint>
 #include <cstdlib>
 #include <initializer_list>
 #include <map>
@@ -118,21 +119,40 @@ void FlightRecorder::set_ring_capacity(size_t events) {
   ring_capacity_.store(events == 0 ? 1 : events, std::memory_order_relaxed);
 }
 
+int CurrentThreadId() {
+  static std::atomic<int> next_tid{0};
+  thread_local int tid = next_tid.fetch_add(1, std::memory_order_relaxed);
+  return tid;
+}
+
 FlightRecorder::Ring* FlightRecorder::RegisterRing() {
-  auto* ring = new Ring(TraceSink::CurrentThreadId(),
+  auto* ring = new Ring(CurrentThreadId(),
                         ring_capacity_.load(std::memory_order_relaxed));
   std::lock_guard<std::mutex> lock(rings_mu_);
   rings_.push_back(ring);
   return ring;
 }
 
+FlightRecorder::Ring* FlightRecorder::ThreadRing() {
+  FlightRecorder& g = Global();
+  if (!g.enabled_.load(std::memory_order_relaxed)) return nullptr;
+  if (t_ring_ == nullptr) t_ring_ = g.RegisterRing();
+  return t_ring_;
+}
+
 void FlightRecorder::Record(EventKind kind, uint64_t query, int32_t a,
                             int64_t b) {
-  FlightRecorder& g = Global();
-  if (!g.enabled_.load(std::memory_order_relaxed)) return;
-  Ring* ring = t_ring_;
-  if (ring == nullptr) ring = t_ring_ = g.RegisterRing();
-  ring->Push(NowMicros(), query, kind, a, b);
+  if (Ring* ring = ThreadRing()) ring->Push(NowMicros(), query, kind, a, b);
+}
+
+void FlightRecorder::RecordSpan(EventKind kind, uint64_t query,
+                                int64_t start_us, int32_t a,
+                                uint32_t payload) {
+  Ring* ring = ThreadRing();
+  if (ring == nullptr) return;
+  const int64_t dur_us =
+      std::clamp<int64_t>(NowMicros() - start_us, 0, INT32_MAX);
+  ring->Push(start_us, query, kind, a, (dur_us << 32) | payload);
 }
 
 void FlightRecorder::NoteFault(int32_t node, int64_t detail) {
@@ -324,6 +344,24 @@ std::vector<TraceEvent> FlightRecorder::ToTraceEvents(
                                  {"morsels", start->a},
                                  {"rows", start->b}})});
     }
+  }
+
+  // Morsels and pool tasks: one span each, from the record's own start
+  // and duration.
+  for (const FlightEvent& e : events) {
+    const bool morsel = e.kind == EventKind::kMorselBatch;
+    if (!morsel && e.kind != EventKind::kPoolTask) continue;
+    out.push_back(
+        {.name = morsel ? "morsel" : "task",
+         .category = morsel ? "flight.morsel" : "flight.task",
+         .ts_us = e.ts_us,
+         .dur_us = e.span_dur_us(),
+         .tid = e.tid,
+         .args_json =
+             morsel ? IntArgs({{"query", static_cast<int64_t>(e.query)},
+                               {"morsel", e.a},
+                               {"rows", e.span_payload()}})
+                    : IntArgs({{"worker", e.a}})});
   }
 
   // Every record as an instant on its thread row.

@@ -39,6 +39,8 @@ namespace wimpi::obs::flight {
 
 // Compact event taxonomy. `a` and `b` are kind-specific payloads (see the
 // Record call sites); `query` is the service-wide query id (0 = none).
+// Span kinds (RecordSpan) are stamped at their start and pack their
+// duration into b: b = duration us << 32 | payload.
 enum class EventKind : uint32_t {
   kQuerySubmit = 1,   // a = priority permille, b = estimated bytes
   kQueueEnter = 2,    // a = queue depth after the push
@@ -48,8 +50,8 @@ enum class EventKind : uint32_t {
   kQueryFinish = 6,   // a = StatusCode, b = wall us
   kPipelineStart = 7, // a = morsel count, b = total rows
   kPipelineEnd = 8,   // a = morsel count, b = pipeline wall us
-  kMorselBatch = 9,   // a = morsel index, b = rows
-  kPoolTask = 10,     // a = worker index
+  kMorselBatch = 9,   // span: a = morsel index, payload = rows
+  kPoolTask = 10,     // span: a = worker index
   kClusterFault = 11, // a = node id, b = fault detail
   kClusterSteal = 12, // a = thief node, b = victim node << 32 | morsels
   kClusterCkpt = 13,  // a = node id, b = partition << 32 | morsels
@@ -62,10 +64,18 @@ struct FlightEvent {
   int64_t ts_us = 0;
   uint64_t query = 0;
   EventKind kind = EventKind::kQuerySubmit;
-  int tid = 0;      // dense TraceSink thread id of the recording thread
+  int tid = 0;      // CurrentThreadId() of the recording thread
   int32_t a = 0;
   int64_t b = 0;
+
+  // The two halves of a span kind's b (see RecordSpan).
+  int64_t span_dur_us() const { return b >> 32; }
+  int64_t span_payload() const { return b & 0xFFFFFFFF; }
 };
+
+// Dense id of the calling thread (0 = first thread that asked): the tid of
+// its ring and its row in every rendered host trace.
+int CurrentThreadId();
 
 class FlightRecorder {
  public:
@@ -84,6 +94,11 @@ class FlightRecorder {
   // release head bump, and one NowMicros read when enabled.
   static void Record(EventKind kind, uint64_t query, int32_t a = 0,
                      int64_t b = 0);
+  // One record for a span that began at `start_us` and ends now: stamped
+  // at its start, with b = duration us << 32 | payload, so renderings draw
+  // it with its duration. Same hot path plus one subtraction.
+  static void RecordSpan(EventKind kind, uint64_t query, int64_t start_us,
+                         int32_t a, uint32_t payload = 0);
 
   // Cluster-fault trigger: records a kClusterFault event, bumps the
   // flight.trigger.fault counter, and — when a fault dump path was
@@ -107,10 +122,12 @@ class FlightRecorder {
   size_t ring_count() const;
 
   // Renders `events` as trace events: one 'X' span per completed query
-  // lifecycle (kTracePidQueryLanes, cat "flight.query"), one 'X' span per
-  // matched pipeline start/end pair on its thread row (kTracePidHost, cat
-  // "flight.pipeline"), and every record as an 'i' instant (kTracePidHost,
-  // cat "flight.event", args {"query","a","b"} — the whole record).
+  // lifecycle (kTracePidQueryLanes, cat "flight.query"); on the recording
+  // thread's row (kTracePidHost) one 'X' span per matched pipeline
+  // start/end pair (cat "flight.pipeline"), per morsel (cat
+  // "flight.morsel") and per pool task (cat "flight.task"); and every
+  // record as an 'i' instant (kTracePidHost, cat "flight.event", args
+  // {"query","a","b"} — the whole record).
   static std::vector<TraceEvent> ToTraceEvents(
       const std::vector<FlightEvent>& events);
 
@@ -128,6 +145,9 @@ class FlightRecorder {
 
   struct Ring;
   Ring* RegisterRing();
+  // The calling thread's ring (registered on first use); nullptr while
+  // the recorder is disabled.
+  static Ring* ThreadRing();
   void AppendRingEvents(const Ring& ring, int64_t since_us,
                         std::vector<FlightEvent>* out) const;
 

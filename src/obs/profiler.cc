@@ -7,9 +7,9 @@
 #include "common/json.h"
 #include "common/logging.h"
 #include "obs/clock.h"
+#include "obs/flight/flight_recorder.h"
 #include "obs/metrics.h"
 #include "obs/stats_hook.h"
-#include "obs/trace.h"
 
 namespace wimpi::obs {
 
@@ -84,6 +84,7 @@ ScopedProfiling::ScopedProfiling(const ProfileOptions& opts,
   out_->root = ProfileNode{};
   out_->root.name = std::move(label);
   out_->wall_seconds = 0;
+  out_->tid = flight::CurrentThreadId();
   if (opts_.operator_profile) {
     g_profile = out_;
     g_current = &out_->root;
@@ -91,13 +92,6 @@ ScopedProfiling::ScopedProfiling(const ProfileOptions& opts,
     g_op_label.store("plan", std::memory_order_relaxed);
     g_active.store(true, std::memory_order_relaxed);
     internal::g_stats_hook_armed.store(true, std::memory_order_relaxed);
-  }
-  prev_trace_ = TraceSink::Global().enabled();
-  if (opts_.trace) {
-    TraceSink::Global().set_enabled(true);
-    // Root of the query's span tree; child of whatever context the caller
-    // (e.g. the cluster driver) installed on this thread.
-    span_ = std::make_unique<Span>(out_->root.name, "query", "");
   }
   prev_pool_metrics_ = PoolMetricsEnabled();
   if (opts_.pool_metrics) SetPoolMetricsEnabled(true);
@@ -108,11 +102,11 @@ ScopedProfiling::ScopedProfiling(const ProfileOptions& opts,
       out_->perf_note = "counters unavailable: " + perf_.error();
     }
   }
-  start_us_ = NowMicros();
+  out_->root.start_us = NowMicros();
 }
 
 ScopedProfiling::~ScopedProfiling() {
-  const double wall = MicrosToSeconds(NowMicros() - start_us_);
+  const double wall = MicrosToSeconds(NowMicros() - out_->root.start_us);
   out_->wall_seconds = wall;
   out_->root.wall_seconds = wall;
   if (perf_.open()) {
@@ -130,8 +124,6 @@ ScopedProfiling::~ScopedProfiling() {
     g_current = nullptr;
     g_profile = nullptr;
   }
-  span_.reset();  // record the query span before the sink is re-disabled
-  TraceSink::Global().set_enabled(prev_trace_);
   SetPoolMetricsEnabled(prev_pool_metrics_);
 }
 
@@ -146,21 +138,17 @@ OpScope::OpScope(const char* name, int64_t rows_in) {
   g_current = node_;
   prev_label_ = g_op_label.load(std::memory_order_relaxed);
   g_op_label.store(name, std::memory_order_relaxed);
-  if (TraceSink::Global().enabled()) {
-    span_ = std::make_unique<Span>(name, "op");
-  }
   if (g_perf != nullptr) perf_start_ = g_perf->Read();
-  start_us_ = NowMicros();
+  node_->start_us = NowMicros();
 }
 
 OpScope::~OpScope() {
   if (node_ == nullptr) return;
-  node_->wall_seconds = MicrosToSeconds(NowMicros() - start_us_);
+  node_->wall_seconds = MicrosToSeconds(NowMicros() - node_->start_us);
   if (g_perf != nullptr) {
     node_->perf = g_perf->Read().Delta(perf_start_);
     node_->perf_valid = node_->perf.AnyAvailable();
   }
-  span_.reset();
   g_current = parent_;
   g_op_label.store(prev_label_, std::memory_order_relaxed);
 }
@@ -300,7 +288,37 @@ void NodeToJson(const ProfileNode& n, JsonWriter& w) {
   w.EndArray().EndObject();
 }
 
+// Appends `n` and its subtree in pre-order; span ids count events in
+// trace order from 1, so a node's id is the vector size after its push.
+void NodeToTrace(const ProfileNode& n, uint64_t trace_id, uint64_t parent,
+                 int tid, std::vector<TraceEvent>* out) {
+  JsonWriter args;
+  args.BeginObject()
+      .Key("rows_in").Int(n.rows_in)
+      .Key("rows_out").Int(n.rows_out)
+      .Key("threads").Int(n.threads)
+      .Key("morsels").Int(n.morsels)
+      .EndObject();
+  out->push_back({.name = n.name,
+                  .category = parent == 0 ? "query" : "op",
+                  .ts_us = n.start_us,
+                  .dur_us = static_cast<int64_t>(n.wall_seconds * 1e6),
+                  .tid = tid,
+                  .trace_id = trace_id,
+                  .span_id = out->size() + 1,
+                  .parent_id = parent,
+                  .args_json = args.str()});
+  const uint64_t id = out->size();
+  for (const auto& c : n.children) NodeToTrace(*c, trace_id, id, tid, out);
+}
+
 }  // namespace
+
+std::vector<TraceEvent> QueryProfile::ToTraceEvents(uint64_t trace_id) const {
+  std::vector<TraceEvent> out;
+  NodeToTrace(root, trace_id, 0, tid, &out);
+  return out;
+}
 
 std::string QueryProfile::ToJson() const {
   JsonWriter w;

@@ -9,7 +9,7 @@
 
 #include "exec/counters.h"
 #include "obs/perf_counters.h"
-#include "obs/tracing/span.h"
+#include "obs/trace.h"
 
 namespace wimpi::obs {
 
@@ -21,8 +21,6 @@ struct ProfileOptions {
   // Collect the EXPLAIN ANALYZE-style operator tree (wall time, rows,
   // morsels, threads, OpStats side by side).
   bool operator_profile = true;
-  // Record per-morsel / per-task spans into TraceSink (chrome://tracing).
-  bool trace = false;
   // Enable the ThreadPool metric hooks (task latency, queue wait,
   // per-worker busy/idle) in MetricsRegistry::Global().
   bool pool_metrics = false;
@@ -41,6 +39,7 @@ struct ProfileOptions {
 // QueryStats::Add land on the node that was innermost at Add time.
 struct ProfileNode {
   std::string name;  // operator kind, e.g. "Filter", "HashJoin"
+  int64_t start_us = 0;  // NowMicros() when the scope opened
   double wall_seconds = 0;
   int64_t rows_in = 0;
   int64_t rows_out = 0;
@@ -67,6 +66,9 @@ struct ProfileNode {
 struct QueryProfile {
   ProfileNode root;  // root.name = label passed to ScopedProfiling
   double wall_seconds = 0;
+  // flight::CurrentThreadId() of the profiling thread: the row its
+  // operator spans render on, shared with its flight records.
+  int tid = 0;
 
   // Whole-query physical counters (root.perf mirrors them). When
   // ProfileOptions.perf_counters was requested but nothing could be
@@ -86,6 +88,14 @@ struct QueryProfile {
   // Machine-readable rendering of the same tree (wall/rows/threads/model
   // counters per node, perf totals at the top level).
   std::string ToJson() const;
+
+  // Chrome-trace rendering of the same tree: one 'X' span per node on the
+  // profiling thread's row (cat "query" for the root, "op" below it), in
+  // trace `trace_id`, with span ids numbered in pre-order from 1 so every
+  // parent id is the enclosing node's span. Morsels and pool tasks of the
+  // same window render from the flight rings
+  // (FlightRecorder::ToTraceEvents).
+  std::vector<TraceEvent> ToTraceEvents(uint64_t trace_id = 1) const;
 };
 
 // Installs profiling for the current thread's query execution (RAII).
@@ -105,15 +115,8 @@ class ScopedProfiling {
  private:
   QueryProfile* out_;
   ProfileOptions opts_;
-  int64_t start_us_ = 0;
-  bool prev_trace_ = false;
   bool prev_pool_metrics_ = false;
   PerfCounters perf_;  // open only when opts_.perf_counters and available
-  // Root span of the query's distributed trace (open only when opts.trace):
-  // operator scopes and morsel tasks become its descendants, and a cluster
-  // driver that installed its context first makes the query a child of the
-  // distributed run.
-  std::unique_ptr<Span> span_;
 };
 
 // RAII operator scope. When no profiler is active (or the caller is not
@@ -121,7 +124,7 @@ class ScopedProfiling {
 // else is a no-op.
 class OpScope {
  public:
-  // `name` must be a string literal (stored unowned for trace labels).
+  // `name` must be a string literal (stored unowned as the pipeline label).
   OpScope(const char* name, int64_t rows_in);
   ~OpScope();
 
@@ -137,9 +140,7 @@ class OpScope {
   ProfileNode* node_ = nullptr;
   ProfileNode* parent_ = nullptr;
   const char* prev_label_ = nullptr;
-  int64_t start_us_ = 0;
   PerfCounts perf_start_;  // read only when counters are live
-  std::unique_ptr<Span> span_;  // open only when the trace sink is enabled
 };
 
 // True while a ScopedProfiling with operator_profile is installed (any
@@ -151,8 +152,9 @@ bool ProfilerActive();
 void NoteParallelPhase(int threads, int morsels);
 
 // Label of the innermost open scope ("plan" when none); readable from
-// worker threads while they execute that scope's morsels, used to name
-// trace spans. Returns a string literal pointer.
+// worker threads while they execute that scope's morsels, used to label
+// pipelines for the timeline sampler and morsel errors. Returns a string
+// literal pointer.
 const char* CurrentOpLabel();
 
 }  // namespace wimpi::obs

@@ -4,14 +4,10 @@
 
 #include "common/file_util.h"
 #include "common/json.h"
-#include "common/logging.h"
 
 namespace wimpi::obs {
 
 namespace {
-
-std::atomic<int> g_next_tid{0};
-thread_local int t_tid = -1;
 
 std::string HexId(uint64_t id) {
   char buf[24];
@@ -49,49 +45,6 @@ void WriteEventBody(JsonWriter& w, const TraceEvent& e) {
 }
 
 }  // namespace
-
-TraceSink& TraceSink::Global() {
-  static TraceSink* sink = new TraceSink();
-  return *sink;
-}
-
-int TraceSink::CurrentThreadId() {
-  if (t_tid < 0) t_tid = g_next_tid.fetch_add(1, std::memory_order_relaxed);
-  return t_tid;
-}
-
-void TraceSink::Clear() {
-  std::lock_guard<std::mutex> lock(mu_);
-  events_.clear();
-}
-
-size_t TraceSink::size() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return events_.size();
-}
-
-void TraceSink::Record(TraceEvent e) {
-  std::lock_guard<std::mutex> lock(mu_);
-  events_.push_back(std::move(e));
-}
-
-std::vector<TraceEvent> TraceSink::Snapshot() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return events_;
-}
-
-std::string TraceSink::ToJson() const {
-  return TraceEventsToJson(Snapshot());
-}
-
-bool TraceSink::WriteFile(const std::string& path) const {
-  std::string error;
-  if (!WriteTraceFile(path, Snapshot(), &error)) {
-    WIMPI_LOG(Error) << "trace file: " << error;
-    return false;
-  }
-  return true;
-}
 
 std::string TraceEventsToJson(const std::vector<TraceEvent>& events) {
   bool has_cluster = false, has_query_lanes = false;

@@ -1,9 +1,7 @@
 #ifndef WIMPI_OBS_TRACE_H_
 #define WIMPI_OBS_TRACE_H_
 
-#include <atomic>
 #include <cstdint>
-#include <mutex>
 #include <string>
 #include <vector>
 
@@ -18,11 +16,13 @@ inline constexpr int kTracePidHost = 1;
 inline constexpr int kTracePidCluster = 2;
 inline constexpr int kTracePidQueryLanes = 3;
 
-// One event in Chrome trace-event format. Timestamps are NowMicros()
-// values for host events and modeled microseconds for cluster events;
-// tids are small dense ids assigned per thread (host) or lane ids picked
-// by the cluster exporter so chrome://tracing / Perfetto renders one row
-// per worker / node.
+// One event in Chrome trace-event format. Nothing records these while a
+// run executes: every trace is a rendering of what a run already keeps
+// (QueryProfile::ToTraceEvents, FlightRecorder::ToTraceEvents,
+// cluster::ClusterTrace). Timestamps are NowMicros() values for host
+// events and modeled microseconds for cluster events; tids are the dense
+// flight-ring thread ids (host) or lane ids picked by the cluster renderer
+// so chrome://tracing / Perfetto renders one row per worker / node.
 //
 // The distributed-tracing ids (trace/span/parent) make the causal tree
 // explicit: a span with parent_id P is a child of the span whose span_id
@@ -48,47 +48,7 @@ struct TraceEvent {
   std::string args_json;
 };
 
-// Process-wide span sink. Recording is a mutex-guarded vector append and
-// happens only while enabled, so disabled runs never allocate or lock.
-// The scheduler/pool hooks check `enabled()` (one relaxed atomic load)
-// before reading any clock.
-class TraceSink {
- public:
-  static TraceSink& Global();
-
-  bool enabled() const { return enabled_.load(std::memory_order_relaxed); }
-  void set_enabled(bool on) {
-    enabled_.store(on, std::memory_order_relaxed);
-  }
-
-  void Clear();
-  size_t size() const;
-
-  // Appends one fully-specified event; the cluster exporter and the span
-  // layer fill the id/pid/tid fields themselves.
-  void Record(TraceEvent e);
-
-  std::vector<TraceEvent> Snapshot() const;
-
-  // TraceEventsToJson over Snapshot().
-  std::string ToJson() const;
-
-  // WriteTraceFile over Snapshot(); returns false (and logs) when the file
-  // cannot be written.
-  bool WriteFile(const std::string& path) const;
-
-  // Dense id of the calling thread (0 = first thread ever seen).
-  static int CurrentThreadId();
-
- private:
-  TraceSink() = default;
-
-  std::atomic<bool> enabled_{false};
-  mutable std::mutex mu_;
-  std::vector<TraceEvent> events_;
-};
-
-// The one Chrome-trace writer (TraceSink and flight dumps both use it):
+// The one Chrome-trace writer (every trace and flight dump uses it):
 // {"traceEvents":[...],"displayTimeUnit":"ms"} — loadable by
 // chrome://tracing and https://ui.perfetto.dev, with a process_name label
 // for the host group and for each other kTracePid* group present.

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstdio>
-#include <string>
 #include <utility>
 #include <vector>
 
@@ -13,8 +11,6 @@
 #include "obs/metrics.h"
 #include "obs/profiler.h"
 #include "obs/timeline/sampler.h"
-#include "obs/trace.h"
-#include "obs/tracing/span.h"
 
 namespace wimpi::parallel {
 
@@ -26,9 +22,6 @@ struct FairPipelineScheduler::ActivePipeline {
   const std::function<void(const Morsel&)>* body = nullptr;
   const CancellationToken* cancel = nullptr;  // spec.cancel; may be null
   const char* label = "plan";
-  // Driver's span context at fan-out time; morsel spans on any worker
-  // parent under it (empty when tracing is off).
-  obs::SpanContext trace_ctx;
   int max_threads = 1;
   size_t next = 0;          // next unclaimed morsel index
   int in_flight = 0;        // running anywhere (driver or slots)
@@ -177,31 +170,23 @@ void FairPipelineScheduler::RunOneTask(std::unique_lock<std::mutex>& lock,
   const uint64_t flight_id = lane->flight_id;
   const std::function<void(const Morsel&)>* body = p->body;
   const char* label = p->label;
-  const obs::SpanContext trace_ctx = p->trace_ctx;
   lock.unlock();
 
   // Per-morsel CPU accounting applies only to drain-slot (pool worker)
   // execution: the driver's own morsels fall inside its whole-query CPU
   // window, so measuring them here would double-count.
   const int64_t cpu0 = remote ? obs::ThreadCpuMicros() : 0;
+  const int64_t start_us = obs::NowMicros();
   std::exception_ptr error;
   try {
-    if (trace_ctx.valid()) {
-      char args[64];
-      std::snprintf(args, sizeof(args), "{\"morsel\":%d,\"rows\":%lld}",
-                    m.index, static_cast<long long>(m.rows()));
-      obs::ScopedSpanContext adopt(trace_ctx);
-      obs::Span span(std::string(label), "morsel", args);
-      RunPipelineMorsel(*body, m, label);
-    } else {
-      RunPipelineMorsel(*body, m, label);
-    }
+    RunPipelineMorsel(*body, m, label);
   } catch (...) {
     error = std::current_exception();
   }
   tasks_counter_->Add(1);
-  obs::flight::FlightRecorder::Record(obs::flight::EventKind::kMorselBatch,
-                                      flight_id, m.index, m.rows());
+  obs::flight::FlightRecorder::RecordSpan(
+      obs::flight::EventKind::kMorselBatch, flight_id, start_us, m.index,
+      static_cast<uint32_t>(m.rows()));
   const int64_t cpu_us = remote ? obs::ThreadCpuMicros() - cpu0 : 0;
 
   lock.lock();
@@ -278,9 +263,6 @@ void FairPipelineScheduler::RunPipeline(int lane_id, const PipelineSpec& spec) {
   p.cancel = spec.cancel;
   p.label = label;
   p.max_threads = spec.max_threads;
-  if (obs::TraceSink::Global().enabled()) {
-    p.trace_ctx = obs::CurrentSpanContext();
-  }
 
   std::unique_lock<std::mutex> lock(mu_);
   auto lane_it = lanes_.find(lane_id);

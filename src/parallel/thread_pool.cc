@@ -6,7 +6,6 @@
 #include "obs/clock.h"
 #include "obs/flight/flight_recorder.h"
 #include "obs/metrics.h"
-#include "obs/trace.h"
 
 namespace wimpi::parallel {
 
@@ -72,8 +71,9 @@ void ThreadPool::WorkerLoop(int worker_index) {
   WorkerMetrics metrics;
   for (;;) {
     QueuedTask task;
-    // One relaxed load decides whether this iteration reads clocks at all;
-    // with the hooks off the loop is exactly the seed pool's.
+    // One relaxed load decides whether this iteration feeds the pool
+    // metrics; with the hooks off the clock is read only for the flight
+    // record.
     const bool instrumented = obs::PoolMetricsEnabled();
     const int64_t idle_start = instrumented ? obs::NowMicros() : 0;
     {
@@ -84,33 +84,27 @@ void ThreadPool::WorkerLoop(int worker_index) {
       queue_.pop_front();
       if (instrumented) PublishQueueDepth();
     }
-    if (!instrumented) {
-      task.fn();
-      // Flight recorder is always on (one relaxed load + a few relaxed
-      // stores); pool tasks are coarse units (fair-scheduler drain slots),
-      // so this is nowhere near the per-morsel path.
-      obs::flight::FlightRecorder::Record(obs::flight::EventKind::kPoolTask,
-                                          0, worker_index, 0);
-      continue;
-    }
-    metrics.Ensure(worker_index);
     const int64_t start = obs::NowMicros();
-    metrics.idle_us->Add(start - idle_start);
-    if (task.enqueue_us > 0) {
-      metrics.queue_wait_us->Record(
-          static_cast<double>(start - task.enqueue_us));
+    if (instrumented) {
+      metrics.Ensure(worker_index);
+      metrics.idle_us->Add(start - idle_start);
+      if (task.enqueue_us > 0) {
+        metrics.queue_wait_us->Record(
+            static_cast<double>(start - task.enqueue_us));
+      }
     }
-    {
-      obs::ScopedSpanContext adopt(task.ctx);
-      obs::Span span("task", "pool");
-      task.fn();
+    task.fn();
+    if (instrumented) {
+      const int64_t end = obs::NowMicros();
+      metrics.busy_us->Add(end - start);
+      metrics.task_run_us->Record(static_cast<double>(end - start));
+      metrics.tasks->Add(1);
     }
-    const int64_t end = obs::NowMicros();
-    metrics.busy_us->Add(end - start);
-    metrics.task_run_us->Record(static_cast<double>(end - start));
-    metrics.tasks->Add(1);
-    obs::flight::FlightRecorder::Record(obs::flight::EventKind::kPoolTask, 0,
-                                        worker_index, end - start);
+    // Flight recorder is always on (one relaxed load + a few relaxed
+    // stores); pool tasks are coarse units (fair-scheduler drain slots),
+    // so this is nowhere near the per-morsel path.
+    obs::flight::FlightRecorder::RecordSpan(obs::flight::EventKind::kPoolTask,
+                                            0, start, worker_index);
   }
 }
 
@@ -122,9 +116,6 @@ std::future<void> ThreadPool::Submit(std::function<void()> fn) {
   task.fn = [packaged] { (*packaged)(); };
   const bool instrumented = obs::PoolMetricsEnabled();
   if (instrumented) task.enqueue_us = obs::NowMicros();
-  // Carry the submitter's span context across the thread boundary so the
-  // worker's task span joins the submitter's trace.
-  if (obs::TraceSink::Global().enabled()) task.ctx = obs::CurrentSpanContext();
   {
     std::lock_guard<std::mutex> lock(mu_);
     queue_.push_back(std::move(task));

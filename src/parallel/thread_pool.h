@@ -10,8 +10,6 @@
 #include <thread>
 #include <vector>
 
-#include "obs/tracing/span.h"
-
 namespace wimpi::obs {
 class Gauge;
 }  // namespace wimpi::obs
@@ -55,12 +53,10 @@ class ThreadPool {
  private:
   // A queued task plus the instant it was enqueued (0 when the pool
   // metrics hooks were off at enqueue time, so the worker skips the
-  // queue-wait sample for it) and the submitter's span context (empty when
-  // tracing was off — the worker then opens no cross-thread parentage).
+  // queue-wait sample for it).
   struct QueuedTask {
     std::function<void()> fn;
     int64_t enqueue_us = 0;
-    obs::SpanContext ctx;
   };
 
   void WorkerLoop(int worker_index);

@@ -15,7 +15,6 @@
 #include "obs/flight/slow_query_log.h"
 #include "obs/metrics.h"
 #include "obs/timeline/sampler.h"
-#include "obs/tracing/span.h"
 #include "parallel/cancellation.h"
 #include "parallel/task_scheduler.h"
 
@@ -313,8 +312,6 @@ struct ServiceCore {
       eopts.cancellation = &t->token;
       eopts.pipeline_scheduler = &lane_sched;
       exec::ScopedExecOptions scoped(eopts);
-      obs::Span span(t->spec.label.empty() ? "query" : t->spec.label,
-                     "service", "");
       try {
         t->result = t->spec.plan(&t->stats);
         t->has_result = true;

@@ -1,10 +1,10 @@
 // Telemetry export pipeline: every JSON artifact the observability layer
-// emits (Chrome trace, profile JSON, Prometheus exposition)
-// must round-trip through the repo's own JSON parser, the distributed
-// trace must form a coherent causal tree (every retry chained to the
-// attempt it retried, every fault flow-linked to the retry it caused), and
-// tracing must never perturb results: traced cluster runs stay
-// bit-identical to untraced ones across the whole SF-10 subset.
+// emits (Chrome trace, profile JSON, Prometheus exposition) must
+// round-trip through the repo's own JSON parser, and the distributed trace
+// rendered from a run (cluster::ClusterTrace) must form a coherent causal
+// tree (every retry chained to the attempt it retried, every fault
+// flow-linked to the retry it caused) and render the same run to the same
+// bytes every time.
 #include <cstdio>
 #include <cstdint>
 #include <cstring>
@@ -23,7 +23,6 @@
 #include "obs/metrics.h"
 #include "obs/profiler.h"
 #include "obs/trace.h"
-#include "test_util.h"
 #include "tpch/dbgen.h"
 #include "tpch/queries.h"
 
@@ -41,27 +40,23 @@ const engine::Database& TestDb() {
   return *db;
 }
 
-Result<cluster::DistributedRun> RunWith(int q, cluster::FaultPlan plan) {
+Result<cluster::DistributedRun> RunWith(
+    int q, cluster::FaultPlan plan,
+    cluster::RecoveryMode mode = cluster::RecoveryMode::kRetry) {
   cluster::ClusterOptions opts;
   opts.num_nodes = kNodes;
   opts.faults = std::move(plan);
+  opts.recovery.mode = mode;
   const cluster::WimpiCluster wimpi(TestDb(), opts);
   hw::CostModel model;
   return wimpi.Run(q, model);
 }
 
-// Enables the trace sink for one scope, leaving it clean afterwards.
-class ScopedTracing {
- public:
-  ScopedTracing() {
-    obs::TraceSink::Global().Clear();
-    obs::TraceSink::Global().set_enabled(true);
-  }
-  ~ScopedTracing() {
-    obs::TraceSink::Global().set_enabled(false);
-    obs::TraceSink::Global().Clear();
-  }
-};
+// The Chrome JSON of `run`'s rendered trace.
+std::string RenderedJson(int q, const cluster::DistributedRun& run,
+                         const cluster::FaultPlan& plan, uint64_t trace_id) {
+  return obs::TraceEventsToJson(cluster::ClusterTrace(q, run, plan, trace_id));
+}
 
 uint64_t HexField(const JsonValue& args, const char* key) {
   const JsonValue* v = args.Find(key);
@@ -114,15 +109,15 @@ std::string TempPath(const std::string& name) {
 // coherent trace where every retry has a parent attempt and a causal link
 // to the fault that caused it. ---
 TEST(TraceExport, RetryChainFormsCausalTree) {
-  ScopedTracing tracing;
   // Crashing node 0 guarantees at least one failed attempt, one retry on
   // another node, and one reassignment.
-  const auto r = RunWith(1, cluster::FaultPlan::Crash({0}));
+  const auto plan = cluster::FaultPlan::Crash({0});
+  const auto r = RunWith(1, plan);
   ASSERT_TRUE(r.ok()) << r.status().ToString();
   ASSERT_GT(r->retries, 0);
-  ASSERT_NE(r->trace_id, 0u);
+  constexpr uint64_t kTraceId = 0x51;
 
-  const auto events = ParseTrace(obs::TraceSink::Global().ToJson());
+  const auto events = ParseTrace(RenderedJson(1, *r, plan, kTraceId));
   ASSERT_FALSE(events.empty());
 
   // Index spans and collect per-category counts.
@@ -144,7 +139,7 @@ TEST(TraceExport, RetryChainFormsCausalTree) {
     if (e.ph == "M") continue;
     // Everything the cluster exported carries the run's trace id.
     if (e.cat.rfind("cluster", 0) == 0) {
-      EXPECT_EQ(e.trace, r->trace_id);
+      EXPECT_EQ(e.trace, kTraceId);
     }
     // Every parent reference resolves to a recorded span of the same trace.
     if (e.parent != 0) {
@@ -187,57 +182,47 @@ TEST(TraceExport, RetryChainFormsCausalTree) {
 }
 
 TEST(TraceExport, HostSpansJoinTheClusterTrace) {
-  ScopedTracing tracing;
-  const auto r = RunWith(6, cluster::FaultPlan::Transient(1, 1));
+  const auto plan = cluster::FaultPlan::Transient(1, 1);
+  const auto r = RunWith(6, plan);
   ASSERT_TRUE(r.ok()) << r.status().ToString();
+  ASSERT_EQ(r->partial_host_us.size(), static_cast<size_t>(kNodes));
 
-  // The real-clock partial executions ("cluster.exec") adopt the same
-  // trace id as the modeled timeline, so one tree spans both clocks.
-  const auto events = ParseTrace(obs::TraceSink::Global().ToJson());
+  // The real-clock partial executions ("cluster.exec") carry the same
+  // trace id as the modeled timeline and hang off its root span, so one
+  // tree spans both clocks.
+  const auto events = ParseTrace(RenderedJson(6, *r, plan, 9));
+  uint64_t root = 0;
+  for (const auto& e : events) {
+    if (e.cat == "cluster" && e.ph == "X") root = e.span;
+  }
+  ASSERT_NE(root, 0u);
   int exec_spans = 0;
   for (const auto& e : events) {
     if (e.cat == "cluster.exec") {
       ++exec_spans;
-      EXPECT_EQ(e.trace, r->trace_id);
+      EXPECT_EQ(e.trace, 9u);
+      EXPECT_EQ(e.parent, root);
+      EXPECT_EQ(e.ph, "X");
     }
   }
-  EXPECT_GT(exec_spans, 0);
+  EXPECT_EQ(exec_spans, kNodes);
+  for (const auto& [start_us, end_us] : r->partial_host_us) {
+    EXPECT_GT(start_us, 0);
+    EXPECT_GE(end_us, start_us);
+  }
 }
 
-TEST(TraceExport, TracedRunsBitIdenticalToUntraced) {
-  // The repo's determinism contract, extended to tracing: enabling the
-  // sink must not change results or modeled stats on any SF-10 query.
-  const auto plan = cluster::FaultPlan::Generate(42, kNodes);
-  for (int i = 0; i < tpch::kNumSf10Queries; ++i) {
-    const int q = tpch::kSf10Queries[i];
-    SCOPED_TRACE("Q" + std::to_string(q));
-    const auto plain = RunWith(q, plan);
-    ASSERT_TRUE(plain.ok()) << plain.status().ToString();
-
-    obs::TraceSink::Global().Clear();
-    obs::TraceSink::Global().set_enabled(true);
-    const auto traced = RunWith(q, plan);
-    obs::TraceSink::Global().set_enabled(false);
-    ASSERT_TRUE(traced.ok()) << traced.status().ToString();
-    EXPECT_GT(obs::TraceSink::Global().size(), 0u);
-    obs::TraceSink::Global().Clear();
-
-    // Bit-identical answers (doubles compared by bit pattern downstream)
-    // and identical modeled accounting.
-    const auto a = ToRefResult(traced->result);
-    const auto b = ToRefResult(plain->result);
-    ASSERT_EQ(a.size(), b.size());
-    for (size_t row = 0; row < a.size(); ++row) {
-      ASSERT_TRUE(a[row] == b[row]) << "row " << row;
-    }
-    EXPECT_EQ(traced->total_seconds, plain->total_seconds);
-    EXPECT_EQ(traced->degraded_seconds, plain->degraded_seconds);
-    EXPECT_EQ(traced->retries, plain->retries);
-    EXPECT_EQ(traced->reassigned_partitions, plain->reassigned_partitions);
-    EXPECT_EQ(traced->node_rollups, plain->node_rollups);
-    // Only the traced run carries a trace id.
-    EXPECT_NE(traced->trace_id, 0u);
-    EXPECT_EQ(plain->trace_id, 0u);
+TEST(TraceExport, RenderingIsByteIdentical) {
+  // A trace is a pure function of the run: rendering the same retry-mode
+  // or fine-grained run twice gives the same bytes.
+  const auto plan = cluster::FaultPlan::Generate(6, kNodes);
+  for (const auto mode :
+       {cluster::RecoveryMode::kRetry, cluster::RecoveryMode::kFineGrained}) {
+    const auto r = RunWith(1, plan, mode);
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    const std::string first = RenderedJson(1, *r, plan, 3);
+    EXPECT_EQ(first, RenderedJson(1, *r, plan, 3));
+    EXPECT_NE(first.find("cluster.attempt"), std::string::npos);
   }
 }
 
@@ -262,20 +247,22 @@ TEST(TraceExport, RollupsSummarizeNodeImbalance) {
 // --- Round-trips: every exported artifact parses with common/json. ---
 
 TEST(TraceExport, ChromeJsonParses) {
-  ScopedTracing tracing;
-  const auto r = RunWith(3, cluster::FaultPlan::Crash({1}));
+  const auto plan = cluster::FaultPlan::Crash({1});
+  const auto r = RunWith(3, plan);
   ASSERT_TRUE(r.ok());
+  const std::vector<obs::TraceEvent> rendered =
+      cluster::ClusterTrace(3, *r, plan, 1);
 
   JsonValue doc;
   std::string error;
-  ASSERT_TRUE(JsonValue::Parse(obs::TraceSink::Global().ToJson(), &doc,
+  ASSERT_TRUE(JsonValue::Parse(obs::TraceEventsToJson(rendered), &doc,
                                &error))
       << error;
   const JsonValue* events = doc.Find("traceEvents");
   ASSERT_NE(events, nullptr);
   ASSERT_TRUE(events->is_array());
-  // Every recorded event plus the process_name metadata rows.
-  EXPECT_GE(events->AsArray().size(), obs::TraceSink::Global().size());
+  // Every rendered event plus the process_name metadata rows.
+  EXPECT_GE(events->AsArray().size(), rendered.size());
   for (const JsonValue& e : events->AsArray()) {
     EXPECT_NE(e.Find("name"), nullptr);
     EXPECT_NE(e.Find("ph"), nullptr);

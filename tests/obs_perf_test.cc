@@ -215,7 +215,9 @@ TEST(PerfLive, ProfiledRunBitIdenticalAndCountersReportedWhenCountable) {
   // Whatever subset is countable must have actually counted.
   for (int i = 0; i < obs::PerfCounts::kNumEvents; ++i) {
     const auto e = static_cast<obs::PerfEvent>(i);
-    if (profile.perf.Has(e)) EXPECT_GE(profile.perf.Get(e), 0);
+    if (profile.perf.Has(e)) {
+      EXPECT_GE(profile.perf.Get(e), 0);
+    }
   }
   if (profile.perf.Has(obs::PerfEvent::kTaskClockNs)) {
     EXPECT_GT(profile.perf.Get(obs::PerfEvent::kTaskClockNs), 0);

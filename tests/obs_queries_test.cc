@@ -1,8 +1,9 @@
 // Profiling must be an observer, not a participant: running any TPC-H
-// query with full profiling enabled (operator tree + trace spans + pool
-// metrics) must produce bit-identical results to the unprofiled engine at
-// every thread count. Also smoke-checks the artifacts a profiled run
-// produces end to end: tree shape, trace JSON, residual report.
+// query with full profiling enabled (operator tree + pool metrics) must
+// produce bit-identical results to the unprofiled engine at every thread
+// count. Also smoke-checks the artifacts a profiled run produces end to
+// end: tree shape, rendered trace, residual report.
+#include <map>
 #include <string>
 #include <thread>
 #include <tuple>
@@ -14,6 +15,8 @@
 #include "gtest/gtest.h"
 #include "hw/cost_model.h"
 #include "hw/host_anchor.h"
+#include "obs/clock.h"
+#include "obs/flight/flight_recorder.h"
 #include "obs/metrics.h"
 #include "obs/profiler.h"
 #include "obs/residual.h"
@@ -80,7 +83,6 @@ void ExpectRelationsIdentical(const exec::Relation& a,
 obs::ProfileOptions FullProfiling() {
   obs::ProfileOptions popts;
   popts.operator_profile = true;
-  popts.trace = true;
   popts.pool_metrics = true;
   return popts;
 }
@@ -106,7 +108,6 @@ TEST_P(ObsQueryTest, ProfiledRunIsBitIdenticalAtEveryThreadCount) {
     const exec::Relation profiled = ex.RunProfiled(
         [&](exec::QueryStats* s) { return tpch::RunQuery(q, db, s); },
         FullProfiling(), &profile, &stats, "Q" + std::to_string(q));
-    obs::TraceSink::Global().Clear();
 
     ExpectRelationsIdentical(profiled, plain);
 
@@ -117,7 +118,6 @@ TEST_P(ObsQueryTest, ProfiledRunIsBitIdenticalAtEveryThreadCount) {
 
     // Profiling is fully torn down afterwards.
     EXPECT_FALSE(obs::ProfilerActive());
-    EXPECT_FALSE(obs::TraceSink::Global().enabled());
     EXPECT_FALSE(obs::PoolMetricsEnabled());
   }
 }
@@ -127,39 +127,74 @@ INSTANTIATE_TEST_SUITE_P(AllQueries, ObsQueryTest, ::testing::Range(1, 23),
                            return "Q" + std::to_string(info.param);
                          });
 
+// Appends `n`'s subtree to `out` in pre-order (the renderer's span order).
+void PreOrder(const obs::ProfileNode& n,
+              std::vector<const obs::ProfileNode*>* out) {
+  out->push_back(&n);
+  for (const auto& c : n.children) PreOrder(*c, out);
+}
+
 TEST(ObsQueries, TraceCapturesMorselSpans) {
   const engine::Database& db = TestDb();
   engine::Executor ex;
   ex.set_num_threads(4);
   ex.set_morsel_rows(4096);
 
-  obs::ProfileOptions popts;
-  popts.trace = true;
+  auto& flight = obs::flight::FlightRecorder::Global();
+  ASSERT_TRUE(flight.enabled());
   obs::QueryProfile profile;
+  const int64_t start_us = obs::NowMicros();
   ex.RunProfiled(
-      [&](exec::QueryStats* s) { return tpch::RunQuery(6, db, s); }, popts,
-      &profile, nullptr, "Q6");
+      [&](exec::QueryStats* s) { return tpch::RunQuery(6, db, s); },
+      obs::ProfileOptions{}, &profile, nullptr, "Q6");
 
-  auto& sink = obs::TraceSink::Global();
-  ASSERT_GT(sink.size(), 0u);
-  const auto events = sink.Snapshot();
-  // Morsel spans exist and are well-formed. (Which tid executes a morsel
-  // is scheduler-dependent — at this scale the query thread may claim them
-  // all — so we only check ids are assigned, not how work was spread.)
+  // Op spans: one per profile node, parent ids following the tree.
+  const std::vector<obs::TraceEvent> ops = profile.ToTraceEvents(7);
+  std::vector<const obs::ProfileNode*> nodes;
+  PreOrder(profile.root, &nodes);
+  ASSERT_EQ(ops.size(), nodes.size());
+  std::map<const obs::ProfileNode*, size_t> index;
+  for (size_t i = 0; i < ops.size(); ++i) {
+    index[nodes[i]] = i;
+    EXPECT_EQ(ops[i].name, nodes[i]->name);
+    EXPECT_EQ(ops[i].trace_id, 7u);
+    EXPECT_EQ(ops[i].tid, profile.tid);
+    EXPECT_EQ(ops[i].ts_us, nodes[i]->start_us);
+    EXPECT_GE(ops[i].dur_us, 0);
+  }
+  EXPECT_EQ(ops[0].parent_id, 0u);
+  EXPECT_EQ(ops[0].category, std::string("query"));
+  for (size_t i = 0; i < ops.size(); ++i) {
+    for (const auto& c : nodes[i]->children) {
+      EXPECT_EQ(ops[index.at(c.get())].parent_id, ops[i].span_id)
+          << c->name << " under " << nodes[i]->name;
+    }
+  }
+
+  // Morsel spans render from the flight rings with their durations.
+  // (Which tid executes a morsel is scheduler-dependent — at this scale
+  // the query thread may claim them all — so only the shape is checked.)
+  const std::vector<obs::TraceEvent> flight_events =
+      obs::flight::FlightRecorder::ToTraceEvents(
+          flight.SnapshotSince(start_us));
   size_t morsel_spans = 0;
-  for (const auto& e : events) {
-    if (e.args_json.find("\"morsel\"") != std::string::npos) ++morsel_spans;
-    EXPECT_GE(e.tid, 0);
+  for (const auto& e : flight_events) {
+    if (e.category != std::string("flight.morsel")) continue;
+    ++morsel_spans;
+    EXPECT_EQ(e.phase, 'X');
+    EXPECT_GE(e.ts_us, start_us);
     EXPECT_GE(e.dur_us, 0);
-    EXPECT_FALSE(e.name.empty());
+    EXPECT_GE(e.tid, 0);
+    EXPECT_NE(e.args_json.find("\"rows\":"), std::string::npos);
   }
   EXPECT_GT(morsel_spans, 1u);
 
-  const std::string json = sink.ToJson();
+  std::vector<obs::TraceEvent> all = ops;
+  all.insert(all.end(), flight_events.begin(), flight_events.end());
+  const std::string json = obs::TraceEventsToJson(all);
   EXPECT_EQ(json.rfind("{\"traceEvents\":[", 0), 0u);
   EXPECT_EQ(json.substr(json.size() - 1), "}");
   EXPECT_NE(json.find("\"displayTimeUnit\":\"ms\""), std::string::npos);
-  sink.Clear();
 }
 
 TEST(ObsQueries, PoolMetricsCountTasks) {

@@ -1,9 +1,8 @@
-// Unit tests for the observability subsystem: metrics registry, trace
-// sink/JSON export, operator profiler tree, and cost-model residuals.
+// Unit tests for the observability subsystem: metrics registry, Chrome
+// trace JSON, operator profiler tree, and cost-model residuals.
 #include <algorithm>
 #include <functional>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "engine/executor.h"
@@ -16,7 +15,6 @@
 #include "obs/profiler.h"
 #include "obs/residual.h"
 #include "obs/trace.h"
-#include "obs/tracing/span.h"
 #include "tpch/dbgen.h"
 #include "tpch/queries.h"
 
@@ -108,71 +106,35 @@ TEST(Metrics, RegistryStableReferencesAndReset) {
 // (JSON escaping itself is covered in common_test.cc; the escape helper
 // lives in common/json.h now.)
 
-TEST(Trace, DisabledSinkRecordsNothing) {
-  auto& sink = obs::TraceSink::Global();
-  sink.Clear();
-  ASSERT_FALSE(sink.enabled());
-  { obs::Span span("ignored", "test"); }
-  EXPECT_EQ(sink.size(), 0u);
-}
-
 TEST(Trace, SpansAndJsonShape) {
-  auto& sink = obs::TraceSink::Global();
-  sink.Clear();
-  sink.set_enabled(true);
-  {
-    obs::Span outer("outer \"quoted\"", "test");
-    obs::Span inner(std::string("inner"), "test",
-                    "{\"morsel\":3,\"rows\":65536}");
-  }
-  sink.set_enabled(false);
-  ASSERT_EQ(sink.size(), 2u);
+  std::vector<obs::TraceEvent> events(2);
+  events[0].name = "outer \"quoted\"";
+  events[0].dur_us = 10;
+  events[0].trace_id = 5;
+  events[0].span_id = 1;
+  events[1].name = "inner";
+  events[1].ts_us = 2;
+  events[1].dur_us = 3;
+  events[1].trace_id = 5;
+  events[1].span_id = 2;
+  events[1].parent_id = 1;
+  events[1].args_json = "{\"morsel\":3,\"rows\":65536}";
 
-  const auto events = sink.Snapshot();
-  // Spans record at destruction: inner closes first.
-  EXPECT_EQ(events[0].name, "inner");
-  EXPECT_EQ(events[1].name, "outer \"quoted\"");
-  EXPECT_GE(events[1].dur_us, events[0].dur_us);
-  // Nested spans form a causal tree in one trace.
-  EXPECT_EQ(events[0].trace_id, events[1].trace_id);
-  EXPECT_EQ(events[0].parent_id, events[1].span_id);
-  EXPECT_EQ(events[1].parent_id, 0u);
-
-  const std::string json = sink.ToJson();
+  const std::string json = obs::TraceEventsToJson(events);
   EXPECT_EQ(json.rfind("{\"traceEvents\":[", 0), 0u);
   EXPECT_NE(json.find("\"displayTimeUnit\":\"ms\""), std::string::npos);
   EXPECT_NE(json.find("\"ph\":\"X\""), std::string::npos);
   // Caller args are merged behind the span ids inside the same object.
-  EXPECT_NE(json.find("\"morsel\":3,\"rows\":65536}"), std::string::npos);
-  EXPECT_NE(json.find("\"span\":"), std::string::npos);
-  EXPECT_NE(json.find("\"parent\":"), std::string::npos);
+  EXPECT_NE(json.find("\"span\":\"2\",\"parent\":\"1\",\"morsel\":3,"
+                      "\"rows\":65536}"),
+            std::string::npos)
+      << json;
+  EXPECT_NE(json.find("\"trace\":\"5\""), std::string::npos);
+  // The root has no parent field.
+  EXPECT_EQ(json.find("\"parent\":\"0\""), std::string::npos);
   // The quote in the name is escaped — the raw sequence `r "q` would break
   // the JSON string literal.
   EXPECT_NE(json.find("outer \\\"quoted\\\""), std::string::npos);
-  sink.Clear();
-}
-
-TEST(Trace, ContextPropagatesAcrossThreadsViaScopedContext) {
-  auto& sink = obs::TraceSink::Global();
-  sink.Clear();
-  sink.set_enabled(true);
-  obs::SpanContext parent_ctx;
-  {
-    obs::Span parent("parent", "test");
-    parent_ctx = parent.context();
-    std::thread worker([parent_ctx] {
-      obs::ScopedSpanContext adopt(parent_ctx);
-      obs::Span child("child", "test");
-    });
-    worker.join();
-  }
-  sink.set_enabled(false);
-  const auto events = sink.Snapshot();
-  ASSERT_EQ(events.size(), 2u);
-  EXPECT_EQ(events[0].name, "child");
-  EXPECT_EQ(events[0].trace_id, parent_ctx.trace_id);
-  EXPECT_EQ(events[0].parent_id, parent_ctx.span_id);
-  sink.Clear();
 }
 
 // ---------- Profiler ----------

@@ -489,7 +489,7 @@ TEST(QueryServiceTest, ResourceReportAccountsWork) {
                      [](const parallel::Morsel&) {
                        // Burn a little CPU so the thread clock moves.
                        volatile double x = 0;
-                       for (int i = 0; i < 50000; ++i) x += i;
+                       for (int i = 0; i < 50000; ++i) x = x + i;
                        (void)x;
                      });
     return exec::Relation();

@@ -1,7 +1,9 @@
 // Roofline-timeline benchmark and overhead A/B (ISSUE #10): runs all 22
 // TPC-H queries with the timeline sampler attached (or detached with
-// --off), slices each query's window out of the sampled series, and
-// reports the roofline verdicts next to what the cost model predicts.
+// --off), each lap under the operator profiler (tree only), slices each
+// query's window out of the sampled series, and reports the roofline
+// verdicts — per query and per profiled operator — next to what the cost
+// model predicts.
 //
 // Three jobs, mirroring the flight-recorder bench conventions:
 //   * Overhead A/B: run once with --off and once without, write --json
@@ -15,11 +17,13 @@
 //   * --dump <path>: a Chrome trace checked by `wimpi_check timeline` —
 //     one timeline.meta instant (host roofline, sampler period), one
 //     timeline.query span per query over its last lap with the summary as
-//     args (modeled vs measured class, agreement tallies), and the sampled
-//     timeline.* counter tracks.
+//     args (modeled vs measured class, per-operator agreement tallies), and
+//     the sampled timeline.* counter tracks.
 //
 // Answers are checksummed every lap: a sampler that changes any answer bit
-// fails the bench (the test suite enforces the same at SF 0.01).
+// fails the bench (the test suite enforces the same at SF 0.01). The
+// modeled rows depend only on QueryStats, which profiling leaves
+// bit-identical.
 #include <cstdint>
 #include <cstdio>
 #include <map>
@@ -35,6 +39,7 @@
 #include "hw/host_anchor.h"
 #include "hw/profile.h"
 #include "obs/clock.h"
+#include "obs/profiler.h"
 #include "obs/timeline/roofline.h"
 #include "obs/timeline/sampler.h"
 #include "obs/trace.h"
@@ -50,6 +55,7 @@ struct QueryWindow {
   double wall_seconds = 0;  // summed over laps
   uint64_t checksum = 0;
   wimpi::exec::QueryStats stats;  // physical-SF counters (lap 0)
+  wimpi::obs::QueryProfile profile;  // operator tree of the last lap
 };
 
 // Query-level measured verdict: saturation-fraction majority.
@@ -101,11 +107,12 @@ int main(int argc, char** argv) {
       ex.set_morsel_rows(morsel_rows);
       wimpi::exec::QueryStats stats;
       const int64_t start = wimpi::obs::NowMicros();
-      const wimpi::exec::Relation r = ex.Run(
+      const wimpi::exec::Relation r = ex.RunProfiled(
           [&](wimpi::exec::QueryStats* s) {
             return wimpi::tpch::RunQuery(q, db, s);
           },
-          &stats);
+          wimpi::obs::ProfileOptions(), &w.profile, &stats,
+          "Q" + std::to_string(q));
       const int64_t finish = wimpi::obs::NowMicros();
       w.wall_seconds += static_cast<double>(finish - start) * 1e-6;
       const uint64_t sum = wimpi::bench::RelationChecksum(r);
@@ -140,12 +147,11 @@ int main(int argc, char** argv) {
     for (const int q : queries) {
       const QueryWindow& w = windows[q];
       timeline::QueryTimeline tl = sampler.Slice(w.submit_us, w.finish_us);
-      timeline::RooflineSummary s =
-          timeline::BuildRooflineSummary(tl, host_spec);
       // Measured runs happened at physical SF on this host: cross-check
-      // against the model's prediction for exactly that configuration.
-      timeline::CrossCheckWithModel(model, host, w.stats, threads, &s);
-      summaries[q] = std::move(s);
+      // each operator against the model's prediction for exactly that
+      // configuration.
+      summaries[q] =
+          timeline::BuildRooflineSummary(tl, w.profile, model, host, threads);
       slices[q] = std::move(tl);
     }
   }
@@ -263,7 +269,7 @@ int main(int argc, char** argv) {
         w.Key("measured").String(MeasuredClass(s))
             .Key("mean_gbps").Double(s.mean_gbps)
             .Key("saturation_fraction").Double(s.saturation_fraction)
-            .Key("pipelines").Int(static_cast<int64_t>(s.pipelines.size()))
+            .Key("operators").Int(static_cast<int64_t>(s.operators.size()))
             .Key("agree").Int(s.agree)
             .Key("disagree").Int(s.disagree);
       } else {

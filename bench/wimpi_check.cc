@@ -66,9 +66,11 @@
 //     timeline.query span whose modeled class is known (the cost model
 //     must commit to a verdict), and no query span runs backwards;
 //   * across query spans whose measured class is known, it matches the
-//     modeled class on at least half of them, and the summed per-pipeline
-//     agree/disagree tallies meet the same floor. On hosts without a PMU
-//     the measured side is "unknown" and the floor is vacuously met.
+//     modeled class on at least half of them, and the summed per-operator
+//     agree/disagree tallies (each profiled operator measured over its own
+//     window against the model's verdict for its own OpStats) meet the
+//     same floor. On hosts without a PMU the measured side is "unknown"
+//     and the floor is vacuously met.
 //
 // Each trace kind fails on a trace of the other two (only a cluster trace
 // has cluster.attempt spans, only a flight dump flight.query spans, only
@@ -105,7 +107,7 @@ constexpr double kWindowSlackUs = 2000;
 constexpr double kCpuSlack = 1.25;
 // Timeline dumps: measured GB/s may exceed the host's nominal peak by
 // this factor, and measured-vs-modeled bound classes must agree on at
-// least this fraction of queries / pipelines.
+// least this fraction of queries / operators.
 constexpr double kBandwidthTolerance = 1.5;
 constexpr double kAgreeFloor = 0.5;
 constexpr int kRequiredQueries[] = {1, 6};
@@ -398,8 +400,7 @@ bool CheckFlightDump(const std::string& path, const JsonValue& events,
       // Lifecycle events must fall inside the span they define.
       if (name == "query.submit" || name == "query.admit" ||
           name == "query.finish" || name == "queue.enter" ||
-          name == "morsel.batch" || name == "pipeline.start" ||
-          name == "pipeline.end") {
+          name == "morsel.batch" || name == "pipeline") {
         if (ts < w.start_us - kWindowSlackUs ||
             ts > w.end_us + kWindowSlackUs) {
           return Fail(error, "event '" + name + "' of query " +
@@ -528,7 +529,7 @@ bool CheckTimelineDump(const std::string& path, const JsonValue& events,
   }
   if (agree + disagree > 0 &&
       static_cast<double>(agree) / (agree + disagree) < kAgreeFloor) {
-    return Fail(error, "per-pipeline agreement " + std::to_string(agree) + "/" +
+    return Fail(error, "per-operator agreement " + std::to_string(agree) + "/" +
                        std::to_string(agree + disagree) +
                        " is below the floor");
   }

@@ -27,10 +27,12 @@
 // With --timeline, the roofline timeline sampler (obs/timeline/) runs in
 // the background and each query prints an ASCII sparkline table — GB/s,
 // IPC, and occupancy (busy cores) per bucket (--timeline-bucket-ms,
-// default 10) — plus the per-pipeline roofline summary cross-checked
-// against the cost model. With --trace, the sampled series rides along
-// inside the Chrome trace as timeline.* counter tracks. On hosts without a
-// PMU the sparklines degrade to occupancy/memory only.
+// default 10) — plus the roofline summary: one row per profiled operator,
+// measured over its own window and cross-checked against the cost model's
+// verdict for its own OpStats. With --trace, the sampled series rides
+// along inside the Chrome trace as timeline.* counter tracks. On hosts
+// without a PMU the GB/s and IPC rows read unavailable and occupancy comes
+// from the flight recorder's morsel spans.
 //
 //   ./examples/wimpi_profile [--sf 0.1] [--q 1,6] [--threads 4]
 //                            [--trace trace.json] [--json profile.json]
@@ -89,6 +91,27 @@ std::string Sparkline(const std::vector<double>& values, double vmax) {
     }
   }
   return out;
+}
+
+// Busy worker-us per bucket us over [start, start + buckets x bucket_us),
+// from the window's flight.morsel spans: occupancy without a task clock.
+std::vector<double> MorselOccupancy(
+    const std::vector<wimpi::obs::flight::FlightEvent>& events,
+    int64_t start_us, int64_t bucket_us, size_t buckets) {
+  std::vector<double> busy_us(buckets, 0);
+  for (const auto& e : events) {
+    if (e.kind != wimpi::obs::flight::EventKind::kMorselBatch) continue;
+    const int64_t m0 = e.ts_us;
+    const int64_t m1 = e.ts_us + e.span_dur_us();
+    for (size_t b = 0; b < buckets; ++b) {
+      const int64_t b0 = start_us + static_cast<int64_t>(b) * bucket_us;
+      const int64_t overlap =
+          std::min(m1, b0 + bucket_us) - std::max(m0, b0);
+      if (overlap > 0) busy_us[b] += static_cast<double>(overlap);
+    }
+  }
+  for (double& v : busy_us) v /= static_cast<double>(bucket_us);
+  return busy_us;
 }
 
 // Time-weighted bucket means of one interval signal over [start, end).
@@ -224,8 +247,6 @@ int main(int argc, char** argv) {
                   sampler.note().c_str());
     }
   }
-  const tl::RooflineSpec roofline_spec =
-      tl::RooflineSpec::FromProfile(host, threads, model);
   // The --trace file: every query's rendering plus its timeline slice's
   // counter tracks.
   std::vector<wimpi::obs::TraceEvent> trace_events;
@@ -300,20 +321,24 @@ int main(int argc, char** argv) {
                                      return iv.ipc;
                                    }));
         // Occupancy: busy cores from the task clock where counted, else
-        // lanes observed mid-pipeline (always available).
-        PrintSparkRow("occ",
-                      BucketSignal(ivs, tl_start, bucket_us, buckets,
-                                   [](const tl::TimelineInterval& iv) {
-                                     return iv.cpu_util >= 0
-                                                ? iv.cpu_util
-                                                : static_cast<double>(
-                                                      iv.num_active);
-                                   }));
-        tl::RooflineSummary summary =
-            tl::BuildRooflineSummary(qtl, roofline_spec);
-        tl::CrossCheckWithModel(model, host, stats, threads, &summary);
-        std::printf("%s", summary.Format().c_str());
+        // busy worker time from the flight recorder's morsel spans.
+        std::vector<double> occ =
+            BucketSignal(ivs, tl_start, bucket_us, buckets,
+                         [](const tl::TimelineInterval& iv) {
+                           return iv.cpu_util;
+                         });
+        const auto& recorder = wimpi::obs::flight::FlightRecorder::Global();
+        if (*std::max_element(occ.begin(), occ.end()) < 0 &&
+            recorder.enabled()) {
+          occ = MorselOccupancy(recorder.SnapshotSince(tl_start), tl_start,
+                                bucket_us, buckets);
+        }
+        PrintSparkRow("occ", occ);
       }
+      // Modeled classes need no samples: every operator row prints one.
+      const tl::RooflineSummary summary =
+          tl::BuildRooflineSummary(qtl, profile, model, host, threads);
+      std::printf("%s", summary.Format().c_str());
       qtl.AppendCounterTracks(&trace_events);
     }
   }

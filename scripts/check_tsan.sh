@@ -57,8 +57,8 @@ export TSAN_OPTIONS="halt_on_error=1 ${TSAN_OPTIONS:-}"
 # Column statistics: the morsel-parallel BuildTableStats shard merge, and
 # the registry's shared_mutex paths (concurrent Collect + estimation).
 "${build_dir}/tests/stats_test"
-# Roofline timeline: the sampler thread reading seqlock lane-activity
-# slots and pool metrics while morsel workers run, and sampler start/stop
+# Roofline timeline: the sampler thread reading counters and the pool's
+# queue-depth gauge while morsel workers run, and sampler start/stop
 # racing query execution and service teardown.
 "${build_dir}/tests/timeline_test"
 # TPC-H generation: key ranges written concurrently into shared, pre-sized

@@ -78,21 +78,27 @@ if [[ "${WIMPI_CI_SKIP_BENCH:-0}" != "1" ]]; then
     "$(median_run "${build_dir}"/BENCH_flight_on_*.json)" \
     --only mean_latency --wall-tol "${flight_tol}"
 
-  # Sampling must not move mean latency either: sampler off here vs the
-  # sampler-on run ctest made in stage 1 (bench_timeline_run, 7 laps so
-  # the mean is stable enough to gate). Deliberately NOT run with
-  # WIMPI_PERF_DISABLE=1: that variable force-disables the sampler. The
-  # design budget is <= 2% when the sampler thread has a spare hardware
-  # thread to ride (any multi-core host, including the Pi-class targets).
-  # The default tolerance is wider because on a single-CPU CI VM every
-  # 1 kHz sampler wakeup preempts the only core, so the A/B measures
-  # context-switch pressure, not per-sample cost.
+  # Sampling must not move mean latency either: the same seven-run,
+  # interleaved, median-vs-median A/B, sampler off vs on (each run 7 laps
+  # of all 22 queries). Deliberately NOT run with WIMPI_PERF_DISABLE=1:
+  # that variable force-disables the sampler. The design budget is <= 2%
+  # when the sampler thread has a spare hardware thread to ride (any
+  # multi-core host, including the Pi-class targets). The default
+  # tolerance is wider because on a single-CPU CI VM every 1 kHz sampler
+  # wakeup preempts the only core, so the A/B measures context-switch
+  # pressure, not per-sample cost.
   timeline_tol="${WIMPI_CI_TIMELINE_TOL:-0.25}"
-  timeline_off="${build_dir}/BENCH_timeline_off.json"
-  "${bench}/bench_timeline" \
-    --physical-sf 0.01 --laps 7 --off --json "${timeline_off}" > /dev/null
-  "${bench}/wimpi_check" compare "${timeline_off}" \
-    "${bench}/gate_bench_timeline.json" \
+  timeline_runs=7
+  for i in $(seq "${timeline_runs}"); do
+    for side in off on; do
+      "${bench}/bench_timeline" --physical-sf 0.01 --laps 7 \
+        --off "$([[ "${side}" == off ]] && echo true || echo false)" \
+        --json "${build_dir}/BENCH_timeline_${side}_${i}.json" > /dev/null
+    done
+  done
+  "${bench}/wimpi_check" compare \
+    "$(median_run "${build_dir}"/BENCH_timeline_off_*.json)" \
+    "$(median_run "${build_dir}"/BENCH_timeline_on_*.json)" \
     --only mean_latency --wall-tol "${timeline_tol}"
 else
   echo "=== host-timing stages skipped (WIMPI_CI_SKIP_BENCH=1) ==="

@@ -445,9 +445,11 @@ Grouped<Reader> AggregateWith(const Reader& reader, const ColumnSource& src,
                               const std::vector<AggSpec>& aggs, int64_t n,
                               int threads, int64_t* chain_steps) {
   if (threads <= 1) {
-    Grouped<Reader> g = AggregateRange(reader, src, aggs, 0, n);
-    *chain_steps = g.table.chain_steps();
-    return g;
+    std::optional<Grouped<Reader>> g;
+    RunSequential(n,
+                  [&] { g.emplace(AggregateRange(reader, src, aggs, 0, n)); });
+    *chain_steps = g->table.chain_steps();
+    return std::move(*g);
   }
   const auto parts = PerChunk(n, threads, [&](int64_t begin, int64_t end) {
     return AggregateRange(reader, src, aggs, begin, end);
@@ -473,7 +475,11 @@ std::vector<AggState> AggregateAll(const ColumnSource& src,
     }
     return states;
   };
-  if (threads <= 1) return run(0, n);
+  if (threads <= 1) {
+    std::vector<AggState> states;
+    RunSequential(n, [&] { states = run(0, n); });
+    return states;
+  }
   const auto parts = PerChunk(n, threads, run);
   std::vector<AggState> states = run(0, 0);
   for (const auto& p : parts) {
@@ -613,7 +619,9 @@ double SumF64(const Column& col, QueryStats* stats) {
   const double* d = col.F64Data();
   const int threads = PlannedThreads(n);
   if (threads <= 1) {
-    for (int64_t i = 0; i < n; ++i) sum += d[i];
+    RunSequential(n, [&] {
+      for (int64_t i = 0; i < n; ++i) sum += d[i];
+    });
   } else {
     std::vector<double> partial(NumMorsels(n), 0.0);
     RunMorsels(n, threads, [&](const parallel::Morsel& m) {
@@ -650,7 +658,9 @@ double MaxF64(const Column& col, QueryStats* stats) {
   const double* d = col.F64Data();
   const int threads = PlannedThreads(n);
   if (threads <= 1) {
-    for (int64_t i = 0; i < n; ++i) m = std::max(m, d[i]);
+    RunSequential(n, [&] {
+      for (int64_t i = 0; i < n; ++i) m = std::max(m, d[i]);
+    });
   } else {
     std::vector<double> partial(NumMorsels(n),
                                 -std::numeric_limits<double>::infinity());

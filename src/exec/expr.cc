@@ -19,7 +19,9 @@ void FillRows(std::vector<T>& out_vec, int64_t n, F f) {
   const int threads = PlannedThreads(n);
   T* out = out_vec.data();
   if (threads <= 1) {
-    for (int64_t i = 0; i < n; ++i) out[i] = f(i);
+    RunSequential(n, [&] {
+      for (int64_t i = 0; i < n; ++i) out[i] = f(i);
+    });
     return;
   }
   RunMorsels(n, threads, [&](const parallel::Morsel& m) {

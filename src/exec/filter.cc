@@ -190,7 +190,7 @@ void WithOp(CmpOp op, const F& f) {
 template <typename Body>
 void ForEachRange(int64_t n, int threads, const Body& body) {
   if (threads <= 1) {
-    body(int64_t{0}, n);
+    RunSequential(n, [&] { body(int64_t{0}, n); });
     return;
   }
   RunMorsels(n, threads,
@@ -232,7 +232,8 @@ SelVec Select(const SelVec* candidates, int64_t n, int threads,
   const auto buf = std::make_unique_for_overwrite<int32_t[]>(n);
   int64_t total = 0;
   if (threads <= 1) {
-    total = SelectRange(cand, 0, n, test, buf.get());
+    RunSequential(n,
+                  [&] { total = SelectRange(cand, 0, n, test, buf.get()); });
   } else {
     struct Part {
       int64_t begin = 0;

@@ -40,11 +40,13 @@ JoinResult JoinWith(const Key& build, const Key& probe,
     build_scope.set_rows_out(n_build);
     const int build_threads = PlannedThreads(n_build);
     if (build_threads <= 1) {
-      for (int64_t i = 0; i < n_build; ++i) {
-        const uint64_t b = build.Hash(i) & mask;
-        next[i] = head[b];
-        head[b] = static_cast<int32_t>(i);
-      }
+      RunSequential(n_build, [&] {
+        for (int64_t i = 0; i < n_build; ++i) {
+          const uint64_t b = build.Hash(i) & mask;
+          next[i] = head[b];
+          head[b] = static_cast<int32_t>(i);
+        }
+      });
     } else {
       // Two-phase parallel build. Phase 1 precomputes the row hashes (pure
       // element-wise map). Phase 2 partitions the *bucket* range: each task
@@ -153,8 +155,10 @@ JoinResult JoinWith(const Key& build, const Key& probe,
     obs::OpScope probe_scope("hash_probe", n_probe);
     const int probe_threads = PlannedThreads(n_probe);
     if (probe_threads <= 1) {
-      chain_steps = static_cast<double>(
-          probe_range(0, n_probe, &result.build_idx, &result.probe_idx));
+      RunSequential(n_probe, [&] {
+        chain_steps = static_cast<double>(
+            probe_range(0, n_probe, &result.build_idx, &result.probe_idx));
+      });
     } else {
       struct ProbePart {
         std::vector<int32_t> build_idx;

@@ -2,15 +2,18 @@
 #define WIMPI_EXEC_MORSEL_EXEC_H_
 
 // Internal glue between the operator library and wimpi::parallel: every
-// parallel operator phase becomes one parallel::PipelineSpec handed to the
-// ambient pipeline scheduler (the pipeline/executor split). Operators call
-// PlannedThreads() first and only come here when it returns > 1, so the
-// sequential paths never touch the scheduler (and num_threads=1 stays
-// bit-identical to the single-threaded engine). With no scheduler
-// installed the pipeline runs on PipelineScheduler::Default() — the one
-// permanent lane of a process-wide fair scheduler; the query service
-// installs a per-query lane of its own fair scheduler instead, which
-// interleaves this pipeline's morsels with other queries' pipelines.
+// operator phase becomes one parallel::PipelineSpec handed to the ambient
+// pipeline scheduler (the pipeline/executor split). Operators call
+// PlannedThreads() first: above one thread the phase is split into
+// morsels (RunMorsels/RunChunks); at one it keeps its sequential loop,
+// run once over the whole range as a single-morsel pipeline
+// (RunSequential), so num_threads=1 stays bit-identical to the
+// single-threaded engine and still leaves the same flight records. With
+// no scheduler installed the pipeline runs on PipelineScheduler::Default()
+// — the one permanent lane of a process-wide fair scheduler; the query
+// service installs a per-query lane of its own fair scheduler instead,
+// which interleaves this pipeline's morsels with other queries'
+// pipelines.
 
 #include <cstdint>
 #include <functional>
@@ -33,19 +36,40 @@ inline int NumMorsels(int64_t rows) {
 // thread count and under any scheduler. An explicit chunk size serves
 // phases whose partial-result granularity must be "one chunk per thread"
 // (e.g. thread-local aggregation tables) rather than one per morsel.
+// The ambient pipeline scheduler: the one installed in the current
+// ExecOptions, else PipelineScheduler::Default().
+inline parallel::PipelineScheduler& AmbientScheduler() {
+  parallel::PipelineScheduler* installed =
+      CurrentExecOptions().pipeline_scheduler;
+  return installed != nullptr ? *installed
+                              : parallel::PipelineScheduler::Default();
+}
+
 inline void RunChunks(int64_t rows, int64_t chunk_rows, int threads,
                       const std::function<void(const parallel::Morsel&)>& body) {
-  const ExecOptions& opts = CurrentExecOptions();
   parallel::PipelineSpec spec;
   spec.total_rows = rows;
   spec.morsel_rows = chunk_rows;
   spec.max_threads = threads;
   spec.body = &body;
-  spec.cancel = opts.cancellation;
-  (opts.pipeline_scheduler != nullptr
-       ? *opts.pipeline_scheduler
-       : parallel::PipelineScheduler::Default())
-      .RunPipeline(spec);
+  spec.cancel = CurrentExecOptions().cancellation;
+  AmbientScheduler().RunPipeline(spec);
+}
+
+// Runs the sequential loop `body()` over [0, rows) on the calling thread as
+// one pipeline of one morsel. The loop runs to completion whatever the
+// cancellation token says (no token is passed), and a zero-row phase still
+// runs it, without a pipeline.
+template <typename Body>
+void RunSequential(int64_t rows, const Body& body) {
+  if (rows <= 0) return body();
+  const std::function<void(const parallel::Morsel&)> whole =
+      [&body](const parallel::Morsel&) { body(); };
+  parallel::PipelineSpec spec;
+  spec.total_rows = rows;
+  spec.morsel_rows = rows;
+  spec.body = &whole;
+  AmbientScheduler().RunPipeline(spec);
 }
 
 // RunChunks at the current options' morsel size.

@@ -44,10 +44,8 @@ const char* EventKindName(EventKind kind) {
       return "query.cancel_queued";
     case EventKind::kQueryFinish:
       return "query.finish";
-    case EventKind::kPipelineStart:
-      return "pipeline.start";
-    case EventKind::kPipelineEnd:
-      return "pipeline.end";
+    case EventKind::kPipeline:
+      return "pipeline";
     case EventKind::kMorselBatch:
       return "morsel.batch";
     case EventKind::kPoolTask:
@@ -322,46 +320,32 @@ std::vector<TraceEvent> FlightRecorder::ToTraceEvents(
                                          {"wall_us", info.wall_us}})});
   }
 
-  // Pipeline spans (host pid, the TraceEvent default): match start/end
-  // pairs per (tid, query) as a stack — the driver thread records both
-  // ends of each pipeline.
-  std::map<std::pair<int, uint64_t>, std::vector<const FlightEvent*>> open;
+  // Span records (host pid, the TraceEvent default): one span each, from
+  // the record's own start and duration.
   for (const FlightEvent& e : events) {
-    if (e.kind == EventKind::kPipelineStart) {
-      open[{e.tid, e.query}].push_back(&e);
-    } else if (e.kind == EventKind::kPipelineEnd) {
-      auto& stack = open[{e.tid, e.query}];
-      if (stack.empty()) continue;  // start fell off the ring
-      const FlightEvent* start = stack.back();
-      stack.pop_back();
-      out.push_back(
-          {.name = "pipeline",
-           .category = "flight.pipeline",
-           .ts_us = start->ts_us,
-           .dur_us = std::max<int64_t>(e.ts_us - start->ts_us, 1),
-           .tid = e.tid,
-           .args_json = IntArgs({{"query", static_cast<int64_t>(e.query)},
-                                 {"morsels", start->a},
-                                 {"rows", start->b}})});
+    const int64_t query = static_cast<int64_t>(e.query);
+    TraceEvent span;
+    span.ts_us = e.ts_us;
+    span.dur_us = e.span_dur_us();
+    span.tid = e.tid;
+    if (e.kind == EventKind::kPipeline) {
+      span.name = "pipeline";
+      span.category = "flight.pipeline";
+      span.args_json = IntArgs(
+          {{"query", query}, {"morsels", e.a}, {"rows", e.span_payload()}});
+    } else if (e.kind == EventKind::kMorselBatch) {
+      span.name = "morsel";
+      span.category = "flight.morsel";
+      span.args_json = IntArgs(
+          {{"query", query}, {"morsel", e.a}, {"rows", e.span_payload()}});
+    } else if (e.kind == EventKind::kPoolTask) {
+      span.name = "task";
+      span.category = "flight.task";
+      span.args_json = IntArgs({{"worker", e.a}});
+    } else {
+      continue;
     }
-  }
-
-  // Morsels and pool tasks: one span each, from the record's own start
-  // and duration.
-  for (const FlightEvent& e : events) {
-    const bool morsel = e.kind == EventKind::kMorselBatch;
-    if (!morsel && e.kind != EventKind::kPoolTask) continue;
-    out.push_back(
-        {.name = morsel ? "morsel" : "task",
-         .category = morsel ? "flight.morsel" : "flight.task",
-         .ts_us = e.ts_us,
-         .dur_us = e.span_dur_us(),
-         .tid = e.tid,
-         .args_json =
-             morsel ? IntArgs({{"query", static_cast<int64_t>(e.query)},
-                               {"morsel", e.a},
-                               {"rows", e.span_payload()}})
-                    : IntArgs({{"worker", e.a}})});
+    out.push_back(std::move(span));
   }
 
   // Every record as an instant on its thread row.

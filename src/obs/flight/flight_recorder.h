@@ -48,13 +48,12 @@ enum class EventKind : uint32_t {
   kQueryReject = 4,   // a = StatusCode, b = queue wait us
   kQueryCancelQueued = 5,  // b = queue wait us
   kQueryFinish = 6,   // a = StatusCode, b = wall us
-  kPipelineStart = 7, // a = morsel count, b = total rows
-  kPipelineEnd = 8,   // a = morsel count, b = pipeline wall us
-  kMorselBatch = 9,   // span: a = morsel index, payload = rows
-  kPoolTask = 10,     // span: a = worker index
-  kClusterFault = 11, // a = node id, b = fault detail
-  kClusterSteal = 12, // a = thief node, b = victim node << 32 | morsels
-  kClusterCkpt = 13,  // a = node id, b = partition << 32 | morsels
+  kPipeline = 7,      // span: a = morsel count, payload = total rows
+  kMorselBatch = 8,   // span: a = morsel index, payload = rows
+  kPoolTask = 9,      // span: a = worker index
+  kClusterFault = 10, // a = node id, b = fault detail
+  kClusterSteal = 11, // a = thief node, b = victim node << 32 | morsels
+  kClusterCkpt = 12,  // a = node id, b = partition << 32 | morsels
 };
 
 const char* EventKindName(EventKind kind);
@@ -123,11 +122,11 @@ class FlightRecorder {
 
   // Renders `events` as trace events: one 'X' span per completed query
   // lifecycle (kTracePidQueryLanes, cat "flight.query"); on the recording
-  // thread's row (kTracePidHost) one 'X' span per matched pipeline
-  // start/end pair (cat "flight.pipeline"), per morsel (cat
-  // "flight.morsel") and per pool task (cat "flight.task"); and every
-  // record as an 'i' instant (kTracePidHost, cat "flight.event", args
-  // {"query","a","b"} — the whole record).
+  // thread's row (kTracePidHost) one 'X' span per span record — pipeline
+  // (cat "flight.pipeline"), morsel (cat "flight.morsel") and pool task
+  // (cat "flight.task"); and every record as an 'i' instant
+  // (kTracePidHost, cat "flight.event", args {"query","a","b"} — the whole
+  // record).
   static std::vector<TraceEvent> ToTraceEvents(
       const std::vector<FlightEvent>& events);
 

@@ -152,9 +152,8 @@ bool ProfilerActive();
 void NoteParallelPhase(int threads, int morsels);
 
 // Label of the innermost open scope ("plan" when none); readable from
-// worker threads while they execute that scope's morsels, used to label
-// pipelines for the timeline sampler and morsel errors. Returns a string
-// literal pointer.
+// worker threads while they execute that scope's morsels, used to name the
+// operator in morsel errors. Returns a string literal pointer.
 const char* CurrentOpLabel();
 
 }  // namespace wimpi::obs

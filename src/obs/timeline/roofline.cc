@@ -1,8 +1,8 @@
 #include "obs/timeline/roofline.h"
 
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
-#include <map>
 
 namespace wimpi::obs::timeline {
 
@@ -72,18 +72,34 @@ BoundClass ClassifyInterval(const TimelineInterval& iv,
   return ClassifySignals(iv.gbps, iv.instr_per_sec, spec);
 }
 
-BoundClass ClassifyWindow(const PipelineWindow& w, const RooflineSpec& spec) {
-  double instr_per_sec = -1;
-  if (w.delta.Has(PerfEvent::kInstructions) && w.seconds > 0) {
-    instr_per_sec =
-        static_cast<double>(w.delta.Get(PerfEvent::kInstructions)) /
-        w.seconds;
+namespace {
+
+// Modeled class of one operator invocation from its own OpStats: bandwidth
+// when at least half of its modeled seconds sit under the bandwidth roof.
+BoundClass ModeledOperatorBound(const hw::CostModel& model,
+                                const hw::HardwareProfile& hw,
+                                const std::vector<exec::OpStats>& ops,
+                                int threads) {
+  double total_s = 0;
+  double bandwidth_s = 0;
+  for (const exec::OpStats& op : ops) {
+    const hw::CostModel::OpRoofs roofs = model.OpRoofline(hw, op, threads);
+    const double sec = std::max(roofs.compute_s, roofs.seq_s) + roofs.rand_s;
+    total_s += sec;
+    if (roofs.BandwidthBound()) bandwidth_s += sec;
   }
-  return ClassifySignals(w.Gbps(), instr_per_sec, spec);
+  return bandwidth_s >= total_s * 0.5 ? BoundClass::kBandwidth
+                                      : BoundClass::kCompute;
 }
 
+}  // namespace
+
 RooflineSummary BuildRooflineSummary(const QueryTimeline& timeline,
-                                     const RooflineSpec& spec) {
+                                     const QueryProfile& profile,
+                                     const hw::CostModel& model,
+                                     const hw::HardwareProfile& hw,
+                                     int threads) {
+  const RooflineSpec spec = RooflineSpec::FromProfile(hw, threads, model);
   RooflineSummary out;
   out.profile = spec.profile;
   double gbps_weight = 0;
@@ -110,52 +126,33 @@ RooflineSummary BuildRooflineSummary(const QueryTimeline& timeline,
   if (out.total_s > 0) {
     out.saturation_fraction = out.time_at_saturation_s / out.total_s;
   }
-  for (const PipelineWindow& w : timeline.PipelineWindows()) {
-    PipelineRoofline p;
-    p.label = w.label != nullptr ? w.label : "plan";
-    p.query_id = w.query_id;
-    p.seconds = w.seconds;
-    p.gbps = w.Gbps();
-    p.ipc = w.Ipc();
-    p.measured = ClassifyWindow(w, spec);
-    out.pipelines.push_back(std::move(p));
+
+  // Pre-order walk: every node that recorded OpStats is one operator.
+  std::vector<const ProfileNode*> stack = {&profile.root};
+  while (!stack.empty()) {
+    const ProfileNode* node = stack.back();
+    stack.pop_back();
+    for (auto it = node->children.rbegin(); it != node->children.rend();
+         ++it) {
+      stack.push_back(it->get());
+    }
+    if (node->op_stats.empty()) continue;
+    const int64_t end_us =
+        node->start_us + std::llround(node->wall_seconds * 1e6);
+    const TimelineInterval iv = timeline.Over(node->start_us, end_us);
+    OperatorRoofline op;
+    op.name = node->name;
+    op.seconds = node->wall_seconds;
+    op.gbps = iv.gbps;
+    op.ipc = iv.ipc;
+    op.measured = ClassifyInterval(iv, spec);
+    op.modeled = ModeledOperatorBound(model, hw, node->op_stats, threads);
+    if (op.measured != BoundClass::kUnknown) {
+      ++(op.measured == op.modeled ? out.agree : out.disagree);
+    }
+    out.operators.push_back(std::move(op));
   }
   return out;
-}
-
-void CrossCheckWithModel(const hw::CostModel& model,
-                         const hw::HardwareProfile& hw,
-                         const exec::QueryStats& stats, int threads,
-                         RooflineSummary* summary) {
-  // Seconds-weighted roofs per operator label: the measured pipelines are
-  // labelled by operator scope, so the modeled verdict for "Filter" is the
-  // aggregate over every Filter invocation in the plan.
-  struct Roof {
-    double total_s = 0;
-    double bandwidth_s = 0;
-  };
-  std::map<std::string, Roof> by_label;
-  for (const auto& op : stats.ops) {
-    const hw::CostModel::OpRoofs roofs = model.OpRoofline(hw, op, threads);
-    const double sec =
-        std::max(roofs.compute_s, roofs.seq_s) + roofs.rand_s;
-    Roof& r = by_label[op.op];
-    r.total_s += sec;
-    if (roofs.BandwidthBound()) r.bandwidth_s += sec;
-  }
-  for (PipelineRoofline& p : summary->pipelines) {
-    auto it = by_label.find(p.label);
-    if (it == by_label.end() || it->second.total_s <= 0) continue;
-    p.modeled = it->second.bandwidth_s >= it->second.total_s * 0.5
-                    ? BoundClass::kBandwidth
-                    : BoundClass::kCompute;
-    if (p.measured == BoundClass::kUnknown) continue;
-    if (p.measured == p.modeled) {
-      ++summary->agree;
-    } else {
-      ++summary->disagree;
-    }
-  }
 }
 
 BoundClass ModeledQueryBound(const hw::CostModel& model,
@@ -185,14 +182,14 @@ std::string RooflineSummary::Format() const {
     out += buf;
   }
   out += '\n';
-  for (const PipelineRoofline& p : pipelines) {
+  for (const OperatorRoofline& op : operators) {
     std::snprintf(buf, sizeof(buf),
                   "  %-18s %8.3fs  measured=%-9s modeled=%-9s",
-                  p.label.c_str(), p.seconds, BoundClassName(p.measured),
-                  BoundClassName(p.modeled));
+                  op.name.c_str(), op.seconds, BoundClassName(op.measured),
+                  BoundClassName(op.modeled));
     out += buf;
-    if (p.gbps >= 0) {
-      std::snprintf(buf, sizeof(buf), "  %6.2f GB/s", p.gbps);
+    if (op.gbps >= 0) {
+      std::snprintf(buf, sizeof(buf), "  %6.2f GB/s", op.gbps);
       out += buf;
     }
     out += '\n';

@@ -7,16 +7,19 @@
 #include "exec/counters.h"
 #include "hw/cost_model.h"
 #include "hw/profile.h"
+#include "obs/profiler.h"
 #include "obs/timeline/timeline.h"
 
 namespace wimpi::obs::timeline {
 
 // Live roofline classification of a sampled timeline (ISSUE #10): each
-// pipeline window is labelled bandwidth-bound vs compute-bound from its
-// measured counter deltas, and the per-query summary is cross-checked
-// against what hw::CostModel predicts for the same operators — the
-// time-resolved generalization of obs::CounterResiduals. Lives in
-// wimpi_obs_report (needs wimpi_hw), like the residual reports.
+// operator of a profiled query is labelled bandwidth-bound vs
+// compute-bound from the counters sampled over its own window, and
+// cross-checked against what hw::CostModel predicts for that operator's
+// own OpStats — the time-resolved generalization of
+// obs::CounterResiduals. Which operator ran when comes from the profile
+// tree (obs::QueryProfile), which records every operator's exact window.
+// Lives in wimpi_obs_report (needs wimpi_hw), like the residual reports.
 
 enum class BoundClass { kUnknown, kBandwidth, kCompute };
 const char* BoundClassName(BoundClass c);
@@ -45,18 +48,15 @@ struct RooflineSpec {
 BoundClass ClassifyInterval(const TimelineInterval& iv,
                             const RooflineSpec& spec);
 
-// Same classification applied to one pipeline window's accumulated deltas.
-BoundClass ClassifyWindow(const PipelineWindow& w, const RooflineSpec& spec);
-
-// One pipeline's roofline verdict, measured and modeled side by side.
-struct PipelineRoofline {
-  std::string label;
-  uint64_t query_id = 0;
-  double seconds = 0;
+// One profiled operator's roofline verdict, measured and modeled side by
+// side.
+struct OperatorRoofline {
+  std::string name;    // profile node name ("Filter", "HashAggregate")
+  double seconds = 0;  // the node's wall time
   double gbps = -1;
   double ipc = -1;
   BoundClass measured = BoundClass::kUnknown;
-  BoundClass modeled = BoundClass::kUnknown;  // filled by the cross-check
+  BoundClass modeled = BoundClass::kUnknown;
 };
 
 struct RooflineSummary {
@@ -67,8 +67,8 @@ struct RooflineSummary {
   double peak_gbps = -1;             // best interval observed
   double mean_gbps = -1;
   double mean_ipc = -1;
-  std::vector<PipelineRoofline> pipelines;
-  // Cross-check tallies over pipelines where both sides are known.
+  std::vector<OperatorRoofline> operators;
+  // Cross-check tallies over operators whose measured class is known.
   int agree = 0;
   int disagree = 0;
   double AgreementFraction() const {
@@ -80,19 +80,20 @@ struct RooflineSummary {
   std::string Format() const;
 };
 
-// Builds the measured summary (pipelines carry measured classes only).
+// Summarizes one profiled query on `hw` at `threads`:
+//   * query-level figures (saturation, peak/mean GB/s, IPC) from the
+//     timeline's interval series;
+//   * one OperatorRoofline per profile node that recorded OpStats, in
+//     pre-order: measured over the node's own window [start_us, start_us +
+//     wall) through QueryTimeline::Over, modeled from the node's own
+//     OpStats through CostModel::OpRoofline — bandwidth when at least half
+//     of its modeled seconds sit under the bandwidth roof, else compute.
+// `timeline` and `profile` must come from the same run.
 RooflineSummary BuildRooflineSummary(const QueryTimeline& timeline,
-                                     const RooflineSpec& spec);
-
-// Modeled verdicts for the same query's operators, matched to measured
-// pipelines by operator label: each pipeline whose label matches a modeled
-// operator class gets `modeled` filled, and agree/disagree are tallied.
-// `stats` are the query's recorded work counters (scaled to the SF the
-// claim is made at); `threads` the count the model should assume.
-void CrossCheckWithModel(const hw::CostModel& model,
-                         const hw::HardwareProfile& hw,
-                         const exec::QueryStats& stats, int threads,
-                         RooflineSummary* summary);
+                                     const QueryProfile& profile,
+                                     const hw::CostModel& model,
+                                     const hw::HardwareProfile& hw,
+                                     int threads);
 
 // Query-level modeled class on `hw`: bandwidth iff the seconds-weighted
 // bandwidth-bound fraction of operator time exceeds one half.

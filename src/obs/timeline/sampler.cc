@@ -1,7 +1,6 @@
 #include "obs/timeline/sampler.h"
 
 #include <algorithm>
-#include <array>
 #include <chrono>
 
 #include "obs/clock.h"
@@ -10,46 +9,11 @@
 
 namespace wimpi::obs::timeline {
 
-// ---------------------------------------------------------------------------
-// Lane activity registry
-// ---------------------------------------------------------------------------
-
-namespace {
-std::array<LaneActivity, kMaxLanes> g_lanes;
-}  // namespace
-
-LaneActivity& LaneSlot(int lane) {
-  return g_lanes[static_cast<size_t>(lane < 0 ? 0 : lane) % kMaxLanes];
-}
-
 std::atomic<bool> TimelineSampler::g_enabled{false};
 
 bool SamplerEnabled() {
   return TimelineSampler::Global().enabled();
 }
-
-ScopedPipelineActivity::ScopedPipelineActivity(int lane, const char* label,
-                                               uint64_t query_id) {
-  if (!SamplerEnabled()) return;
-  lane_ = lane < 0 ? 0 : lane;
-  LaneActivity& slot = LaneSlot(lane_);
-  slot.query_id.store(query_id, std::memory_order_relaxed);
-  slot.label.store(label, std::memory_order_relaxed);
-  // Odd seq = active. Release so a sampler that observed the new seq also
-  // observes the label/query stores above.
-  slot.seq.fetch_add(1, std::memory_order_release);
-}
-
-ScopedPipelineActivity::~ScopedPipelineActivity() {
-  if (lane_ < 0) return;
-  LaneActivity& slot = LaneSlot(lane_);
-  slot.label.store(nullptr, std::memory_order_relaxed);
-  slot.seq.fetch_add(1, std::memory_order_release);
-}
-
-// ---------------------------------------------------------------------------
-// Sampler
-// ---------------------------------------------------------------------------
 
 TimelineSampler& TimelineSampler::Global() {
   static TimelineSampler* sampler = new TimelineSampler;
@@ -83,10 +47,6 @@ bool TimelineSampler::Start(SamplerOptions opts) {
   perf_open_ = opts_.perf && perf_.Open();
   note_ = perf_open_ ? ""
                      : (opts_.perf ? perf_.error() : "perf disabled by options");
-  // Queue depth comes from the pool's own gauge, which only moves while
-  // the pool metric hooks are armed.
-  prev_pool_metrics_ = PoolMetricsEnabled();
-  SetPoolMetricsEnabled(true);
   g_enabled.store(true, std::memory_order_relaxed);
   thread_ = std::thread([this] { Loop(); });
   return true;
@@ -103,7 +63,6 @@ void TimelineSampler::Stop() {
   thread_.join();
   perf_.Close();
   perf_open_ = false;
-  SetPoolMetricsEnabled(prev_pool_metrics_);
 }
 
 void TimelineSampler::TakeSample(int64_t now_us) {
@@ -115,21 +74,6 @@ void TimelineSampler::TakeSample(int64_t now_us) {
     s.mem_peak_bytes = opts_.memory->peak();
   }
   s.queue_depth = MetricsRegistry::Global().gauge("pool.queue_depth").Value();
-  for (int lane = 0; lane < kMaxLanes && s.num_active < TimelineSample::kMaxActive;
-       ++lane) {
-    LaneActivity& slot = g_lanes[static_cast<size_t>(lane)];
-    const uint64_t seq = slot.seq.load(std::memory_order_acquire);
-    if ((seq & 1) == 0) continue;  // even = idle
-    const char* label = slot.label.load(std::memory_order_relaxed);
-    const uint64_t query = slot.query_id.load(std::memory_order_relaxed);
-    if (label == nullptr) continue;  // torn: start/end mid-read
-    if (slot.seq.load(std::memory_order_acquire) != seq) continue;
-    ActivitySample& a = s.active[static_cast<size_t>(s.num_active++)];
-    a.lane = lane;
-    a.query_id = query;
-    a.seq = seq;
-    a.label = label;
-  }
   std::lock_guard<std::mutex> lock(mu_);
   ring_.push_back(s);
   while (ring_.size() > opts_.max_samples) ring_.pop_front();

@@ -19,53 +19,11 @@ class MemoryTracker;
 
 namespace wimpi::obs::timeline {
 
-// ---------------------------------------------------------------------------
-// Lane activity registry
-//
-// Schedulers publish "lane L is running pipeline <label> of query Q" into a
-// fixed array of atomic slots; the sampler thread reads them at each tick.
-// Publishing is the engine-side cost of the whole subsystem, so it follows
-// the obs ground rule: one relaxed atomic load when the sampler is off,
-// three relaxed stores per *pipeline* (not per morsel) when it is on.
-// ---------------------------------------------------------------------------
-
-inline constexpr int kMaxLanes = 64;
-
-struct LaneActivity {
-  // Bumped odd at pipeline start and even at end (seqlock flavor): the
-  // sampler pairs (seq, label, query) and discards torn half-open reads.
-  std::atomic<uint64_t> seq{0};
-  std::atomic<const char*> label{nullptr};  // string literal; null = idle
-  std::atomic<uint64_t> query_id{0};
-};
-
-// Slot for a lane id (lanes beyond kMaxLanes share slots modulo; sampling
-// stays correct-enough — attribution, not accounting).
-LaneActivity& LaneSlot(int lane);
-
 // True while a TimelineSampler is running (one relaxed load).
 bool SamplerEnabled();
 
-// RAII activity mark published by PipelineScheduler implementations around
-// one pipeline's drain. No-op (and clock-free) while the sampler is off.
-class ScopedPipelineActivity {
- public:
-  ScopedPipelineActivity(int lane, const char* label, uint64_t query_id);
-  ~ScopedPipelineActivity();
-
-  ScopedPipelineActivity(const ScopedPipelineActivity&) = delete;
-  ScopedPipelineActivity& operator=(const ScopedPipelineActivity&) = delete;
-
- private:
-  int lane_ = -1;  // -1 = sampler was off at construction
-};
-
-// ---------------------------------------------------------------------------
-// Sampler
-// ---------------------------------------------------------------------------
-
 struct SamplerOptions {
-  // Tick period; the default 1 ms gives ~1k samples/s of ~150 B each.
+  // Tick period; the default 1 ms gives ~1k samples/s of ~80 B each.
   int64_t period_us = 1000;
   // Ring capacity: oldest samples fall off beyond this (default ~67 s of
   // history at the default period, bounded memory like the flight rings).
@@ -84,15 +42,16 @@ struct SamplerOptions {
 // workers spawned later are aggregated, pre-existing ones are not — the
 // same coverage contract as ScopedProfiling) and launches the sampler
 // thread; every tick appends one TimelineSample to a bounded ring. The
-// engine never blocks on the sampler: hot paths only see SamplerEnabled()
-// and the activity slots, and the ring mutex is contended only by the
-// sampler thread itself and slice readers.
+// engine publishes nothing for it: the sampler reads counters, the memory
+// tracker and the pool's queue-depth gauge (which the pool keeps live on
+// every push and pop), and the ring mutex is contended only by the sampler
+// thread itself and slice readers.
 //
 // WIMPI_PERF_DISABLE=1 forces Start() to refuse entirely (not just the
 // counters): deterministic CI runs stay sampler-free. On hosts where
 // perf_event_open cannot count anything the sampler still runs — samples
-// then carry timestamps, memory, queue depth and lane activity, and every
-// derived rate reads -1 (graceful degradation, tested).
+// then carry timestamps, memory and queue depth, and every derived rate
+// reads -1 (graceful degradation, tested).
 class TimelineSampler {
  public:
   static TimelineSampler& Global();
@@ -129,7 +88,6 @@ class TimelineSampler {
   std::string note_;
   PerfCounters perf_;
   bool perf_open_ = false;
-  bool prev_pool_metrics_ = false;
   std::thread thread_;
   std::atomic<int64_t> ticks_{0};
 

@@ -1,7 +1,6 @@
 #ifndef WIMPI_OBS_TIMELINE_TIMELINE_H_
 #define WIMPI_OBS_TIMELINE_TIMELINE_H_
 
-#include <array>
 #include <cstdint>
 #include <vector>
 
@@ -12,41 +11,28 @@ namespace wimpi::obs::timeline {
 
 // Time-resolved observability (ISSUE #10): while queries run, the
 // TimelineSampler (sampler.h) periodically snapshots the physical state of
-// the node — perf-counter totals, memory footprint, pool queue depth, and
-// which pipeline each scheduler lane is executing — into TimelineSample
-// records. A QueryTimeline is a slice of those records; consecutive samples
-// difference into TimelineInterval derived signals (effective DRAM GB/s,
-// IPC, CPU utilization), the time-resolved generalization of the
-// whole-query obs::CounterResiduals. The roofline classification of those
-// intervals lives in roofline.h (wimpi_obs_report: it needs wimpi_hw).
-
-// One scheduler lane observed mid-pipeline. `label` is the operator-scope
-// string literal the driver published (never freed, safe to keep); `seq`
-// distinguishes back-to-back pipelines with the same label.
-struct ActivitySample {
-  int lane = -1;
-  uint64_t query_id = 0;
-  uint64_t seq = 0;
-  const char* label = nullptr;
-};
+// the node — perf-counter totals, memory footprint and pool queue depth —
+// into TimelineSample records. A QueryTimeline is a slice of those
+// records; consecutive samples difference into TimelineInterval derived
+// signals (effective DRAM GB/s, IPC, CPU utilization), the time-resolved
+// generalization of the whole-query obs::CounterResiduals. Which operator
+// ran when is not sampled: the profile tree records every operator's exact
+// window, and the roofline layer (roofline.h, wimpi_obs_report: it needs
+// wimpi_hw) measures each one with Over().
 
 // One sampler tick. Perf counts are cumulative since sampler start (the
 // sampler differences them per interval); -1 per event = unavailable.
 struct TimelineSample {
-  static constexpr int kMaxActive = 4;
-
   int64_t ts_us = 0;  // obs::NowMicros clock
   PerfCounts perf;
   int64_t mem_used_bytes = 0;
   int64_t mem_peak_bytes = 0;
   double queue_depth = 0;  // "pool.queue_depth" gauge
-  int num_active = 0;      // lanes mid-pipeline at sample time
-  std::array<ActivitySample, kMaxActive> active{};
 };
 
-// Derived signals between two consecutive samples. Every rate is -1 when
-// its counter inputs are unavailable (PMU hidden); the structural fields
-// (timestamps, memory, queue depth, active-lane count) are always valid.
+// Derived signals between two samples. Every rate is -1 when its counter
+// inputs are unavailable (PMU hidden) or no time passed; the structural
+// fields (timestamps, memory, queue depth) are always valid.
 struct TimelineInterval {
   int64_t t0_us = 0;
   int64_t t1_us = 0;
@@ -57,24 +43,6 @@ struct TimelineInterval {
   double cpu_util = -1;      // busy cores: task-clock ns / wall ns
   int64_t mem_used_bytes = 0;
   double queue_depth = 0;
-  int num_active = 0;  // lanes mid-pipeline at the interval's end
-};
-
-// A contiguous run of intervals during which one (lane, seq) pipeline was
-// active: the unit the roofline layer classifies as bandwidth- vs
-// compute-bound. Perf deltas accumulate the member intervals.
-struct PipelineWindow {
-  int lane = -1;
-  uint64_t query_id = 0;
-  uint64_t seq = 0;
-  const char* label = nullptr;
-  int64_t t0_us = 0;
-  int64_t t1_us = 0;
-  double seconds = 0;
-  PerfCounts delta;  // counter movement across the window
-
-  double Gbps() const;
-  double Ipc() const;
 };
 
 // One query's (or one window's) slice of the sampled series.
@@ -88,8 +56,12 @@ struct QueryTimeline {
   // Consecutive-sample derived signals (samples.size() - 1 entries).
   std::vector<TimelineInterval> Intervals() const;
 
-  // Pipeline activity windows reconstructed from the per-lane samples.
-  std::vector<PipelineWindow> PipelineWindows() const;
+  // The counter movement the samples inside [t0_us, t1_us) cover: one
+  // interval from the first to the last of them, its rates taken from the
+  // exact difference of their cumulative counters. Fewer than two samples
+  // inside yield dt_s = 0 and every rate -1 (the window is shorter than a
+  // sampler period).
+  TimelineInterval Over(int64_t t0_us, int64_t t1_us) const;
 
   // The one producer of timeline trace events: Chrome counter tracks ('C'
   // phase, cat "timeline", pid kTracePidHost), one event per interval and

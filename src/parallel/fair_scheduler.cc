@@ -10,7 +10,6 @@
 #include "obs/flight/flight_recorder.h"
 #include "obs/metrics.h"
 #include "obs/profiler.h"
-#include "obs/timeline/sampler.h"
 
 namespace wimpi::parallel {
 
@@ -22,6 +21,7 @@ struct FairPipelineScheduler::ActivePipeline {
   const std::function<void(const Morsel&)>* body = nullptr;
   const CancellationToken* cancel = nullptr;  // spec.cancel; may be null
   const char* label = "plan";
+  uint64_t flight_id = 0;  // query id for flight-recorder events
   int max_threads = 1;
   size_t next = 0;          // next unclaimed morsel index
   int in_flight = 0;        // running anywhere (driver or slots)
@@ -43,13 +43,43 @@ struct FairPipelineScheduler::Lane {
   CancellationToken* cancel = nullptr;
   int64_t deadline_us = 0;
   bool deadline_fired = false;
-  uint64_t flight_id = 0;  // query id for flight-recorder events
   std::list<ActivePipeline*> pipelines;
   int64_t pipelines_run = 0;
   int64_t tasks_run = 0;
   int64_t rows_run = 0;
   int64_t worker_cpu_us = 0;  // drain-slot CPU only (see LaneUsage)
 };
+
+namespace {
+
+// Runs one morsel and records its flight span whatever the outcome;
+// returns the TaskError it raised, if any.
+std::exception_ptr RunRecordedMorsel(
+    const std::function<void(const Morsel&)>& body, const Morsel& m,
+    const char* label, uint64_t flight_id) {
+  const int64_t start_us = obs::NowMicros();
+  std::exception_ptr error;
+  try {
+    RunPipelineMorsel(body, m, label);
+  } catch (...) {
+    error = std::current_exception();
+  }
+  obs::flight::FlightRecorder::RecordSpan(
+      obs::flight::EventKind::kMorselBatch, flight_id, start_us, m.index,
+      static_cast<uint32_t>(m.rows()));
+  return error;
+}
+
+// One span record per pipeline, on every path: a = morsels, payload =
+// rows (saturated at 32 bits).
+void RecordPipeline(uint64_t flight_id, int64_t start_us, int morsels,
+                    int64_t rows) {
+  obs::flight::FlightRecorder::RecordSpan(
+      obs::flight::EventKind::kPipeline, flight_id, start_us, morsels,
+      static_cast<uint32_t>(std::min<int64_t>(rows, UINT32_MAX)));
+}
+
+}  // namespace
 
 FairPipelineScheduler::FairPipelineScheduler(ThreadPool* pool)
     : FairPipelineScheduler(pool, Options()) {}
@@ -70,7 +100,7 @@ FairPipelineScheduler::~FairPipelineScheduler() {
 }
 
 int FairPipelineScheduler::OpenLane(double priority, CancellationToken* cancel,
-                                    int64_t deadline_us, uint64_t flight_id) {
+                                    int64_t deadline_us) {
   WIMPI_CHECK(cancel != nullptr);
   std::lock_guard<std::mutex> lock(mu_);
   const int id = next_lane_id_++;
@@ -78,7 +108,6 @@ int FairPipelineScheduler::OpenLane(double priority, CancellationToken* cancel,
   lane.stride = kStrideBase / std::max(priority, 1e-3);
   lane.cancel = cancel;
   lane.deadline_us = deadline_us;
-  lane.flight_id = flight_id;
   // Join at the smallest pass currently in play: the new lane competes on
   // equal footing from now on instead of monopolizing the pool to "catch
   // up" on time it was not even submitted for.
@@ -167,26 +196,17 @@ void FairPipelineScheduler::RunOneTask(std::unique_lock<std::mutex>& lock,
   lane->pass += lane->stride;
   ++lane->tasks_run;
   lane->rows_run += m.rows();
-  const uint64_t flight_id = lane->flight_id;
   const std::function<void(const Morsel&)>* body = p->body;
   const char* label = p->label;
+  const uint64_t flight_id = p->flight_id;
   lock.unlock();
 
   // Per-morsel CPU accounting applies only to drain-slot (pool worker)
   // execution: the driver's own morsels fall inside its whole-query CPU
   // window, so measuring them here would double-count.
   const int64_t cpu0 = remote ? obs::ThreadCpuMicros() : 0;
-  const int64_t start_us = obs::NowMicros();
-  std::exception_ptr error;
-  try {
-    RunPipelineMorsel(*body, m, label);
-  } catch (...) {
-    error = std::current_exception();
-  }
+  std::exception_ptr error = RunRecordedMorsel(*body, m, label, flight_id);
   tasks_counter_->Add(1);
-  obs::flight::FlightRecorder::RecordSpan(
-      obs::flight::EventKind::kMorselBatch, flight_id, start_us, m.index,
-      static_cast<uint32_t>(m.rows()));
   const int64_t cpu_us = remote ? obs::ThreadCpuMicros() - cpu0 : 0;
 
   lock.lock();
@@ -225,35 +245,31 @@ void FairPipelineScheduler::DrainSlot() {
   }
 }
 
-void FairPipelineScheduler::RunPipeline(int lane_id, const PipelineSpec& spec) {
+void FairPipelineScheduler::RunPipeline(int lane_id, const PipelineSpec& spec,
+                                        uint64_t flight_id) {
   std::vector<Morsel> morsels =
       SplitMorsels(spec.total_rows, spec.morsel_rows);
   if (morsels.empty()) return;
   const char* label = obs::CurrentOpLabel();
-  // Timeline attribution: publish (lane, pipeline label, query id) for the
-  // sampler. The flight-id lookup takes the scheduler mutex, but only when
-  // the sampler is armed, and once per pipeline.
-  uint64_t activity_query_id = 0;
-  if (obs::timeline::SamplerEnabled()) {
-    std::lock_guard<std::mutex> lock(mu_);
-    auto it = lanes_.find(lane_id);
-    if (it != lanes_.end()) activity_query_id = it->second.flight_id;
-  }
-  obs::timeline::ScopedPipelineActivity activity(lane_id, label,
-                                                 activity_query_id);
+  const int num_morsels = static_cast<int>(morsels.size());
+  const int64_t pipeline_start_us = obs::NowMicros();
   // Sequential fast path: a single-threaded phase (or one already on a
   // pool worker, which must not wait for a slot it occupies) never
-  // touches the scheduler state.
-  if (spec.max_threads <= 1 || morsels.size() == 1 ||
+  // touches the scheduler state, but records the same flight spans.
+  if (spec.max_threads <= 1 || num_morsels == 1 ||
       ThreadPool::OnWorkerThread()) {
+    std::exception_ptr error;
     for (const Morsel& m : morsels) {
-      if (spec.cancel != nullptr && spec.cancel->cancelled()) return;
-      RunPipelineMorsel(*spec.body, m, label);
+      if (spec.cancel != nullptr && spec.cancel->cancelled()) break;
+      error = RunRecordedMorsel(*spec.body, m, label, flight_id);
+      if (error != nullptr) break;
     }
+    RecordPipeline(flight_id, pipeline_start_us, num_morsels,
+                   spec.total_rows);
+    if (error != nullptr) std::rethrow_exception(error);
     return;
   }
 
-  const int num_morsels = static_cast<int>(morsels.size());
   obs::NoteParallelPhase(spec.max_threads, num_morsels);
   pipelines_counter_->Add(1);
 
@@ -262,6 +278,7 @@ void FairPipelineScheduler::RunPipeline(int lane_id, const PipelineSpec& spec) {
   p.body = spec.body;
   p.cancel = spec.cancel;
   p.label = label;
+  p.flight_id = flight_id;
   p.max_threads = spec.max_threads;
 
   std::unique_lock<std::mutex> lock(mu_);
@@ -269,10 +286,6 @@ void FairPipelineScheduler::RunPipeline(int lane_id, const PipelineSpec& spec) {
   WIMPI_CHECK(lane_it != lanes_.end()) << "pipeline on unknown lane";
   Lane& lane = lane_it->second;
   ++lane.pipelines_run;
-  const int64_t pipeline_start_us = obs::NowMicros();
-  obs::flight::FlightRecorder::Record(obs::flight::EventKind::kPipelineStart,
-                                      lane.flight_id, num_morsels,
-                                      spec.total_rows);
   lane.pipelines.push_back(&p);
   EnsureSlots(slots_running_ + std::min(spec.max_threads - 1, num_morsels));
 
@@ -303,13 +316,9 @@ void FairPipelineScheduler::RunPipeline(int lane_id, const PipelineSpec& spec) {
     }
   }
   lane.pipelines.remove(&p);
-  obs::flight::FlightRecorder::Record(obs::flight::EventKind::kPipelineEnd,
-                                      lane.flight_id, num_morsels,
-                                      obs::NowMicros() - pipeline_start_us);
-  if (p.error != nullptr) {
-    lock.unlock();
-    std::rethrow_exception(p.error);
-  }
+  lock.unlock();
+  RecordPipeline(flight_id, pipeline_start_us, num_morsels, spec.total_rows);
+  if (p.error != nullptr) std::rethrow_exception(p.error);
 }
 
 }  // namespace wimpi::parallel

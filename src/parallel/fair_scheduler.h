@@ -87,10 +87,9 @@ class FairPipelineScheduler {
   // throughput. `cancel` (required, caller-owned, must outlive the lane)
   // gates every dispatch. `deadline_us` > 0 (obs::NowMicros clock) makes
   // the scheduler fire `cancel` at the first dispatch past the deadline.
-  // `flight_id` tags the lane's flight-recorder events (0 = untagged).
   // Returns the lane id.
   int OpenLane(double priority, CancellationToken* cancel,
-               int64_t deadline_us = 0, uint64_t flight_id = 0);
+               int64_t deadline_us = 0);
 
   // Closes a lane; no pipeline may be active on it. `usage` (may be null)
   // receives the lane's lifetime totals.
@@ -103,8 +102,11 @@ class FairPipelineScheduler {
   // Runs one pipeline on `lane_id`'s account; blocks until it drains.
   // Called by LaneScheduler from the lane's driver thread (one pipeline
   // per driver at a time; concurrent calls on one lane from cooperating
-  // threads are allowed and share the lane's fairness account).
-  void RunPipeline(int lane_id, const PipelineSpec& spec);
+  // threads are allowed and share the lane's fairness account). Every
+  // path, the sequential one included, records one flight span for the
+  // pipeline and one per morsel, tagged `flight_id` (0 = untagged).
+  void RunPipeline(int lane_id, const PipelineSpec& spec,
+                   uint64_t flight_id = 0);
 
   // Pass values of all open lanes (test introspection).
   std::map<int, double> LanePassesForTest() const;
@@ -134,8 +136,8 @@ class FairPipelineScheduler {
 
   mutable std::mutex mu_;
   std::map<int, Lane> lanes_;
-  // Lane ids double as timeline lanes: 0 is the single-query default
-  // lane, so every other instance starts at 1.
+  // 0 is the single-query default lane, so every other instance starts
+  // at 1.
   int next_lane_id_ = 1;
   int slots_running_ = 0;
   std::condition_variable slots_idle_cv_;  // dtor waits for slots to exit
@@ -146,21 +148,24 @@ class FairPipelineScheduler {
 };
 
 // PipelineScheduler face of one lane: what a query driver installs in its
-// ExecOptions. Copyable value; the FairPipelineScheduler and the lane must
-// outlive it.
+// ExecOptions. It carries the query's flight id, so tagging a pipeline's
+// records never takes the scheduler mutex. Copyable value; the
+// FairPipelineScheduler and the lane must outlive it.
 class LaneScheduler : public PipelineScheduler {
  public:
   LaneScheduler() = default;
-  LaneScheduler(FairPipelineScheduler* scheduler, int lane_id)
-      : scheduler_(scheduler), lane_id_(lane_id) {}
+  LaneScheduler(FairPipelineScheduler* scheduler, int lane_id,
+                uint64_t flight_id = 0)
+      : scheduler_(scheduler), lane_id_(lane_id), flight_id_(flight_id) {}
 
   void RunPipeline(const PipelineSpec& spec) override {
-    scheduler_->RunPipeline(lane_id_, spec);
+    scheduler_->RunPipeline(lane_id_, spec, flight_id_);
   }
 
  private:
   FairPipelineScheduler* scheduler_ = nullptr;
   int lane_id_ = 0;
+  uint64_t flight_id_ = 0;
 };
 
 }  // namespace wimpi::parallel

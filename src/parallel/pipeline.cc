@@ -25,8 +25,8 @@ void RunPipelineMorsel(const std::function<void(const Morsel&)>& body,
 
 PipelineScheduler& PipelineScheduler::Default() {
   // One permanently open priority-1 lane on a process-wide fair scheduler
-  // over the global pool. Its lane id is 0, which the timeline reads as
-  // "the single-query path" (query id 0). Leaked, like
+  // over the global pool. Its lane id is 0 and its flight id 0 (the
+  // single-query path). Leaked, like
   // TaskScheduler::Global(), so it is never destroyed while workers run.
   static LaneScheduler* lane = [] {
     auto* fair = new FairPipelineScheduler(&TaskScheduler::Global().pool());

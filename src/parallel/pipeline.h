@@ -54,7 +54,7 @@ class PipelineScheduler {
   virtual void RunPipeline(const PipelineSpec& spec) = 0;
 
   // Process-default scheduler (single-query behaviour): a permanently open
-  // priority-1 lane (timeline lane 0) of a process-wide
+  // priority-1 lane (lane 0) of a process-wide
   // FairPipelineScheduler over TaskScheduler::Global().pool().
   static PipelineScheduler& Default();
 };

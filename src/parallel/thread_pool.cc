@@ -82,7 +82,7 @@ void ThreadPool::WorkerLoop(int worker_index) {
       if (queue_.empty()) return;  // shutting down and drained
       task = std::move(queue_.front());
       queue_.pop_front();
-      if (instrumented) PublishQueueDepth();
+      PublishQueueDepth();
     }
     const int64_t start = obs::NowMicros();
     if (instrumented) {
@@ -119,7 +119,7 @@ std::future<void> ThreadPool::Submit(std::function<void()> fn) {
   {
     std::lock_guard<std::mutex> lock(mu_);
     queue_.push_back(std::move(task));
-    if (instrumented) PublishQueueDepth();
+    PublishQueueDepth();
   }
   cv_.notify_one();
   return result;

@@ -23,10 +23,11 @@ namespace wimpi::parallel {
 //
 // Idle workers (and an idle query service above them) consume no CPU:
 // every wait in this file blocks on cv_ under mu_ — there is no polling
-// loop anywhere on the idle path. With the pool metrics hooks enabled the
-// "pool.queue_depth" gauge tracks the current queue length next to the
-// existing queue-wait histogram, so a saturated (or wedged) service is
-// visible from a metrics snapshot.
+// loop anywhere on the idle path. The "pool.queue_depth" gauge tracks the
+// current queue length on every push and pop (one relaxed store under the
+// mutex already held there), so a saturated (or wedged) service is visible
+// from a metrics snapshot and the timeline sampler reads a live backlog
+// without arming the clock-reading pool metrics hooks.
 //
 // Submit() never blocks (it only enqueues), so nested use is
 // deadlock-free as long as no task waits on the pool it runs on; the fair
@@ -66,8 +67,8 @@ class ThreadPool {
   std::condition_variable cv_;
   std::deque<QueuedTask> queue_;
   bool shutting_down_ = false;
-  // "pool.queue_depth" gauge, resolved on first instrumented enqueue (the
-  // registry reference is stable for process lifetime). Guarded by mu_.
+  // "pool.queue_depth" gauge, resolved on first enqueue (the registry
+  // reference is stable for process lifetime). Guarded by mu_.
   obs::Gauge* queue_depth_ = nullptr;
   std::vector<std::thread> workers_;
 };

@@ -301,11 +301,11 @@ struct ServiceCore {
     // driver-run morsel; drain-slot morsels are accounted separately by
     // the lane (LaneUsage::worker_cpu_us).
     const int64_t cpu0 = obs::ThreadCpuMicros();
-    const int lane = scheduler.OpenLane(t->priority, &t->token,
-                                        t->deadline_us, t->query_id);
+    const int lane =
+        scheduler.OpenLane(t->priority, &t->token, t->deadline_us);
     Status status;
     {
-      parallel::LaneScheduler lane_sched(&scheduler, lane);
+      parallel::LaneScheduler lane_sched(&scheduler, lane, t->query_id);
       exec::ExecOptions eopts;
       eopts.num_threads = t->threads;
       eopts.morsel_rows = opts.morsel_rows;

@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "common/json.h"
+#include "engine/executor.h"
 #include "exec/morsel_exec.h"
 #include "gtest/gtest.h"
 #include "obs/clock.h"
@@ -21,6 +22,8 @@
 #include "obs/trace.h"
 #include "service/query_service.h"
 #include "service/slo_tracker.h"
+#include "tpch/dbgen.h"
+#include "tpch/queries.h"
 
 namespace wimpi {
 namespace {
@@ -145,8 +148,8 @@ TEST(FlightRecorderTest, ChromeTraceBuildsQueryAndPipelineSpans) {
   };
   add(100, EventKind::kQuerySubmit, 42, 1000, 0, 0);
   add(110, EventKind::kQueryAdmit, 42, 1, 10, 1);
-  add(120, EventKind::kPipelineStart, 42, 8, 2048, 1);
-  add(150, EventKind::kPipelineEnd, 42, 8, 30, 1);
+  // One span record per pipeline: 30 us long, 8 morsels, 2048 rows.
+  add(120, EventKind::kPipeline, 42, 8, (int64_t{30} << 32) | 2048, 1);
   add(160, EventKind::kQueryFinish, 42, 0, 60, 1);
 
   const std::string json =
@@ -173,6 +176,11 @@ TEST(FlightRecorderTest, ChromeTraceBuildsQueryAndPipelineSpans) {
       pipeline_span = true;
       EXPECT_EQ(e.GetDouble("ts", 0), 120);
       EXPECT_EQ(e.GetDouble("dur", 0), 30);
+      const JsonValue* args = e.Find("args");
+      ASSERT_NE(args, nullptr);
+      EXPECT_EQ(args->GetDouble("query", 0), 42);
+      EXPECT_EQ(args->GetDouble("morsels", 0), 8);
+      EXPECT_EQ(args->GetDouble("rows", 0), 2048);
     }
     if (cat == "flight.event") {
       // Instants come in record order and carry the whole record.
@@ -190,6 +198,31 @@ TEST(FlightRecorderTest, ChromeTraceBuildsQueryAndPipelineSpans) {
   EXPECT_TRUE(query_span);
   EXPECT_TRUE(pipeline_span);
   EXPECT_EQ(instants, static_cast<int>(events.size()));
+}
+
+// The scheduler's sequential path (one thread, one morsel, or already on
+// a pool worker) records the same pipeline and morsel spans as the
+// parallel one, so a 1-thread query is not invisible in flight dumps.
+TEST(FlightRecorderTest, SequentialPipelinesRecordSpans) {
+  FlightRecorder::Global().set_enabled(true);
+  tpch::GenOptions gen;
+  gen.scale_factor = 0.01;
+  const engine::Database db = tpch::GenerateDatabase(gen);
+  engine::Executor ex;
+  ex.set_num_threads(1);
+  const int64_t since = obs::NowMicros();
+  ex.Run([&](exec::QueryStats* st) { return tpch::RunQuery(6, db, st); });
+
+  int pipelines = 0, morsels = 0;
+  for (const obs::TraceEvent& e :
+       FlightRecorder::ToTraceEvents(FlightRecorder::Global().SnapshotSince(
+           since))) {
+    if (e.phase != 'X') continue;
+    if (std::string(e.category) == "flight.pipeline") ++pipelines;
+    if (std::string(e.category) == "flight.morsel") ++morsels;
+  }
+  EXPECT_GE(pipelines, 1);
+  EXPECT_GE(morsels, 1);
 }
 
 TEST(SlowQueryLogTest, BoundedRingAndJsonl) {

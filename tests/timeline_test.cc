@@ -3,8 +3,9 @@
 // or off, at every thread count. Also covered here:
 //   * the saturation / ridge classification math on synthetic counter
 //     deltas (no PMU needed);
-//   * interval differencing and pipeline-window reconstruction from
-//     synthetic sample series;
+//   * interval differencing, the exact counter delta over a window, and
+//     per-operator attribution through the profile tree, from synthetic
+//     sample series;
 //   * sampler lifecycle — WIMPI_PERF_DISABLE=1 refusal, double-start
 //     refusal, graceful degradation when perf_event_open counts nothing,
 //     and start/stop racing query execution (the TSan pass runs this);
@@ -13,12 +14,14 @@
 //     slice, and a slow-query or cluster-fault flight dump carries the
 //     counter tracks inside the one dump file;
 //   * the modeled side: Q1 is bandwidth-bound on the Pi profile at SF 1,
-//     and OpSeconds is exactly the roofline max the classifier uses.
+//     OpSeconds is exactly the roofline max the classifier uses, and every
+//     operator of a profiled query gets a modeled class.
 #include <atomic>
 #include <cstdint>
 #include <cstdlib>
 #include <fstream>
 #include <map>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -33,6 +36,7 @@
 #include "hw/profile.h"
 #include "obs/clock.h"
 #include "obs/flight/flight_recorder.h"
+#include "obs/profiler.h"
 #include "obs/timeline/roofline.h"
 #include "obs/timeline/sampler.h"
 #include "obs/timeline/timeline.h"
@@ -201,32 +205,95 @@ TEST(TimelineMath, MissingBandwidthIsUnknown) {
   EXPECT_EQ(tl::ClassifyInterval(iv, spec), tl::BoundClass::kUnknown);
 }
 
-TEST(TimelineMath, PipelineWindowReconstruction) {
+TEST(TimelineMath, OverTakesTheExactDeltaOfSamplesInsideTheWindow) {
   tl::QueryTimeline t;
-  static const char* kScan = "Scan";
-  auto active = [](tl::TimelineSample s, int lane, uint64_t seq,
-                   const char* label, uint64_t query) {
-    s.active[0] = {lane, query, seq, label};
-    s.num_active = 1;
-    return s;
+  // Cumulative counters at 1 ms ticks, each interval at its own rates: the
+  // window's figures are the difference of its first and last samples.
+  t.samples.push_back(Sample(0, 0, 0, 0, 0));
+  t.samples.push_back(Sample(1000, 1000, 1000, 100, 1000000));
+  t.samples.push_back(Sample(2000, 4000, 2000, 300, 1500000));
+  t.samples.push_back(Sample(3000, 4500, 4000, 1000, 2500000));
+  t.samples.push_back(Sample(4000, 9000, 5000, 1100, 3000000));
+
+  // [500, 3500) holds the ticks at 1000, 2000 and 3000.
+  const tl::TimelineInterval iv = t.Over(500, 3500);
+  EXPECT_EQ(iv.t0_us, 1000);
+  EXPECT_EQ(iv.t1_us, 3000);
+  EXPECT_NEAR(iv.dt_s, 2e-3, 1e-12);
+  EXPECT_NEAR(iv.gbps, 900 * 64.0 / 2e-3 / 1e9, 1e-12);
+  EXPECT_NEAR(iv.ipc, 3500.0 / 3000.0, 1e-12);
+  EXPECT_NEAR(iv.instr_per_sec, 3500 / 2e-3, 1e-6);
+  EXPECT_NEAR(iv.cpu_util, 1.5e6 / 2e6, 1e-12);
+
+  // The end is exclusive: [1000, 3000) stops at the 2000 tick.
+  EXPECT_EQ(t.Over(1000, 3000).t1_us, 2000);
+  // The whole series equals the sum of its intervals.
+  EXPECT_NEAR(t.Over(0, 4001).gbps, 1100 * 64.0 / 4e-3 / 1e9, 1e-12);
+
+  // One sample inside (or none) covers nothing: every rate unknown.
+  for (const auto& [t0, t1] : {std::pair<int64_t, int64_t>{1500, 2500},
+                               {4500, 9000}, {3000, 3000}}) {
+    const tl::TimelineInterval none = t.Over(t0, t1);
+    EXPECT_EQ(none.dt_s, 0) << t0;
+    EXPECT_LT(none.gbps, 0) << t0;
+    EXPECT_LT(none.ipc, 0) << t0;
+    EXPECT_LT(none.cpu_util, 0) << t0;
+  }
+}
+
+// Each profile node with OpStats is one operator row, measured over its
+// own window of the sampled series.
+TEST(TimelineMath, OperatorsAreMeasuredOverTheirOwnProfileWindow) {
+  tl::QueryTimeline t;
+  // Quiet until 2000, then 1 GB per ms of DRAM traffic: far above any
+  // profile's saturation bandwidth.
+  const int64_t kLinesPerMs = 1000000000 / 64;
+  t.samples.push_back(Sample(0, 0, 0, 0, -1));
+  t.samples.push_back(Sample(1000, 1000, 1000, 0, -1));
+  t.samples.push_back(Sample(2000, 2000, 2000, 0, -1));
+  t.samples.push_back(Sample(3000, 3000, 3000, kLinesPerMs, -1));
+  t.samples.push_back(Sample(4000, 4000, 4000, 2 * kLinesPerMs, -1));
+
+  obs::QueryProfile profile;
+  profile.root.name = "Q";
+  profile.root.start_us = 0;
+  profile.root.wall_seconds = 4.5e-3;  // no OpStats: no row
+  auto add_child = [&profile](const char* name, int64_t start_us,
+                              double wall_s) {
+    auto node = std::make_unique<obs::ProfileNode>();
+    node->name = name;
+    node->start_us = start_us;
+    node->wall_seconds = wall_s;
+    exec::OpStats op;
+    op.op = name;
+    op.seq_bytes = 1e6;
+    node->op_stats.push_back(op);
+    profile.root.children.push_back(std::move(node));
   };
-  t.samples.push_back(Sample(0, 0, 0, 0, 0));  // idle
-  t.samples.push_back(active(Sample(1000, 1000, 1000, 100, 0), 3, 7, kScan, 42));
-  t.samples.push_back(active(Sample(2000, 2000, 2000, 200, 0), 3, 7, kScan, 42));
-  t.samples.push_back(Sample(3000, 3000, 3000, 300, 0));  // idle again
-  const std::vector<tl::PipelineWindow> windows = t.PipelineWindows();
-  ASSERT_EQ(windows.size(), 1u);
-  const tl::PipelineWindow& w = windows[0];
-  EXPECT_EQ(w.lane, 3);
-  EXPECT_EQ(w.seq, 7u);
-  EXPECT_EQ(w.query_id, 42u);
-  EXPECT_STREQ(w.label, "Scan");
-  // Start attributed to the tick before first observation.
-  EXPECT_EQ(w.t0_us, 0);
-  EXPECT_EQ(w.t1_us, 2000);
-  // A new seq on the same lane is a new window, not an extension.
-  t.samples[3] = active(Sample(3000, 3000, 3000, 300, 0), 3, 9, kScan, 42);
-  EXPECT_EQ(t.PipelineWindows().size(), 2u);
+  add_child("Quiet", 0, 2e-3);           // ticks 0 and 1000: no traffic
+  add_child("Streaming", 2000, 2.5e-3);  // ticks 2000, 3000 and 4000
+  add_child("Short", 4100, 3e-4);        // no tick inside
+
+  const hw::CostModel model;
+  const hw::HardwareProfile& pi = hw::ProfileByName("pi3b+");
+  const tl::RooflineSummary s =
+      tl::BuildRooflineSummary(t, profile, model, pi, pi.threads);
+  ASSERT_EQ(s.operators.size(), 3u);
+  EXPECT_EQ(s.operators[0].name, "Quiet");
+  EXPECT_EQ(s.operators[0].gbps, 0);
+  EXPECT_EQ(s.operators[1].name, "Streaming");
+  EXPECT_NEAR(s.operators[1].gbps, 1000, 1e-6);
+  EXPECT_EQ(s.operators[1].measured, tl::BoundClass::kBandwidth);
+  EXPECT_EQ(s.operators[2].name, "Short");
+  EXPECT_EQ(s.operators[2].measured, tl::BoundClass::kUnknown);
+  EXPECT_DOUBLE_EQ(s.operators[2].seconds, 3e-4);
+  // Pure streaming work is modeled bandwidth-bound; the tallies count the
+  // two operators whose measured class is known.
+  for (const tl::OperatorRoofline& op : s.operators) {
+    EXPECT_EQ(op.modeled, tl::BoundClass::kBandwidth) << op.name;
+  }
+  EXPECT_EQ(s.agree + s.disagree, 2);
+  EXPECT_EQ(s.agree, 1);
 }
 
 TEST(TimelineMath, CounterTracksOneEventPerIntervalAtT1) {
@@ -327,32 +394,7 @@ TEST(TimelineSamplerTest, DegradedSamplingStaysMonotoneAndSliceable) {
   // Whatever the host's counters, every interval is structurally valid.
   for (const tl::TimelineInterval& iv : slice.Intervals()) {
     EXPECT_GE(iv.t1_us, iv.t0_us);
-    EXPECT_GE(iv.num_active, 0);
   }
-}
-
-TEST(TimelineSamplerTest, ActivityRegistryPublishesWhileEnabled) {
-  ::unsetenv("WIMPI_PERF_DISABLE");
-  tl::TimelineSampler& s = tl::TimelineSampler::Global();
-  tl::SamplerOptions opts;
-  opts.period_us = 10000;  // slow ticks; we read the slots directly
-  ASSERT_TRUE(s.Start(opts));
-  static const char* kLabel = "probe";
-  {
-    tl::ScopedPipelineActivity activity(5, kLabel, 99);
-    tl::LaneActivity& slot = tl::LaneSlot(5);
-    EXPECT_EQ(slot.seq.load() % 2, 1u) << "active lane has odd seq";
-    EXPECT_STREQ(slot.label.load(), "probe");
-    EXPECT_EQ(slot.query_id.load(), 99u);
-  }
-  tl::LaneActivity& slot = tl::LaneSlot(5);
-  EXPECT_EQ(slot.seq.load() % 2, 0u) << "closed lane has even seq";
-  EXPECT_EQ(slot.label.load(), nullptr);
-  s.Stop();
-  // With the sampler off the scope is a no-op: seq must not move.
-  const uint64_t seq_before = slot.seq.load();
-  { tl::ScopedPipelineActivity activity(5, kLabel, 99); }
-  EXPECT_EQ(slot.seq.load(), seq_before);
 }
 
 // The TSan pass runs this: sampler start/stop racing live queries and
@@ -541,6 +583,42 @@ TEST(TimelineModelTest, OpSecondsEqualsRooflineMax) {
       EXPECT_NEAR(model.OpSeconds(*p, op), expected, expected * 1e-12);
     }
   }
+}
+
+// Every profiled operator that recorded OpStats gets the model's verdict
+// for its own OpStats, whatever its scope is called.
+TEST(TimelineModelTest, EveryProfiledOperatorGetsAModeledClass) {
+  engine::Executor ex;
+  ex.set_num_threads(4);
+  ex.set_morsel_rows(4096);
+  obs::QueryProfile profile;
+  exec::QueryStats stats;  // operators record OpStats only into a sink
+  ex.RunProfiled(
+      [&](exec::QueryStats* st) { return tpch::RunQuery(1, TestDb(), st); },
+      obs::ProfileOptions(), &profile, &stats, "Q1");
+  int nodes_with_stats = 0;
+  std::vector<const obs::ProfileNode*> stack = {&profile.root};
+  while (!stack.empty()) {
+    const obs::ProfileNode* node = stack.back();
+    stack.pop_back();
+    if (!node->op_stats.empty()) ++nodes_with_stats;
+    for (const auto& child : node->children) stack.push_back(child.get());
+  }
+
+  const hw::CostModel model;
+  const tl::RooflineSummary s = tl::BuildRooflineSummary(
+      tl::QueryTimeline(), profile, model, hw::ProfileByName("op-gold"), 4);
+  ASSERT_EQ(static_cast<int>(s.operators.size()), nodes_with_stats);
+  std::map<std::string, int> rows;
+  for (const tl::OperatorRoofline& op : s.operators) {
+    ++rows[op.name];
+    EXPECT_NE(op.modeled, tl::BoundClass::kUnknown) << op.name;
+    EXPECT_EQ(op.measured, tl::BoundClass::kUnknown) << "no samples";
+  }
+  for (const char* name : {"Filter", "Gather", "HashAggregate"}) {
+    EXPECT_GE(rows[name], 1) << name;
+  }
+  EXPECT_EQ(s.agree + s.disagree, 0);
 }
 
 TEST(TimelineModelTest, RooflineSpecFromProfileIsConsistent) {

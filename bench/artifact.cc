@@ -198,7 +198,9 @@ CompareResult CompareArtifacts(const RunArtifact& base,
   }
 
   int compared = 0;
-  int skipped_measured = 0;
+  // Measured metrics present in both artifacts: all compared when
+  // --wall-tol > 0, all skipped otherwise.
+  int measured_count = 0;
   // Which series were actually gated, and how many metrics in each: the
   // summary prints this so a shrinking comparison (wrong --only filter,
   // series silently dropped) is visible even when nothing regressed.
@@ -219,10 +221,8 @@ CompareResult CompareArtifacts(const RunArtifact& base,
       }
       const bool measured = IsMeasuredMetric(metric);
       const double tol = measured ? opts.wall_tol : opts.rel_tol;
-      if (measured && opts.wall_tol <= 0) {
-        ++skipped_measured;
-        continue;
-      }
+      if (measured) ++measured_count;
+      if (measured && opts.wall_tol <= 0) continue;
       ++compared;
       ++compared_by_series[series];
       const double diff = *cur_v - base_v;
@@ -269,7 +269,7 @@ CompareResult CompareArtifacts(const RunArtifact& base,
   char buf[160];
   std::snprintf(buf, sizeof(buf),
                 "compared %d metric(s), %d measured metric(s) %s", compared,
-                skipped_measured,
+                measured_count,
                 opts.wall_tol > 0 ? "gated" : "informational (no --wall-tol)");
   r.notes.push_back(buf);
   if (compared > 0) {

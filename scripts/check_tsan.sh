@@ -22,7 +22,7 @@ cmake --build "${build_dir}" \
            obs_perf_test obs_export_test memory_tracker_test fault_test \
            service_test flight_test stats_test timeline_test dbgen_test \
            storage_test tbl_io_test exec_test common_test kernel_test \
-           golden_query_test -j
+           golden_query_test cancel_sweep_test -j
 
 # halt_on_error so the first race fails fast with a nonzero exit code.
 export TSAN_OPTIONS="halt_on_error=1 ${TSAN_OPTIONS:-}"
@@ -46,6 +46,10 @@ export TSAN_OPTIONS="halt_on_error=1 ${TSAN_OPTIONS:-}"
 # Fault injection + recovery (cancellation tokens racing against morsel
 # workers, retries/reassignment over the real parallel partial plans).
 "${build_dir}/tests/fault_test"
+# Cancellation at every pipeline boundary of all 22 queries: tokens fired
+# before and inside each pipeline at 1 and 4 threads, skipped morsels
+# racing in-flight ones, and the throw leaving each parallel phase.
+"${build_dir}/tests/cancel_sweep_test"
 # Query service: concurrent sessions over the shared pool (fair scheduler
 # drain slots vs query drivers, admission reserve/release, cancellation
 # and deadline racing mid-pipeline, the many-sessions stress case).

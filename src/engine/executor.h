@@ -19,7 +19,7 @@ namespace wimpi::engine {
 // runs exactly as the single-threaded engine always has.
 //
 // Since the pipeline/executor split, the executor is a thin wrapper over
-// the pipeline path: it only sets options, and every parallel phase a plan
+// the pipeline path: it only sets options, and every operator phase a plan
 // runs goes through exec::RunMorsels/RunChunks as a parallel::PipelineSpec
 // dispatched to the ambient PipelineScheduler (by default the single
 // permanent lane of a process-wide fair scheduler). The same plans run

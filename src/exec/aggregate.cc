@@ -425,11 +425,12 @@ Grouped<Reader> MergeChunks(const Reader& reader, const ColumnSource& src,
   return out;
 }
 
-// Runs fn(begin, end) over `threads` equal chunks of [0, n) on pool
-// workers; the results come back in chunk order.
+// Runs fn(begin, end) over `threads` equal chunks of [0, n) (one chunk at
+// one thread, none over no rows); the results come back in chunk order.
+// Every slot is filled: a cancelled pipeline throws instead of returning.
 template <typename Fn>
 auto PerChunk(int64_t n, int threads, const Fn& fn) {
-  const int64_t chunk_rows = (n + threads - 1) / threads;
+  const int64_t chunk_rows = std::max<int64_t>(1, (n + threads - 1) / threads);
   std::vector<std::optional<decltype(fn(0, 0))>> parts(
       (n + chunk_rows - 1) / chunk_rows);
   RunChunks(n, chunk_rows, threads, [&](const parallel::Morsel& m) {
@@ -438,22 +439,19 @@ auto PerChunk(int64_t n, int threads, const Fn& fn) {
   return parts;
 }
 
-// Sequential below two planned threads; otherwise thread-local chunk
-// tables (no shared mutable state) merged in chunk order.
+// Thread-local chunk tables (no shared mutable state) merged in chunk
+// order; a single chunk is the answer as it stands.
 template <typename Reader>
 Grouped<Reader> AggregateWith(const Reader& reader, const ColumnSource& src,
                               const std::vector<AggSpec>& aggs, int64_t n,
                               int threads, int64_t* chain_steps) {
-  if (threads <= 1) {
-    std::optional<Grouped<Reader>> g;
-    RunSequential(n,
-                  [&] { g.emplace(AggregateRange(reader, src, aggs, 0, n)); });
-    *chain_steps = g->table.chain_steps();
-    return std::move(*g);
-  }
-  const auto parts = PerChunk(n, threads, [&](int64_t begin, int64_t end) {
+  auto parts = PerChunk(n, threads, [&](int64_t begin, int64_t end) {
     return AggregateRange(reader, src, aggs, begin, end);
   });
+  if (parts.size() == 1) {
+    *chain_steps = parts[0]->table.chain_steps();
+    return std::move(*parts[0]);
+  }
   Grouped<Reader> g = MergeChunks(reader, src, aggs, parts);
   *chain_steps = g.table.chain_steps();
   for (const auto& p : parts) *chain_steps += p->table.chain_steps();
@@ -475,12 +473,8 @@ std::vector<AggState> AggregateAll(const ColumnSource& src,
     }
     return states;
   };
-  if (threads <= 1) {
-    std::vector<AggState> states;
-    RunSequential(n, [&] { states = run(0, n); });
-    return states;
-  }
-  const auto parts = PerChunk(n, threads, run);
+  auto parts = PerChunk(n, threads, run);
+  if (parts.size() == 1) return std::move(*parts[0]);
   std::vector<AggState> states = run(0, 0);
   for (const auto& p : parts) {
     for (size_t j = 0; j < states.size(); ++j) {
@@ -618,19 +612,13 @@ double SumF64(const Column& col, QueryStats* stats) {
   double sum = 0;
   const double* d = col.F64Data();
   const int threads = PlannedThreads(n);
-  if (threads <= 1) {
-    RunSequential(n, [&] {
-      for (int64_t i = 0; i < n; ++i) sum += d[i];
-    });
-  } else {
-    std::vector<double> partial(NumMorsels(n), 0.0);
-    RunMorsels(n, threads, [&](const parallel::Morsel& m) {
-      double local = 0;
-      for (int64_t i = m.begin; i < m.end; ++i) local += d[i];
-      partial[m.index] = local;
-    });
-    for (const double p : partial) sum += p;
-  }
+  std::vector<double> partial(NumMorsels(n, threads), 0.0);
+  RunMorsels(n, threads, [&](const parallel::Morsel& m) {
+    double local = 0;
+    for (int64_t i = m.begin; i < m.end; ++i) local += d[i];
+    partial[m.index] = local;
+  });
+  for (const double p : partial) sum += p;
   if (stats != nullptr) {
     OpStats op;
     op.op = "sum_f64";
@@ -657,22 +645,14 @@ double MaxF64(const Column& col, QueryStats* stats) {
   double m = -std::numeric_limits<double>::infinity();
   const double* d = col.F64Data();
   const int threads = PlannedThreads(n);
-  if (threads <= 1) {
-    RunSequential(n, [&] {
-      for (int64_t i = 0; i < n; ++i) m = std::max(m, d[i]);
-    });
-  } else {
-    std::vector<double> partial(NumMorsels(n),
-                                -std::numeric_limits<double>::infinity());
-    RunMorsels(n, threads, [&](const parallel::Morsel& mo) {
-      double local = -std::numeric_limits<double>::infinity();
-      for (int64_t i = mo.begin; i < mo.end; ++i) {
-        local = std::max(local, d[i]);
-      }
-      partial[mo.index] = local;
-    });
-    for (const double p : partial) m = std::max(m, p);
-  }
+  std::vector<double> partial(NumMorsels(n, threads),
+                              -std::numeric_limits<double>::infinity());
+  RunMorsels(n, threads, [&](const parallel::Morsel& mo) {
+    double local = -std::numeric_limits<double>::infinity();
+    for (int64_t i = mo.begin; i < mo.end; ++i) local = std::max(local, d[i]);
+    partial[mo.index] = local;
+  });
+  for (const double p : partial) m = std::max(m, p);
   if (stats != nullptr) {
     OpStats op;
     op.op = "max_f64";

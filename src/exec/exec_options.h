@@ -12,10 +12,9 @@ namespace wimpi::exec {
 
 class CardinalityEstimator;
 
-// Engine-wide execution knobs. The default (one thread) preserves the
-// seed behaviour bit-for-bit: every operator takes its original sequential
-// path and no thread pool is ever touched, so existing tests and benches
-// are unaffected unless a caller opts in.
+// Engine-wide execution knobs. The default (one thread) runs every
+// operator phase as one morsel on the calling thread: no pool worker is
+// ever involved unless a caller opts in.
 struct ExecOptions {
   // Maximum threads (including the calling thread) any one operator may
   // use. <= 0 means hardware concurrency.
@@ -24,11 +23,11 @@ struct ExecOptions {
   // on this value — never on num_threads — so per-morsel partial results
   // merged in morsel order give the same answer at every thread count.
   int64_t morsel_rows = 64 * 1024;
-  // Cooperative cancellation for every morsel loop run under these
+  // Cooperative cancellation for every operator phase run under these
   // options. Null (the default) means not cancellable. The pointed-to
-  // token must outlive the plan; a fired token makes in-flight operators
-  // return partial garbage, so only a driver that is abandoning the whole
-  // computation (e.g. the cluster fault path) should cancel.
+  // token must outlive the plan. Once it fires, the next phase to start
+  // (or the running one, if it still had morsels to claim) throws
+  // parallel::Cancelled out of the plan.
   const parallel::CancellationToken* cancellation = nullptr;
   // Where the plan's parallel phases (pipelines) are scheduled. Null (the
   // default) means parallel::PipelineScheduler::Default(), the one
@@ -72,10 +71,10 @@ class ScopedExecOptions {
 };
 
 // Threads an operator over `rows` input rows should use under the current
-// options: 1 (take the sequential path) unless parallelism is enabled, the
+// options: 1 (the phase is one morsel) unless parallelism is enabled, the
 // input spans at least two morsels, and we are not already inside a pool
-// worker (operators invoked from a parallel phase stay sequential instead
-// of re-entering the scheduler).
+// worker (operators invoked from a parallel phase run inline instead of
+// waiting on the pool they occupy).
 int PlannedThreads(int64_t rows);
 
 }  // namespace wimpi::exec

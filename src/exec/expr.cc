@@ -13,18 +13,11 @@ using storage::DataType;
 
 // Fills out[i] = f(i) for i in [0, n), morsel-parallel when the ambient
 // options allow it. Element-wise maps have no cross-row state, so the
-// parallel result is bit-identical to the sequential loop.
+// result is bit-identical at every thread count.
 template <typename T, typename F>
 void FillRows(std::vector<T>& out_vec, int64_t n, F f) {
-  const int threads = PlannedThreads(n);
   T* out = out_vec.data();
-  if (threads <= 1) {
-    RunSequential(n, [&] {
-      for (int64_t i = 0; i < n; ++i) out[i] = f(i);
-    });
-    return;
-  }
-  RunMorsels(n, threads, [&](const parallel::Morsel& m) {
+  RunMorsels(n, PlannedThreads(n), [&](const parallel::Morsel& m) {
     for (int64_t i = m.begin; i < m.end; ++i) out[i] = f(i);
   });
 }

@@ -185,18 +185,6 @@ void WithOp(CmpOp op, const F& f) {
   }
 }
 
-// Runs body(begin, end) over [0, n): once when `threads` <= 1, otherwise
-// once per morsel on up to `threads` threads.
-template <typename Body>
-void ForEachRange(int64_t n, int threads, const Body& body) {
-  if (threads <= 1) {
-    RunSequential(n, [&] { body(int64_t{0}, n); });
-    return;
-  }
-  RunMorsels(n, threads,
-             [&](const parallel::Morsel& m) { body(m.begin, m.end); });
-}
-
 // Branch-free selection over positions [begin, end) of the candidate list
 // (or of the rows themselves when `candidates` is null): every row id is
 // written and the write position advances by the test result. `out` has
@@ -223,32 +211,29 @@ int64_t SelectRange(const int32_t* candidates, int64_t begin, int64_t end,
 // The rows of `candidates` (or of [0, n) when null) that pass `test`, in
 // ascending order. Morsels select into their own slice of one buffer
 // pre-sized to the candidate count, and the slices are then compacted in
-// morsel order: the morsel split ignores the thread count, so the result
-// is the SelVec the sequential pass produces.
+// morsel order (a slice already in place, such as the first, is not
+// moved): the result is the same SelVec at every thread count.
 template <typename Test>
 SelVec Select(const SelVec* candidates, int64_t n, int threads,
               const Test& test) {
   const int32_t* cand = candidates != nullptr ? candidates->data() : nullptr;
   const auto buf = std::make_unique_for_overwrite<int32_t[]>(n);
+  struct Part {
+    int64_t begin = 0;
+    int64_t count = 0;
+  };
+  std::vector<Part> parts(NumMorsels(n, threads));
+  RunMorsels(n, threads, [&](const parallel::Morsel& m) {
+    parts[m.index] = {m.begin, SelectRange(cand, m.begin, m.end, test,
+                                           buf.get() + m.begin)};
+  });
   int64_t total = 0;
-  if (threads <= 1) {
-    RunSequential(n,
-                  [&] { total = SelectRange(cand, 0, n, test, buf.get()); });
-  } else {
-    struct Part {
-      int64_t begin = 0;
-      int64_t count = 0;
-    };
-    std::vector<Part> parts(NumMorsels(n));
-    RunMorsels(n, threads, [&](const parallel::Morsel& m) {
-      parts[m.index] = {m.begin, SelectRange(cand, m.begin, m.end, test,
-                                             buf.get() + m.begin)};
-    });
-    for (const Part& part : parts) {
+  for (const Part& part : parts) {
+    if (part.begin != total) {
       std::memmove(buf.get() + total, buf.get() + part.begin,
                    static_cast<size_t>(part.count) * sizeof(int32_t));
-      total += part.count;
     }
+    total += part.count;
   }
   return SelVec(buf.get(), buf.get() + total);
 }
@@ -290,7 +275,7 @@ class FilterRunner {
     op.seq_bytes = touched;
     op.compute_ops = static_cast<double>(n) * cost::kCompare;
 
-    // Sequential when PlannedThreads says so; otherwise morsel-parallel.
+    // One morsel at one planned thread; otherwise morsel-parallel.
     // The predicate kind, operator and column type are resolved here, once;
     // each case below instantiates its own selection loop.
     const int threads = PlannedThreads(n);
@@ -353,18 +338,17 @@ class FilterRunner {
         const int64_t dict_n = dict.size();
         std::vector<uint8_t> match(dict_n);
         std::atomic<int64_t> dict_bytes{0};
-        ForEachRange(dict_n, PlannedThreads(dict_n),
-                     [&](int64_t begin, int64_t end) {
-                       int64_t bytes = 0;
-                       for (int64_t c = begin; c < end; ++c) {
-                         const std::string_view v =
-                             dict.ValueAt(static_cast<int32_t>(c));
-                         match[c] = p.str_test_(v) ? 1 : 0;
-                         bytes += static_cast<int64_t>(v.size());
-                       }
-                       dict_bytes.fetch_add(bytes,
-                                            std::memory_order_relaxed);
-                     });
+        RunMorsels(dict_n, PlannedThreads(dict_n),
+                   [&](const parallel::Morsel& mo) {
+                     int64_t bytes = 0;
+                     for (int64_t c = mo.begin; c < mo.end; ++c) {
+                       const std::string_view v =
+                           dict.ValueAt(static_cast<int32_t>(c));
+                       match[c] = p.str_test_(v) ? 1 : 0;
+                       bytes += static_cast<int64_t>(v.size());
+                     }
+                     dict_bytes.fetch_add(bytes, std::memory_order_relaxed);
+                   });
         op.compute_ops = static_cast<double>(dict_n) * p.str_cost_ +
                          static_cast<double>(n) * cost::kCompare;
         op.seq_bytes += static_cast<double>(dict_bytes.load()) +
@@ -510,8 +494,8 @@ std::unique_ptr<storage::Column> Gather(const storage::Column& src,
     v.resize(n);
     auto* o = v.data();
     const int32_t* s = sel.data();
-    ForEachRange(n, threads, [=](int64_t begin, int64_t end) {
-      for (int64_t k = begin; k < end; ++k) o[k] = d[s[k]];
+    RunMorsels(n, threads, [=](const parallel::Morsel& m) {
+      for (int64_t k = m.begin; k < m.end; ++k) o[k] = d[s[k]];
     });
   };
   switch (src.type()) {
@@ -594,8 +578,8 @@ std::unique_ptr<storage::Column> GatherWithDefault(
     v.resize(n);
     T* o = v.data();
     const int32_t* s = idx.data();
-    ForEachRange(n, threads, [=](int64_t begin, int64_t end) {
-      for (int64_t k = begin; k < end; ++k) {
+    RunMorsels(n, threads, [=](const parallel::Morsel& m) {
+      for (int64_t k = m.begin; k < m.end; ++k) {
         const int32_t r = s[k];
         o[k] = r < 0 ? dv : d[r];
       }

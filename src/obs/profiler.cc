@@ -85,19 +85,17 @@ ScopedProfiling::ScopedProfiling(const ProfileOptions& opts,
   out_->root.name = std::move(label);
   out_->wall_seconds = 0;
   out_->tid = flight::CurrentThreadId();
-  if (opts_.operator_profile) {
-    g_profile = out_;
-    g_current = &out_->root;
-    t_owner = true;
-    g_op_label.store("plan", std::memory_order_relaxed);
-    g_active.store(true, std::memory_order_relaxed);
-    internal::g_stats_hook_armed.store(true, std::memory_order_relaxed);
-  }
+  g_profile = out_;
+  g_current = &out_->root;
+  t_owner = true;
+  g_op_label.store("plan", std::memory_order_relaxed);
+  g_active.store(true, std::memory_order_relaxed);
+  internal::g_stats_hook_armed.store(true, std::memory_order_relaxed);
   prev_pool_metrics_ = PoolMetricsEnabled();
   if (opts_.pool_metrics) SetPoolMetricsEnabled(true);
   if (opts_.perf_counters) {
     if (perf_.Open()) {
-      if (opts_.operator_profile) g_perf = &perf_;
+      g_perf = &perf_;
     } else {
       out_->perf_note = "counters unavailable: " + perf_.error();
     }
@@ -117,13 +115,11 @@ ScopedProfiling::~ScopedProfiling() {
     g_perf = nullptr;
     perf_.Close();
   }
-  if (opts_.operator_profile) {
-    internal::g_stats_hook_armed.store(false, std::memory_order_relaxed);
-    g_active.store(false, std::memory_order_relaxed);
-    t_owner = false;
-    g_current = nullptr;
-    g_profile = nullptr;
-  }
+  internal::g_stats_hook_armed.store(false, std::memory_order_relaxed);
+  g_active.store(false, std::memory_order_relaxed);
+  t_owner = false;
+  g_current = nullptr;
+  g_profile = nullptr;
   SetPoolMetricsEnabled(prev_pool_metrics_);
 }
 

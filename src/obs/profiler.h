@@ -13,14 +13,13 @@
 
 namespace wimpi::obs {
 
-// Profiling knobs, the observability sibling of exec::ExecOptions. All off
-// by default: the operator library then performs one relaxed atomic load
-// per operator invocation and never reads a clock, so unprofiled runs keep
-// the seed engine's behaviour (and results) bit-for-bit.
+// Profiling knobs, the observability sibling of exec::ExecOptions. A
+// ScopedProfiling always collects the EXPLAIN ANALYZE-style operator tree
+// (wall time, rows, morsels, threads, OpStats side by side); these add to
+// it. Outside a ScopedProfiling the operator library performs one relaxed
+// atomic load per operator invocation and never reads a clock, so
+// unprofiled runs keep the engine's behaviour (and results) bit-for-bit.
 struct ProfileOptions {
-  // Collect the EXPLAIN ANALYZE-style operator tree (wall time, rows,
-  // morsels, threads, OpStats side by side).
-  bool operator_profile = true;
   // Enable the ThreadPool metric hooks (task latency, queue wait,
   // per-worker busy/idle) in MetricsRegistry::Global().
   bool pool_metrics = false;
@@ -143,8 +142,7 @@ class OpScope {
   PerfCounts perf_start_;  // read only when counters are live
 };
 
-// True while a ScopedProfiling with operator_profile is installed (any
-// thread may ask; only the owning thread may open scopes).
+// True while a ScopedProfiling is installed (any thread may ask; only the owning thread may open scopes).
 bool ProfilerActive();
 
 // Called by the morsel scheduler glue on the profiling thread before

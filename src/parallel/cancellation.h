@@ -14,9 +14,9 @@ namespace wimpi::parallel {
 // node just failed) stops after at most one in-flight morsel per worker
 // instead of running to completion.
 //
-// Cancellation is advisory: already-running bodies finish, and the loop
-// that observed the token returns normally with part of the work undone.
-// Whoever cancelled must treat the computation's outputs as garbage.
+// Already-running bodies finish; a pipeline that skipped a morsel because
+// the token fired throws Cancelled once they have, so no caller ever sees
+// a partially filled result.
 class CancellationToken {
  public:
   CancellationToken() = default;
@@ -42,6 +42,13 @@ class CancellationToken {
 class TaskError : public std::runtime_error {
  public:
   explicit TaskError(const std::string& what) : std::runtime_error(what) {}
+};
+
+// Thrown by a pipeline that skipped morsels because its lane or pipeline
+// token fired. A TaskError, so it leaves nested pipelines unwrapped.
+class Cancelled : public TaskError {
+ public:
+  Cancelled() : TaskError("pipeline cancelled") {}
 };
 
 }  // namespace wimpi::parallel

@@ -24,6 +24,7 @@ struct FairPipelineScheduler::ActivePipeline {
   uint64_t flight_id = 0;  // query id for flight-recorder events
   int max_threads = 1;
   size_t next = 0;          // next unclaimed morsel index
+  size_t ran = 0;           // morsels finished, successfully or not
   int in_flight = 0;        // running anywhere (driver or slots)
   int remote_in_flight = 0; // running on drain slots only
   std::exception_ptr error;
@@ -43,6 +44,16 @@ struct FairPipelineScheduler::Lane {
   CancellationToken* cancel = nullptr;
   int64_t deadline_us = 0;
   bool deadline_fired = false;
+  // Fires `cancel` once the deadline has passed, so a timed-out query is
+  // cancelled by whichever dispatch or pipeline start looks at it next.
+  // Caller must hold mu_. Returns whether the lane is cancelled.
+  bool Fired() {
+    if (deadline_us > 0 && !deadline_fired && obs::NowMicros() >= deadline_us) {
+      deadline_fired = true;
+      cancel->Cancel();
+    }
+    return cancel->cancelled();
+  }
   std::list<ActivePipeline*> pipelines;
   int64_t pipelines_run = 0;
   int64_t tasks_run = 0;
@@ -156,14 +167,7 @@ bool FairPipelineScheduler::PickTask(Lane** lane_out,
   Lane* best_lane = nullptr;
   ActivePipeline* best_pipe = nullptr;
   for (auto& [id, lane] : lanes_) {
-    // Deadline bookkeeping happens on every inspection, so a timed-out
-    // query is cancelled by whichever dispatch looks at it next.
-    if (lane.deadline_us > 0 && !lane.deadline_fired &&
-        obs::NowMicros() >= lane.deadline_us) {
-      lane.deadline_fired = true;
-      lane.cancel->Cancel();
-    }
-    const bool cancelled = lane.cancel->cancelled();
+    const bool cancelled = lane.Fired();
     for (ActivePipeline* p : lane.pipelines) {
       if (cancelled || p->Aborted()) {
         // Skip the rest; anyone waiting learns via the notify below.
@@ -212,6 +216,7 @@ void FairPipelineScheduler::RunOneTask(std::unique_lock<std::mutex>& lock,
   lock.lock();
   if (remote) lane->worker_cpu_us += cpu_us;
   --p->in_flight;
+  ++p->ran;
   if (error != nullptr) {
     if (p->error == nullptr) p->error = error;
     p->next = p->morsels.size();  // abort: skip unclaimed morsels
@@ -254,19 +259,34 @@ void FairPipelineScheduler::RunPipeline(int lane_id, const PipelineSpec& spec,
   const int num_morsels = static_cast<int>(morsels.size());
   const int64_t pipeline_start_us = obs::NowMicros();
   // Sequential fast path: a single-threaded phase (or one already on a
-  // pool worker, which must not wait for a slot it occupies) never
-  // touches the scheduler state, but records the same flight spans.
+  // pool worker, which must not wait for a slot it occupies) runs on the
+  // caller without joining the lane's dispatch, but honours the same
+  // tokens and records the same flight spans.
   if (spec.max_threads <= 1 || num_morsels == 1 ||
       ThreadPool::OnWorkerThread()) {
+    const CancellationToken* lane_cancel;
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      auto lane_it = lanes_.find(lane_id);
+      WIMPI_CHECK(lane_it != lanes_.end()) << "pipeline on unknown lane";
+      lane_it->second.Fired();  // fires a passed deadline
+      lane_cancel = lane_it->second.cancel;
+    }
     std::exception_ptr error;
+    bool skipped = false;
     for (const Morsel& m : morsels) {
-      if (spec.cancel != nullptr && spec.cancel->cancelled()) break;
+      if (lane_cancel->cancelled() ||
+          (spec.cancel != nullptr && spec.cancel->cancelled())) {
+        skipped = true;
+        break;
+      }
       error = RunRecordedMorsel(*spec.body, m, label, flight_id);
       if (error != nullptr) break;
     }
     RecordPipeline(flight_id, pipeline_start_us, num_morsels,
                    spec.total_rows);
     if (error != nullptr) std::rethrow_exception(error);
+    if (skipped) throw Cancelled();
     return;
   }
 
@@ -294,12 +314,7 @@ void FairPipelineScheduler::RunPipeline(int lane_id, const PipelineSpec& spec,
   // the deadline wait doubles as the lane's timeout when no dispatch
   // happens to observe it first.
   for (;;) {
-    if (lane.deadline_us > 0 && !lane.deadline_fired &&
-        obs::NowMicros() >= lane.deadline_us) {
-      lane.deadline_fired = true;
-      lane.cancel->Cancel();
-    }
-    if (lane.cancel->cancelled() || p.Aborted()) {
+    if (lane.Fired() || p.Aborted()) {
       p.next = p.morsels.size();  // skip unclaimed; in-flight ones finish
     }
     if (p.next < p.morsels.size()) {
@@ -319,6 +334,7 @@ void FairPipelineScheduler::RunPipeline(int lane_id, const PipelineSpec& spec,
   lock.unlock();
   RecordPipeline(flight_id, pipeline_start_us, num_morsels, spec.total_rows);
   if (p.error != nullptr) std::rethrow_exception(p.error);
+  if (p.ran < p.morsels.size()) throw Cancelled();
 }
 
 }  // namespace wimpi::parallel

@@ -58,9 +58,10 @@ inline constexpr double kStrideBase = 1 << 20;
 // task that fans out again never waits for a slot it occupies itself.
 //
 // Dispatch-time gates: a fired lane or pipeline (spec.cancel) token skips
-// the pipeline's remaining tasks; a lane deadline fires the lane token at
-// the first dispatch or driver wait past it (the timeout needs no timer
-// thread). Determinism: which *worker* runs a morsel varies, but morsel
+// the pipeline's remaining tasks, and RunPipeline then throws Cancelled;
+// a lane deadline fires the lane token at the first pipeline start,
+// dispatch or driver wait past it (the timeout needs no timer thread).
+// Determinism: which *worker* runs a morsel varies, but morsel
 // boundaries and merge order never do, so answers are bit-identical to
 // isolated execution.
 //
@@ -104,7 +105,8 @@ class FairPipelineScheduler {
   // per driver at a time; concurrent calls on one lane from cooperating
   // threads are allowed and share the lane's fairness account). Every
   // path, the sequential one included, records one flight span for the
-  // pipeline and one per morsel, tagged `flight_id` (0 = untagged).
+  // pipeline and one per morsel, tagged `flight_id` (0 = untagged), and
+  // throws Cancelled if a fired token made it skip a morsel.
   void RunPipeline(int lane_id, const PipelineSpec& spec,
                    uint64_t flight_id = 0);
 

@@ -40,17 +40,18 @@ struct PipelineSpec {
 // Contract every implementation must honour (it is what keeps answers
 // bit-identical across schedulers): morsel boundaries come from
 // SplitMorsels(total_rows, morsel_rows) only; every morsel runs at most
-// once; RunPipeline returns after all claimed morsels finished; when
-// `cancel` fires, unclaimed morsels are skipped and RunPipeline returns
-// normally (the caller owns the token and discards the partial work); a
-// body exception aborts the pipeline and is rethrown on the caller as a
-// TaskError naming the operator and morsel.
+// once; RunPipeline returns after all claimed morsels finished; it returns
+// normally only if every morsel ran: when `cancel` (or the lane's token)
+// fires, unclaimed morsels are skipped and RunPipeline throws Cancelled
+// once the claimed ones have finished; a body exception aborts the
+// pipeline and is rethrown on the caller as a TaskError naming the
+// operator and morsel.
 class PipelineScheduler {
  public:
   virtual ~PipelineScheduler() = default;
 
-  // Blocks until the pipeline has drained (all morsels run, or the rest
-  // skipped after cancellation / a body error).
+  // Blocks until the pipeline has drained: returns when all morsels ran,
+  // throws once the rest were skipped after cancellation or a body error.
   virtual void RunPipeline(const PipelineSpec& spec) = 0;
 
   // Process-default scheduler (single-query behaviour): a permanently open

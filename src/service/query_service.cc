@@ -324,9 +324,9 @@ struct ServiceCore {
     const bool deadline_fired = scheduler.LaneDeadlineFired(lane);
     scheduler.CloseLane(lane, &t->usage);
     t->driver_cpu_us = obs::ThreadCpuMicros() - cpu0;
-    // A fired token means morsel loops skipped work: whatever the plan
-    // returned is partial and must not be surfaced as an answer.
-    if (status.ok() && t->token.cancelled()) {
+    // A fired token decides the status whatever the plan did: it threw
+    // parallel::Cancelled, or finished a last phase the token missed.
+    if (t->token.cancelled()) {
       status = deadline_fired
                    ? Status::DeadlineExceeded("query timed out after " +
                                               std::to_string(t->spec.timeout_us) +

@@ -11,11 +11,11 @@
 // memory budget before it may start: queries that can never fit are
 // rejected with kResourceExhausted immediately; queries that do not fit
 // *right now* wait in a bounded queue. Cancellation and timeouts are
-// cooperative — a fired token (or expired deadline) makes the query's
-// remaining morsel dispatches no-ops, so the driver returns promptly with
-// kCancelled / kDeadlineExceeded. Sequential operator phases do not poll
-// the token; cancellation latency is bounded by the longest sequential
-// phase, not by query runtime.
+// cooperative — a fired token (or expired deadline) is seen at every
+// operator phase start and before every morsel dispatch; the cancelled
+// pipeline throws, so the driver returns promptly with kCancelled /
+// kDeadlineExceeded. Cancellation latency is bounded by the longest
+// morsel (a whole phase at one thread), not by query runtime.
 //
 // Determinism: morsel boundaries and merge order are scheduler-independent,
 // so every answer the service produces is bit-identical to running the same

@@ -86,8 +86,7 @@ ColumnStats BuildColumnStats(const Column& col, const std::string& name,
   if (n == 0) return cs;
 
   const int threads = exec::PlannedThreads(n);
-  const int64_t chunk_rows =
-      threads <= 1 ? n : (n + threads - 1) / threads;
+  const int64_t chunk_rows = (n + threads - 1) / threads;
   const int num_chunks =
       static_cast<int>((n + chunk_rows - 1) / chunk_rows);
   std::vector<Shard> shards;
@@ -117,14 +116,9 @@ ColumnStats BuildColumnStats(const Column& col, const std::string& name,
     }
   };
 
-  if (threads <= 1) {
-    scan(0, n, shards[0]);
-  } else {
-    exec::RunChunks(n, chunk_rows, threads,
-                    [&](const parallel::Morsel& m) {
-                      scan(m.begin, m.end, shards[m.index]);
-                    });
-  }
+  exec::RunChunks(n, chunk_rows, threads, [&](const parallel::Morsel& m) {
+    scan(m.begin, m.end, shards[m.index]);
+  });
 
   // Merge in chunk order.
   Shard merged(opts.hll_precision);

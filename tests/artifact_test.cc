@@ -157,6 +157,29 @@ TEST(ArtifactCompare, MeasuredMetricsGatedOnlyByWallTol) {
   EXPECT_FALSE(strict.ok);
 }
 
+// The summary note counts the measured metrics it gated (or skipped), so
+// a wall-time A/B log shows what it actually compared.
+TEST(ArtifactCompare, SummaryCountsMeasuredMetrics) {
+  const RunArtifact base = SampleArtifact();
+  auto has_note = [](const CompareResult& r, const std::string& note) {
+    for (const std::string& n : r.notes) {
+      if (n == note) return true;
+    }
+    return false;
+  };
+  CompareOptions opts;
+  opts.wall_tol = 0.5;
+  const CompareResult gated = CompareArtifacts(base, base, opts);
+  EXPECT_TRUE(has_note(gated, "compared 5 metric(s), 1 measured metric(s) "
+                              "gated"))
+      << gated.Format();
+
+  const CompareResult lax = CompareArtifacts(base, base, CompareOptions{});
+  EXPECT_TRUE(has_note(lax, "compared 4 metric(s), 1 measured metric(s) "
+                            "informational (no --wall-tol)"))
+      << lax.Format();
+}
+
 TEST(ArtifactCompare, StructuralMismatchesAreErrors) {
   const RunArtifact base = SampleArtifact();
   RunArtifact cur = base;

@@ -75,7 +75,6 @@ class ScopedPerfDisable {
 
 obs::ProfileOptions PerfProfiling() {
   obs::ProfileOptions popts;
-  popts.operator_profile = true;
   popts.perf_counters = true;
   return popts;
 }
@@ -243,7 +242,6 @@ TEST(PerfLive, NotRequestedMeansNoNoteAndNoCounters) {
   engine::Executor ex;
   ex.set_num_threads(1);
   obs::ProfileOptions popts;  // perf_counters off
-  popts.operator_profile = true;
   obs::QueryProfile profile;
   ex.RunProfiled(
       [&](exec::QueryStats* s) { return tpch::RunQuery(6, db, s); }, popts,

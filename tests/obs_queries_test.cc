@@ -82,7 +82,6 @@ void ExpectRelationsIdentical(const exec::Relation& a,
 
 obs::ProfileOptions FullProfiling() {
   obs::ProfileOptions popts;
-  popts.operator_profile = true;
   popts.pool_metrics = true;
   return popts;
 }

@@ -228,14 +228,15 @@ TEST(CancellationTest, ParallelForStopsClaimingIterations) {
   parallel::CancellationToken cancel;
   std::atomic<int> ran{0};
   // Cancel from inside the pipeline: remaining un-claimed morsels are
-  // skipped, in-flight bodies finish, and the call returns normally.
-  RunPipeline(
-      lane.sched(), 100000, 1, 4,
-      [&](const Morsel& m) {
-        ran.fetch_add(1);
-        if (m.index == 10) cancel.Cancel();
-      },
-      &cancel);
+  // skipped, in-flight bodies finish, and the call throws Cancelled.
+  EXPECT_THROW(RunPipeline(
+                   lane.sched(), 100000, 1, 4,
+                   [&](const Morsel& m) {
+                     ran.fetch_add(1);
+                     if (m.index == 10) cancel.Cancel();
+                   },
+                   &cancel),
+               parallel::Cancelled);
   EXPECT_GE(ran.load(), 1);
   EXPECT_LT(ran.load(), 100000);
   // The lane stays usable; a fresh token runs everything.
@@ -253,23 +254,35 @@ TEST(CancellationTest, PreCancelledTokenSkipsInlinePathToo) {
   std::atomic<int> ran{0};
   const MorselBody count = [&](const Morsel&) { ran.fetch_add(1); };
   // One morsel takes the inline path; it must honour the token as well.
-  RunPipeline(lane.sched(), 1, 1, 2, count, &cancel);
-  RunPipeline(lane.sched(), 1000, 1, 2, count, &cancel);
+  EXPECT_THROW(RunPipeline(lane.sched(), 1, 1, 2, count, &cancel),
+               parallel::Cancelled);
+  EXPECT_THROW(RunPipeline(lane.sched(), 1000, 1, 2, count, &cancel),
+               parallel::Cancelled);
   EXPECT_EQ(ran.load(), 0);
+  // The lane stays usable once the token is re-armed.
+  cancel.Reset();
+  RunPipeline(lane.sched(), 1000, 1, 2, count, &cancel);
+  EXPECT_EQ(ran.load(), 1000);
 }
 
 TEST(CancellationTest, RunMorselsStopsEarly) {
   parallel::CancellationToken cancel;
   std::atomic<int> ran{0};
-  RunPipeline(
-      PipelineScheduler::Default(), 1 << 20, 256, 4,
-      [&](const Morsel& m) {
-        ran.fetch_add(1);
-        if (m.index == 3) cancel.Cancel();
-      },
-      &cancel);
+  EXPECT_THROW(RunPipeline(
+                   PipelineScheduler::Default(), 1 << 20, 256, 4,
+                   [&](const Morsel& m) {
+                     ran.fetch_add(1);
+                     if (m.index == 3) cancel.Cancel();
+                   },
+                   &cancel),
+               parallel::Cancelled);
   EXPECT_GE(ran.load(), 1);
   EXPECT_LT(ran.load(), (1 << 20) / 256);
+  // The default lane stays usable.
+  ran.store(0);
+  RunPipeline(PipelineScheduler::Default(), 1024, 256, 4,
+              [&](const Morsel&) { ran.fetch_add(1); });
+  EXPECT_EQ(ran.load(), 4);
 }
 
 // ---------- Worker exception context ----------

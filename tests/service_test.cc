@@ -261,6 +261,22 @@ TEST(QueryServiceTest, TimeoutFiresDeadlineExceeded) {
   EXPECT_EQ(t.Wait().code(), StatusCode::kDeadlineExceeded);
 }
 
+// At one thread every phase runs inline on the driver; the lane deadline
+// is still checked at each phase start, so the query times out instead of
+// running all of its ~1 s of one-morsel phases.
+TEST(QueryServiceTest, TimeoutFiresDeadlineExceededAtOneThread) {
+  ServiceOptions opts;
+  opts.max_active = 1;
+  opts.query_threads = 1;
+  opts.morsel_rows = 64;
+  QueryService svc(opts);
+  std::atomic<bool> started{false};
+  QuerySpec spec = SlowMorselSpec(&started);
+  spec.timeout_us = 50 * 1000;
+  QueryTicket t = svc.Submit(std::move(spec));
+  EXPECT_EQ(t.Wait().code(), StatusCode::kDeadlineExceeded);
+}
+
 // Stride accounting: after running pipelines on lanes of different
 // priority, each lane's pass advanced by tasks * (base / priority), so the
 // high-priority lane's pass trails the low-priority one for the same work.
@@ -299,7 +315,7 @@ TEST(FairPipelineSchedulerTest, StrideAccountsPassByPriority) {
 
 // spec.cancel is honoured on its own: a pipeline token other than the
 // lane's stops the pipeline's unclaimed morsels on the parallel path, the
-// call returns normally, and the lane itself stays live.
+// call throws Cancelled, and the lane itself stays live.
 TEST(FairPipelineSchedulerTest, PipelineTokenSkipsUnclaimedMorsels) {
   parallel::ThreadPool pool(4);
   parallel::FairPipelineScheduler sched(&pool);
@@ -319,10 +335,19 @@ TEST(FairPipelineSchedulerTest, PipelineTokenSkipsUnclaimedMorsels) {
   spec.max_threads = 4;
   spec.body = &body;
   spec.cancel = &pipeline_token;
-  sched.RunPipeline(lane, spec);
+  EXPECT_THROW(sched.RunPipeline(lane, spec), parallel::Cancelled);
   EXPECT_GE(ran.load(), 4);
   EXPECT_LT(ran.load(), kMorsels);
   EXPECT_FALSE(lane_token.cancelled());
+  // The lane runs a fresh pipeline to completion.
+  pipeline_token.Reset();
+  ran.store(0);
+  const std::function<void(const parallel::Morsel&)> count =
+      [&](const parallel::Morsel&) { ran.fetch_add(1); };
+  spec.total_rows = 64;
+  spec.body = &count;
+  sched.RunPipeline(lane, spec);
+  EXPECT_EQ(ran.load(), 64);
   sched.CloseLane(lane);
 }
 

@@ -14,7 +14,7 @@ cmake -S "${repo_root}" -B "${build_dir}" \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo \
   -DWIMPI_SANITIZE=address
 
-cmake --build "${build_dir}" -j
+cmake --build "${build_dir}" -j "$(nproc)"
 
 export ASAN_OPTIONS="halt_on_error=1 ${ASAN_OPTIONS:-}"
 # Cached test databases (tests/parallel_queries_test.cc intentionally leaks

@@ -2,8 +2,9 @@
 # Builds the parallel-execution and observability tests under
 # ThreadSanitizer and runs them. Intended for CI: any data race in the
 # thread pool, scheduler, the morsel-parallel operator paths (including the
-# filter morsels, the dictionary pass of string predicates and the hash
-# aggregation's chunk tables and state merge), the
+# filter morsels, the dictionary pass of string predicates, the hash
+# aggregation's chunk tables, run-path chunks and concatenation, and the
+# partitioned join build), the
 # range-parallel TPC-H generator, or the profiling/metrics/trace
 # instrumentation fails the script.
 #
@@ -22,7 +23,7 @@ cmake --build "${build_dir}" \
            obs_perf_test obs_export_test memory_tracker_test fault_test \
            service_test flight_test stats_test timeline_test dbgen_test \
            storage_test tbl_io_test exec_test common_test kernel_test \
-           golden_query_test cancel_sweep_test -j
+           golden_query_test cancel_sweep_test -j "$(nproc)"
 
 # halt_on_error so the first race fails fast with a nonzero exit code.
 export TSAN_OPTIONS="halt_on_error=1 ${TSAN_OPTIONS:-}"
@@ -74,9 +75,11 @@ export TSAN_OPTIONS="halt_on_error=1 ${TSAN_OPTIONS:-}"
 "${build_dir}/tests/tbl_io_test"
 # Operator kernels: filter selections written by morsels into slices of one
 # shared buffer, the string predicates' dictionary pass over dictionary
-# morsels, pointer gathers and typed join probes, and hash aggregation's
-# chunk tables built on pool workers and merged state to state (every key
-# reader and AggFn, the million-group case included), each at 4 threads
+# morsels, pointer gathers, the partitioned join build and typed join
+# probes, and hash aggregation's chunk tables built on pool workers and
+# merged state to state, or on clustered keys grouped run by run and
+# concatenated (every key reader and AggFn, the million-group case
+# included), each at 4 threads
 # with small morsels; plus all 22 queries in that configuration (golden
 # answers and OpStats) and the LIKE matcher the dictionary pass calls.
 "${build_dir}/tests/exec_test"

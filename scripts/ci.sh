@@ -22,7 +22,7 @@ bench="${build_dir}/bench"
 
 echo "=== [1/5] build + tests (every deterministic bench gate) ==="
 cmake -S "${repo_root}" -B "${build_dir}" -DCMAKE_BUILD_TYPE=Release
-cmake --build "${build_dir}" -j
+cmake --build "${build_dir}" -j "$(nproc)"
 ctest --test-dir "${build_dir}" --output-on-failure
 
 if [[ "${WIMPI_CI_SKIP_BENCH:-0}" != "1" ]]; then

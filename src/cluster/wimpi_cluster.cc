@@ -8,12 +8,10 @@
 
 #include "cluster/partials.h"
 #include "cluster/partition.h"
-#include "exec/exec_options.h"
 #include "obs/clock.h"
 #include "obs/export/aggregate.h"
 #include "obs/flight/flight_recorder.h"
 #include "obs/metrics.h"
-#include "parallel/cancellation.h"
 #include "parallel/steal.h"
 #include "tpch/dbgen.h"
 #include "tpch/queries.h"
@@ -325,24 +323,17 @@ Result<DistributedRun> WimpiCluster::Run(int q,
     return r.num_rows() > 100 ? bytes * opts_.sf_scale : bytes;
   };
 
-  // ---- Real execution per partition (lazy: a query abandoned mid-way
-  // never executes the remaining partitions, and the cancellation token
-  // stops any in-flight morsel loop of the current one promptly). ----
+  // ---- Real execution per partition (lazy, on this thread: a query
+  // abandoned mid-way never executes the remaining partitions). ----
   std::vector<PartitionExec> parts(nodes);
   run.partial_host_us.assign(nodes, {0, 0});
-  parallel::CancellationToken cancel;
   auto ensure_exec = [&](int p) -> const PartitionExec& {
     PartitionExec& pe = parts[p];
     if (pe.done) return pe;
     exec::QueryStats stats;
-    {
-      exec::ExecOptions eopts = exec::CurrentExecOptions();
-      eopts.cancellation = &cancel;
-      exec::ScopedExecOptions scope(eopts);
-      const int64_t start_us = obs::NowMicros();
-      pe.partial = RunPartial(q, node_dbs_[p], &stats);
-      run.partial_host_us[p] = {start_us, obs::NowMicros()};
-    }
+    const int64_t start_us = obs::NowMicros();
+    pe.partial = RunPartial(q, node_dbs_[p], &stats);
+    run.partial_host_us[p] = {start_us, obs::NowMicros()};
     stats.Scale(opts_.sf_scale);
     pe.work_s = model.WorkSeconds(pi, stats, opts_.threads_per_node);
 
@@ -425,7 +416,6 @@ Result<DistributedRun> WimpiCluster::Run(int q,
 
     FineSchedule sched = SimulateFineGrained(fin);
     if (!sched.completed) {
-      cancel.Cancel();
       std::string msg = "Q";
       msg += std::to_string(q);
       msg += ": every worker failed or left (faults: ";
@@ -602,7 +592,6 @@ Result<DistributedRun> WimpiCluster::Run(int q,
           if (best < 0 || node_clock[n] < node_clock[best]) best = n;
         }
         if (best < 0) {
-          cancel.Cancel();  // stop any in-flight partial work promptly
           std::string msg = "Q";
           msg += std::to_string(q);
           msg += ": every node failed (plan: ";
@@ -708,7 +697,6 @@ Result<DistributedRun> WimpiCluster::Run(int q,
           obs::MetricsRegistry::Global()
               .counter("cluster.retry.exhausted")
               .Add(1);
-          cancel.Cancel();
           std::string msg = "Q";
           msg += std::to_string(q);
           msg += ": retry budget (";

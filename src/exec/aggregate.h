@@ -43,6 +43,12 @@ struct AggSpec {
 // own table and states, and the chunks' states are merged in chunk order
 // (sums add, counts add, min/max of min/max, avg as sum and count).
 //
+// When the leading key column never descends (lineitem on l_orderkey),
+// each chunk groups its rows run by run of equal lead values instead, with
+// no table, and the chunk results are concatenated; only groups a run
+// carries across a chunk edge are merged. Groups, answers and OpStats are
+// the hash path's: its chain_steps are counted, not walked.
+//
 // With an empty `group_by`, produces exactly one row (global aggregate),
 // even over empty input (SQL semantics: COUNT = 0, SUM/AVG = 0 here since
 // the engine has no NULLs; MIN/MAX over no rows give the type's identity,

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <memory>
 
 #include "common/logging.h"
 #include "exec/estimator.h"
@@ -13,6 +14,64 @@ namespace wimpi::exec {
 namespace {
 
 using storage::Column;
+
+// The parallel build (see JoinWith): `slices` tasks each link the rows
+// whose buckets fall in one contiguous slice of [0, mask].
+template <typename Key>
+void BuildPartitioned(const Key& build, int64_t n_build, uint64_t mask,
+                      int slices, int32_t* head, int32_t* next) {
+  const int shift = std::countr_zero(mask + 1);
+  auto slice_of = [&](uint32_t b) {
+    return static_cast<int>((static_cast<uint64_t>(b) * slices) >> shift);
+  };
+  // A row and its bucket (below 2^32: there are at most twice as many
+  // buckets as int32 rows); the linking overwrites the bucket with the
+  // row's chain link.
+  struct Entry {
+    int32_t row;
+    uint32_t bucket;
+  };
+  // Each morsel's rows, grouped by slice in row order, in the morsel's own
+  // range of `part`: it hashes them once to count them per slice and once
+  // to place them. Morsel m's rows of slice s are [at[m][s], at[m][s+1]).
+  // `part` is left uninitialized, so the morsels touch their own pages
+  // first; it takes 8 bytes per row and is the build's only per-row
+  // transient.
+  const auto part = std::make_unique_for_overwrite<Entry[]>(n_build);
+  const int morsels = NumMorsels(n_build, slices);
+  std::vector<int64_t> at(static_cast<size_t>(morsels) * (slices + 1));
+  RunMorsels(n_build, slices, [&](const parallel::Morsel& m) {
+    auto bucket = [&](int64_t i) {
+      return static_cast<uint32_t>(build.Hash(i) & mask);
+    };
+    std::vector<int64_t> pos(slices + 1);
+    for (int64_t i = m.begin; i < m.end; ++i) ++pos[slice_of(bucket(i)) + 1];
+    int64_t* start = &at[m.index * (slices + 1)];
+    start[0] = m.begin;
+    for (int s = 0; s < slices; ++s) start[s + 1] = start[s] + pos[s + 1];
+    std::copy(start, start + slices, pos.begin());
+    for (int64_t i = m.begin; i < m.end; ++i) {
+      const uint32_t b = bucket(i);
+      part[pos[slice_of(b)]++] = {static_cast<int32_t>(i), b};
+    }
+  });
+  RunChunks(slices, 1, slices, [&](const parallel::Morsel& m) {
+    for (int mo = 0; mo < morsels; ++mo) {
+      const int64_t* start = &at[mo * (slices + 1) + m.index];
+      for (int64_t p = start[0]; p < start[1]; ++p) {
+        Entry& e = part[p];
+        const int32_t link = head[e.bucket];
+        head[e.bucket] = e.row;
+        e.bucket = static_cast<uint32_t>(link);
+      }
+    }
+  });
+  RunMorsels(n_build, slices, [&](const parallel::Morsel& m) {
+    for (int64_t p = m.begin; p < m.end; ++p) {
+      next[part[p].row] = static_cast<int32_t>(part[p].bucket);
+    }
+  });
+}
 
 template <typename Key>
 JoinResult JoinWith(const Key& build, const Key& probe,
@@ -38,41 +97,28 @@ JoinResult JoinWith(const Key& build, const Key& probe,
   {
     obs::OpScope build_scope("hash_build", n_build);
     build_scope.set_rows_out(n_build);
-    // The tasks partition the *bucket* range: each scans every build row
-    // in order but links only the rows that land in its own buckets, so no
-    // two tasks touch the same chain and every chain ends up in the LIFO
-    // order of one in-order insert. One thread is one task over all
-    // buckets. An empty build side links nothing and runs no pipeline.
+    // One thread links every row in order at its bucket's head, so each
+    // chain lists its rows newest first. Above one thread the build is
+    // radix-partitioned on the bucket range, into one contiguous slice
+    // per task, and ends with the same chains: each morsel hashes its
+    // rows and groups them by slice, stably, in its own range of one
+    // buffer; each task links its slice's rows morsel by morsel, so in
+    // row order; and each morsel writes next[] for its own rows. No two
+    // tasks write one chain, and no two morsels write one row's link.
+    // An empty build side links nothing and runs no pipeline.
     const int build_threads = PlannedThreads(n_build);
-    const int64_t buckets = n_build > 0 ? static_cast<int64_t>(n_buckets) : 0;
-    auto link = [&](const auto& bucket_of) {
-      RunChunks(buckets, (buckets + build_threads - 1) / build_threads,
-                build_threads, [&](const parallel::Morsel& m) {
-                  const uint64_t lo = static_cast<uint64_t>(m.begin);
-                  const uint64_t hi = static_cast<uint64_t>(m.end);
-                  for (int64_t i = 0; i < n_build; ++i) {
-                    const uint64_t b = bucket_of(i);
-                    if (b < lo || b >= hi) continue;
-                    next[i] = head[b];
-                    head[b] = static_cast<int32_t>(i);
-                  }
-                });
-    };
-    if (build_threads > 1) {
-      // Several tasks would each hash every row, so the rows are hashed
-      // once first, morsel-parallel. Hashing inside every task measured
-      // slower: exec.hash_build.self_s on power_sf025_t4 (4 vCPUs, 5
-      // interleaved pairs, medians) was 30.3 ms that way against 22.8 ms
-      // (quartiles 22.1-26.0) with this pass.
-      std::vector<uint64_t> hashes(n_build);
-      RunMorsels(n_build, build_threads, [&](const parallel::Morsel& m) {
-        for (int64_t i = m.begin; i < m.end; ++i) {
-          hashes[i] = build.Hash(i) & mask;
+    if (build_threads == 1) {
+      const int64_t buckets = n_build > 0 ? static_cast<int64_t>(n_buckets) : 0;
+      RunChunks(buckets, buckets, 1, [&](const parallel::Morsel&) {
+        for (int64_t i = 0; i < n_build; ++i) {
+          const uint64_t b = build.Hash(i) & mask;
+          next[i] = head[b];
+          head[b] = static_cast<int32_t>(i);
         }
       });
-      link([&](int64_t i) { return hashes[i]; });
     } else {
-      link([&](int64_t i) { return build.Hash(i) & mask; });
+      BuildPartitioned(build, n_build, mask, build_threads, head.data(),
+                       next.data());
     }
     if (stats != nullptr) {
       OpStats op;

@@ -5,7 +5,10 @@
 // (INT32_MIN/INT32_MAX, empty ranges, NaN, empty inputs). The parallel run
 // must also reproduce the sequential run's OpStats exactly. Hash
 // aggregation runs every key reader and AggFn against the row-at-a-time
-// reference (tests/reference_aggregate.cc), bit for bit.
+// reference (tests/reference_aggregate.cc), bit for bit, on unclustered
+// input (the hash path) and on input clustered on the leading key (the run
+// path), and the partitioned parallel join build must give the one-thread
+// build's result.
 #include <algorithm>
 #include <bit>
 #include <cmath>
@@ -615,6 +618,59 @@ TEST(JoinKernelTest, EveryKeyReaderMatchesReference) {
   }
 }
 
+// An int32 key column holding key(r) for each of `rows` rows.
+std::unique_ptr<Column> KeyCol(int64_t rows,
+                               const std::function<int32_t(int64_t)>& key) {
+  auto c = std::make_unique<Column>(DataType::kInt32);
+  for (int64_t r = 0; r < rows; ++r) c->AppendInt32(key(r));
+  return c;
+}
+
+// The partitioned parallel build against the one-thread build: the same
+// chains, so the same pairs in the same order and the same OpStats, at 2,
+// 3 (a task count that does not divide the bucket count) and 4 threads.
+TEST(JoinKernelTest, PartitionedBuildMatchesOneThreadBuild) {
+  struct Case {
+    const char* name;
+    int64_t build_rows;
+    std::function<int32_t(int64_t)> key;
+  };
+  const Case cases[] = {
+      // Each key on ~30 build rows: the chain order fixes the pair order.
+      {"duplicate keys", 3000, [](int64_t r) { return (r * 7) % 100 - 50; }},
+      // One key: every row in one bucket, so one task links them all.
+      {"one key", 2000, [](int64_t) { return 7; }},
+      // One row past the one-morsel build (256-row morsels).
+      {"just above the threshold", 257, [](int64_t r) { return r / 2; }},
+  };
+  const auto probe = KeyCol(700, [](int64_t r) { return r % 160 - 60; });
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    const auto build = KeyCol(c.build_rows, c.key);
+    const std::vector<const Column*> bk = {build.get()}, pk = {probe.get()};
+    for (const JoinKind kind : {JoinKind::kInner, JoinKind::kSemi,
+                                JoinKind::kAnti, JoinKind::kLeftOuter}) {
+      SCOPED_TRACE(static_cast<int>(kind));
+      QueryStats want_stats;
+      const JoinResult want = HashJoin(bk, pk, kind, &want_stats);
+      for (const int threads : {2, 3, 4}) {
+        SCOPED_TRACE(threads);
+        ExecOptions opts;
+        opts.num_threads = threads;
+        opts.morsel_rows = 256;
+        ScopedExecOptions scope(opts);
+        ASSERT_EQ(PlannedThreads(c.build_rows),
+                  std::min<int64_t>(threads, (c.build_rows + 255) / 256));
+        QueryStats stats;
+        const JoinResult got = HashJoin(bk, pk, kind, &stats);
+        EXPECT_EQ(got.build_idx, want.build_idx);
+        EXPECT_EQ(got.probe_idx, want.probe_idx);
+        ExpectSameStats(stats, want_stats);
+      }
+    }
+  }
+}
+
 // ---------- Hash aggregation ----------
 
 // Each row's bits as u64 (int32-class values through uint32_t), so every
@@ -905,6 +961,120 @@ TEST(AggregateKernelTest, AllRowsDistinct) {
 
 TEST(AggregateKernelTest, AllRowsEqual) {
   CheckEveryReader(AggTable(2000, [](int64_t) { return 7; }, 76));
+}
+
+// AggTable plus key columns clustered on k >> 5 for non-decreasing ids k:
+// r32 (int32, negative values first), r64 (int64, wide) and rf64 (float64,
+// with -0.0 and +0.0 inside one run), and sub (int32, k & 31, negative
+// values and INT32_MIN included), which tells a run's groups apart.
+Relation RunTable(int64_t rows, const std::function<int64_t(int64_t)>& id,
+                  uint64_t seed) {
+  Relation rel = AggTable(rows, id, seed);
+  auto r32 = std::make_unique<Column>(DataType::kInt32);
+  auto r64 = std::make_unique<Column>(DataType::kInt64);
+  auto rf64 = std::make_unique<Column>(DataType::kFloat64);
+  auto sub = std::make_unique<Column>(DataType::kInt32);
+  for (int64_t r = 0; r < rows; ++r) {
+    const int64_t k = id(r);
+    const int64_t run = k >> 5;
+    r32->AppendInt32(static_cast<int32_t>(run - 40));
+    r64->AppendInt64(run * 0x100000001LL - (int64_t{1} << 62));
+    rf64->AppendFloat64(run == 6 ? (r % 2 ? -0.0 : 0.0) : 0.5 * (run - 6));
+    sub->AppendInt32((k & 31) == 31 ? kMin32
+                                    : static_cast<int32_t>(k & 31) - 4);
+  }
+  rel.AddColumn("r32", std::move(r32));
+  rel.AddColumn("r64", std::move(r64));
+  rel.AddColumn("rf64", std::move(rf64));
+  rel.AddColumn("sub", std::move(sub));
+  return rel;
+}
+
+// One key set per reader with a clustered lead column: one int32 and one
+// int64 key (a run is one group), a packed pair, and generic keys led by
+// int64 and by float64.
+void CheckClusteredReaders(const Relation& rel) {
+  const AggKeys clustered[] = {{"i32", {"r32"}},
+                               {"i64", {"r64"}},
+                               {"pair", {"r32", "sub"}},
+                               {"generic i64+i32", {"r64", "sub"}},
+                               {"generic f64", {"rf64"}},
+                               {"generic f64+i32", {"rf64", "sub"}}};
+  const std::vector<AggSpec> aggs = AllAggs();
+  for (const AggKeys& k : clustered) {
+    SCOPED_TRACE(k.name);
+    CheckAggregate(rel, k.cols, aggs);
+  }
+}
+
+// Runs of 12 rows whose three groups repeat non-adjacently (0 1 2 0 1 2
+// ...), and runs of random length.
+TEST(AggregateKernelTest, ClusteredRunsMatchReference) {
+  CheckClusteredReaders(
+      RunTable(3000, [](int64_t r) { return (r / 12) * 32 + r % 3; }, 78));
+  Rng rng(79);
+  std::vector<int64_t> ids(4000);
+  int64_t k = 0;
+  for (int64_t& i : ids) {
+    if (rng.Uniform(0, 5) == 0) k += 32 * rng.Uniform(1, 3);
+    i = k + rng.Uniform(0, 6);
+  }
+  CheckClusteredReaders(RunTable(4000, [&](int64_t r) { return ids[r]; }, 80));
+}
+
+// 2000 rows in four 500-row chunks at four threads: one run covers rows
+// 400-1599, so it straddles two chunk edges and holds chunks 1 and 2
+// whole. Its groups appear in another order in chunk 1 than in chunk 0,
+// chunk 1 adds two, and chunk 2 repeats all seven.
+TEST(AggregateKernelTest, RunsAcrossChunkEdges) {
+  CheckClusteredReaders(RunTable(
+      2000,
+      [](int64_t r) {
+        if (r < 400) return (r / 10) * 32 + r % 3;
+        if (r < 480) return 40 * 32 + r % 3;
+        if (r < 800) return 40 * 32 + 4 - r % 5;
+        if (r < 1100) return 40 * 32 + 5 + r % 2;
+        if (r < 1600) return 40 * 32 + r % 7;
+        return (r / 10) * 32 + r % 2;
+      },
+      81));
+}
+
+// Runs of 9, 17 and 32 distinct groups: more than the run path matches
+// row by row (8), so the aggregate takes the hash path. Runs of exactly 8
+// stay on the run path.
+TEST(AggregateKernelTest, RunsWithManyGroups) {
+  CheckClusteredReaders(
+      RunTable(1500, [](int64_t r) { return (r / 40) * 32 + r % 8; }, 88));
+  CheckClusteredReaders(
+      RunTable(1500, [](int64_t r) { return (r / 40) * 32 + r % 9; }, 89));
+  CheckClusteredReaders(
+      RunTable(1500, [](int64_t r) { return (r / 40) * 32 + r % 17; }, 82));
+  CheckClusteredReaders(
+      RunTable(1500, [](int64_t r) { return (r / 64) * 32 + r % 32; }, 83));
+}
+
+TEST(AggregateKernelTest, OneRowRuns) {
+  CheckClusteredReaders(RunTable(1000, [](int64_t r) { return r * 32; }, 84));
+}
+
+// Clustered but for the last row, which repeats the first row's group:
+// the check must see the descent.
+TEST(AggregateKernelTest, LeadDescendsAtTheLastRow) {
+  CheckClusteredReaders(RunTable(
+      1200, [](int64_t r) { return r < 1199 ? (r / 4) * 32 + r % 3 : 0; },
+      85));
+}
+
+// 2000 rows in four 500-row chunks at four threads, each chunk clustered on
+// its own: the lead descends only from row 999 to row 1000, a chunk edge,
+// or only in chunk 0's first rows, so the other chunks stop early.
+TEST(AggregateKernelTest, LeadDescendsAtAChunkEdgeOrInOneChunk) {
+  CheckClusteredReaders(RunTable(
+      2000, [](int64_t r) { return ((r % 1000) / 4) * 32 + r % 3; }, 86));
+  CheckClusteredReaders(RunTable(
+      2000, [](int64_t r) { return r < 3 ? (3 - r) * 32 : (r / 4) * 32 + r % 3; },
+      87));
 }
 
 // Over a million groups: the tables and states grow many times, and the

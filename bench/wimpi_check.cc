@@ -534,6 +534,15 @@ bool CheckTimelineDump(const std::string& path, const JsonValue& events,
                        " is below the floor");
   }
 
+  // Without hardware counters no query or operator has a measured class,
+  // and the agreement rule has nothing to check: say so.
+  if (known == 0 && agree + disagree == 0) {
+    std::fprintf(stderr,
+                 "[wimpi_check] %s OK: %zu query span(s), %d counter(s); "
+                 "agreement rule skipped: no measured class\n",
+                 path.c_str(), summaries.size(), counters);
+    return true;
+  }
   std::fprintf(stderr,
                "[wimpi_check] %s OK: %zu query span(s), %d counter(s), "
                "%d measured-class quer(ies)\n",

@@ -368,25 +368,64 @@ class FilterRunner {
   }
 };
 
+namespace {
+
+// Records that a scan of a base-table source reads column `name` whole.
+// String columns carry their dictionary into the working set (the codes
+// are 4 bytes, but evaluating a predicate touches the values).
+void TouchBaseColumn(const ColumnSource& src, const std::string& name,
+                     QueryStats* stats) {
+  if (stats == nullptr || src.table() == nullptr) return;
+  const storage::Column& col = src.column(name);
+  const double dict_bytes =
+      col.dict() != nullptr ? col.dict()->MemoryBytes() : 0.0;
+  stats->TouchBaseColumn(
+      src.table()->name() + "." + name,
+      static_cast<double>(src.rows()) * storage::TypeWidth(col.type()) +
+          dict_bytes);
+}
+
+// The counters of gathering `n` ascending rows of `src` into a fresh
+// column. A borrowed whole-table scan records them too, so the model
+// charges it the copy a column-at-a-time engine makes.
+void AddGatherStats(const storage::Column& src, int64_t n, QueryStats* stats) {
+  if (stats == nullptr) return;
+  const int width = storage::TypeWidth(src.type());
+  OpStats op;
+  op.op = "gather";
+  op.compute_ops = static_cast<double>(n) * cost::kGather;
+  // A gather reads the selection vector sequentially and the source
+  // column at cache-line granularity (candidate lists are ascending, so
+  // the traffic is sequential over the touched lines).
+  double src_touched = static_cast<double>(n) * width;
+  if (src.size() > 0) {
+    const double sel_frac =
+        static_cast<double>(n) / static_cast<double>(src.size());
+    const double line_frac =
+        1.0 - std::pow(1.0 - std::min(1.0, sel_frac), 64.0 / width);
+    src_touched = static_cast<double>(src.size()) * width * line_frac;
+  }
+  op.seq_bytes =
+      static_cast<double>(n) * (sizeof(int32_t) + width) + src_touched;
+  op.output_bytes = static_cast<double>(n) * width;
+  op.rows_in = static_cast<double>(n);
+  op.rows_out = static_cast<double>(n);
+  if (CurrentExecOptions().cardinality_estimator != nullptr) {
+    op.est_rows = static_cast<double>(n);  // cardinality-preserving
+  }
+  stats->Add(std::move(op));
+  stats->TrackAlloc(static_cast<double>(n) * width);
+}
+
+}  // namespace
+
 SelVec Filter(const ColumnSource& src, const std::vector<Predicate>& preds,
               QueryStats* stats, const SelVec* base) {
   WIMPI_CHECK(!preds.empty());
   obs::OpScope scope("Filter",
                      base != nullptr ? static_cast<int64_t>(base->size())
                                      : src.rows());
-  if (stats != nullptr && src.table() != nullptr) {
-    for (const auto& p : preds) {
-      const auto& col = src.column(p.column_name());
-      // String columns carry their dictionary into the working set (the
-      // codes are 4 bytes, but evaluating a predicate touches the values).
-      const double dict_bytes =
-          col.dict() != nullptr ? col.dict()->MemoryBytes() : 0.0;
-      stats->TouchBaseColumn(
-          src.table()->name() + "." + p.column_name(),
-          static_cast<double>(src.rows()) * storage::TypeWidth(col.type()) +
-              dict_bytes);
-    }
-  }
+  for (const auto& p : preds) TouchBaseColumn(src, p.column_name(), stats);
   SelVec current;
   const SelVec* input = base;
   for (const Predicate& p : preds) {
@@ -509,33 +548,7 @@ std::unique_ptr<storage::Column> Gather(const storage::Column& src,
       fill(src.I32Data(), out->MutableI32());
       break;
   }
-  if (stats != nullptr) {
-    const int width = storage::TypeWidth(src.type());
-    OpStats op;
-    op.op = "gather";
-    op.compute_ops = static_cast<double>(n) * cost::kGather;
-    // A gather reads the selection vector sequentially and the source
-    // column at cache-line granularity (candidate lists are ascending, so
-    // the traffic is sequential over the touched lines).
-    double src_touched = static_cast<double>(n) * width;
-    if (src.size() > 0) {
-      const double sel_frac =
-          static_cast<double>(n) / static_cast<double>(src.size());
-      const double line_frac =
-          1.0 - std::pow(1.0 - std::min(1.0, sel_frac), 64.0 / width);
-      src_touched = static_cast<double>(src.size()) * width * line_frac;
-    }
-    op.seq_bytes = static_cast<double>(n) * (sizeof(int32_t) + width) +
-                   src_touched;
-    op.output_bytes = static_cast<double>(n) * width;
-    op.rows_in = static_cast<double>(n);
-    op.rows_out = static_cast<double>(n);
-    if (CurrentExecOptions().cardinality_estimator != nullptr) {
-      op.est_rows = static_cast<double>(n);  // cardinality-preserving
-    }
-    stats->Add(std::move(op));
-    stats->TrackAlloc(static_cast<double>(n) * width);
-  }
+  AddGatherStats(src, n, stats);
   return out;
 }
 
@@ -547,16 +560,26 @@ Relation GatherColumns(
   obs::OpScope scope("GatherColumns", static_cast<int64_t>(sel.size()));
   scope.set_rows_out(static_cast<int64_t>(sel.size()));
   for (const auto& [in_name, out_name] : cols) {
-    if (stats != nullptr && src.table() != nullptr) {
-      const auto& col = src.column(in_name);
-      const double dict_bytes =
-          col.dict() != nullptr ? col.dict()->MemoryBytes() : 0.0;
-      stats->TouchBaseColumn(
-          src.table()->name() + "." + in_name,
-          static_cast<double>(src.rows()) * storage::TypeWidth(col.type()) +
-              dict_bytes);
-    }
+    TouchBaseColumn(src, in_name, stats);
     out.AddColumn(out_name, Gather(src.column(in_name), sel, stats));
+  }
+  return out;
+}
+
+Relation ScanAll(const storage::Table& t, const std::vector<std::string>& cols,
+                 QueryStats* stats) {
+  const ColumnSource src(t);
+  const int64_t n = t.num_rows();
+  Relation out;
+  obs::OpScope scope("GatherColumns", n);
+  scope.set_rows_out(n);
+  for (const std::string& name : cols) {
+    TouchBaseColumn(src, name, stats);
+    const storage::Column& col = t.column(name);
+    obs::OpScope gather_scope("Gather", n);
+    gather_scope.set_rows_out(n);
+    AddGatherStats(col, n, stats);
+    out.BorrowColumn(name, col);
   }
   return out;
 }

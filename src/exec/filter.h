@@ -159,6 +159,14 @@ Relation GatherColumns(
     const std::vector<std::pair<std::string, std::string>>& cols,
     const SelVec& sel, QueryStats* stats);
 
+// Every row of columns `cols` of base table `t`, borrowed: the relation
+// reads the table's own columns and copies no value, so it must not
+// outlive `t`. Its profile scopes, base-column touches and counters are
+// those of GatherColumns over the identity selection: the model still
+// charges the copy a column-at-a-time engine makes (DESIGN.md §3).
+Relation ScanAll(const storage::Table& t, const std::vector<std::string>& cols,
+                 QueryStats* stats);
+
 // Gathers by explicit indices where -1 yields `def` (left outer join fill).
 std::unique_ptr<storage::Column> GatherWithDefault(
     const storage::Column& src, const std::vector<int32_t>& idx, double def,

@@ -15,8 +15,8 @@ namespace {
 
 using storage::Column;
 
-// The parallel build (see JoinWith): `slices` tasks each link the rows
-// whose buckets fall in one contiguous slice of [0, mask].
+// The parallel build (see JoinWith): `slices` tasks each empty the buckets
+// of one contiguous slice of [0, mask] and link the rows that hash there.
 template <typename Key>
 void BuildPartitioned(const Key& build, int64_t n_build, uint64_t mask,
                       int slices, int32_t* head, int32_t* next) {
@@ -56,6 +56,13 @@ void BuildPartitioned(const Key& build, int64_t n_build, uint64_t mask,
     }
   });
   RunChunks(slices, 1, slices, [&](const parallel::Morsel& m) {
+    // Slice s holds the buckets b with b * slices >> shift == s.
+    const uint64_t n_buckets = mask + 1;
+    auto first_bucket = [&](uint64_t s) {
+      return (s * n_buckets + slices - 1) / slices;
+    };
+    std::fill(head + first_bucket(m.index), head + first_bucket(m.index + 1),
+              -1);
     for (int mo = 0; mo < morsels; ++mo) {
       const int64_t* start = &at[mo * (slices + 1) + m.index];
       for (int64_t p = start[0]; p < start[1]; ++p) {
@@ -86,8 +93,10 @@ JoinResult JoinWith(const Key& build, const Key& probe,
   const uint64_t n_buckets =
       std::bit_ceil(static_cast<uint64_t>(std::max<int64_t>(n_build, 1)) * 2);
   const uint64_t mask = n_buckets - 1;
-  std::vector<int32_t> head(n_buckets, -1);
-  std::vector<int32_t> next(n_build, -1);
+  // Neither array is filled here: the build empties `head` in its own
+  // tasks and writes every entry of `next`.
+  const auto head = std::make_unique_for_overwrite<int32_t[]>(n_buckets);
+  const auto next = std::make_unique_for_overwrite<int32_t[]>(n_build);
 
   const int bkw = KeyWidth(build_keys);
   const int pkw = KeyWidth(probe_keys);
@@ -105,11 +114,16 @@ JoinResult JoinWith(const Key& build, const Key& probe,
     // buffer; each task links its slice's rows morsel by morsel, so in
     // row order; and each morsel writes next[] for its own rows. No two
     // tasks write one chain, and no two morsels write one row's link.
-    // An empty build side links nothing and runs no pipeline.
+    // Either way the task that links a bucket first empties it. An empty
+    // build side links nothing and runs no pipeline: its two buckets are
+    // emptied here.
     const int build_threads = PlannedThreads(n_build);
-    if (build_threads == 1) {
-      const int64_t buckets = n_build > 0 ? static_cast<int64_t>(n_buckets) : 0;
+    if (n_build == 0) {
+      std::fill_n(head.get(), n_buckets, -1);
+    } else if (build_threads == 1) {
+      const auto buckets = static_cast<int64_t>(n_buckets);
       RunChunks(buckets, buckets, 1, [&](const parallel::Morsel&) {
+        std::fill_n(head.get(), n_buckets, -1);
         for (int64_t i = 0; i < n_build; ++i) {
           const uint64_t b = build.Hash(i) & mask;
           next[i] = head[b];
@@ -117,8 +131,8 @@ JoinResult JoinWith(const Key& build, const Key& probe,
         }
       });
     } else {
-      BuildPartitioned(build, n_build, mask, build_threads, head.data(),
-                       next.data());
+      BuildPartitioned(build, n_build, mask, build_threads, head.get(),
+                       next.get());
     }
     if (stats != nullptr) {
       OpStats op;
@@ -151,8 +165,8 @@ JoinResult JoinWith(const Key& build, const Key& probe,
   auto probe_range = [&](int64_t begin, int64_t end,
                          std::vector<int32_t>* build_out,
                          std::vector<int32_t>* probe_out) {
-    const int32_t* heads = head.data();
-    const int32_t* chain = next.data();
+    const int32_t* heads = head.get();
+    const int32_t* chain = next.get();
     // Buckets are hashed kAhead rows early and their heads prefetched, so
     // the head loads of consecutive probe rows overlap.
     constexpr int64_t kAhead = 16;

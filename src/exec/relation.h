@@ -18,6 +18,13 @@ using SelVec = std::vector<int32_t>;
 // MonetDB-style column-at-a-time execution materializes every operator
 // output; the work counters account for that traffic, which is exactly the
 // behaviour the paper measured.
+//
+// A column is either owned (AddColumn) or borrowed (BorrowColumn): a
+// whole-table scan hands out the table's own columns instead of copies, and
+// its counters still charge the copy (DESIGN.md §3). Readers cannot tell
+// the two apart. A borrowed column must outlive the relation, so a
+// relation that borrows from a database's tables must not outlive the
+// database, and a query's result never borrows.
 class Relation {
  public:
   Relation() = default;
@@ -35,12 +42,18 @@ class Relation {
 
   void AddColumn(std::string name, std::unique_ptr<storage::Column> col) {
     names_.push_back(std::move(name));
-    columns_.push_back(std::move(col));
+    columns_.push_back(col.get());
+    owned_.push_back(std::move(col));
+  }
+  // Adds `col` without copying it; it must outlive this relation.
+  void BorrowColumn(std::string name, const storage::Column& col) {
+    names_.push_back(std::move(name));
+    columns_.push_back(&col);
+    owned_.push_back(nullptr);
   }
 
   const std::string& name(int i) const { return names_[i]; }
   void SetName(int i, std::string name) { names_[i] = std::move(name); }
-  storage::Column& column(int i) { return *columns_[i]; }
   const storage::Column& column(int i) const { return *columns_[i]; }
 
   int ColumnIndex(const std::string& name) const {
@@ -60,20 +73,34 @@ class Relation {
     return false;
   }
 
-  // Transfers a column out (used when re-keying results).
+  // Transfers a column out (used when re-keying results). A borrowed
+  // column comes out as an owned copy: values, dictionary and origin.
   std::unique_ptr<storage::Column> TakeColumn(int i) {
-    return std::move(columns_[i]);
+    if (owned_[i] == nullptr) {
+      return std::make_unique<storage::Column>(*columns_[i]);
+    }
+    columns_[i] = nullptr;
+    return std::move(owned_[i]);
   }
 
+  // Heap bytes of the value arrays. A borrowed column counts what a copy
+  // of it would hold.
   int64_t ValueBytes() const {
     int64_t b = 0;
-    for (const auto& c : columns_) b += c->ValueBytes();
+    for (size_t i = 0; i < columns_.size(); ++i) {
+      const storage::Column& c = *columns_[i];
+      b += owned_[i] != nullptr ? c.ValueBytes()
+                                : c.size() * storage::TypeWidth(c.type());
+    }
     return b;
   }
 
  private:
   std::vector<std::string> names_;
-  std::vector<std::unique_ptr<storage::Column>> columns_;
+  // columns_[i] reads column i; owned_[i] holds it, or is null when the
+  // column is borrowed.
+  std::vector<const storage::Column*> columns_;
+  std::vector<std::unique_ptr<storage::Column>> owned_;
 };
 
 }  // namespace wimpi::exec

@@ -19,16 +19,6 @@ Relation ScanGather(const storage::Table& t,
   return exec::GatherColumns(src, Cols(cols), sel, stats);
 }
 
-Relation ScanAll(const storage::Table& t,
-                 const std::vector<std::string>& cols, QueryStats* stats) {
-  const ColumnSource src(t);
-  SelVec sel(t.num_rows());
-  for (int64_t i = 0; i < t.num_rows(); ++i) {
-    sel[i] = static_cast<int32_t>(i);
-  }
-  return exec::GatherColumns(src, Cols(cols), sel, stats);
-}
-
 Relation JoinGather(const Relation& build,
                     const std::vector<std::string>& build_keys,
                     const std::vector<std::string>& build_cols,

@@ -22,6 +22,7 @@ using exec::JoinKind;
 using exec::Predicate;
 using exec::QueryStats;
 using exec::Relation;
+using exec::ScanAll;
 using exec::SelVec;
 using exec::SortKey;
 
@@ -34,9 +35,9 @@ Relation ScanGather(const storage::Table& t,
                     const std::vector<Predicate>& preds,
                     const std::vector<std::string>& cols, QueryStats* stats);
 
-// Materializes whole columns of a table (no filter).
-Relation ScanAll(const storage::Table& t,
-                 const std::vector<std::string>& cols, QueryStats* stats);
+// Whole columns of a table (no filter) are read with exec::ScanAll, which
+// borrows them. A query's result must not borrow: every plan ends in an
+// operator that writes its own columns.
 
 // Hash-joins two relations on named key columns and gathers the requested
 // output columns from each side. For kSemi/kAnti, `build_cols` must be

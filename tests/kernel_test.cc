@@ -8,7 +8,8 @@
 // reference (tests/reference_aggregate.cc), bit for bit, on unclustered
 // input (the hash path) and on input clustered on the leading key (the run
 // path), and the partitioned parallel join build must give the one-thread
-// build's result.
+// build's result. A whole-table scan must borrow the table's columns and
+// count exactly what the copy it replaces counts.
 #include <algorithm>
 #include <bit>
 #include <cmath>
@@ -25,6 +26,7 @@
 #include "common/strings.h"
 #include "exec/aggregate.h"
 #include "exec/counters.h"
+#include "exec/estimator.h"
 #include "exec/exec_options.h"
 #include "exec/filter.h"
 #include "exec/join.h"
@@ -131,8 +133,10 @@ void ExpectSameStats(const QueryStats& a, const QueryStats& b) {
     EXPECT_EQ(a.ops[i].rand_count, b.ops[i].rand_count);
     EXPECT_EQ(a.ops[i].rand_struct_bytes, b.ops[i].rand_struct_bytes);
     EXPECT_EQ(a.ops[i].output_bytes, b.ops[i].output_bytes);
+    EXPECT_EQ(a.ops[i].parallel_fraction, b.ops[i].parallel_fraction);
     EXPECT_EQ(a.ops[i].rows_in, b.ops[i].rows_in);
     EXPECT_EQ(a.ops[i].rows_out, b.ops[i].rows_out);
+    EXPECT_EQ(a.ops[i].est_rows, b.ops[i].est_rows);
   }
 }
 
@@ -671,6 +675,27 @@ TEST(JoinKernelTest, PartitionedBuildMatchesOneThreadBuild) {
   }
 }
 
+// An empty build side links nothing: its buckets are emptied without a
+// build pipeline, so anti and left outer keep every probe row and inner
+// and semi keep none.
+TEST(JoinKernelTest, EmptyBuildSide) {
+  const auto build = KeyCol(0, [](int64_t) { return 0; });
+  const auto probe = KeyCol(700, [](int64_t r) { return r % 3; });
+  const std::vector<const Column*> bk = {build.get()}, pk = {probe.get()};
+  std::vector<int32_t> every(700);
+  for (int32_t r = 0; r < 700; ++r) every[r] = r;
+  for (const Mode& mode : Modes()) {
+    SCOPED_TRACE(mode.name);
+    ScopedExecOptions scope(mode.opts);
+    EXPECT_TRUE(HashJoin(bk, pk, JoinKind::kInner, nullptr).probe_idx.empty());
+    EXPECT_TRUE(HashJoin(bk, pk, JoinKind::kSemi, nullptr).probe_idx.empty());
+    EXPECT_EQ(HashJoin(bk, pk, JoinKind::kAnti, nullptr).probe_idx, every);
+    const JoinResult outer = HashJoin(bk, pk, JoinKind::kLeftOuter, nullptr);
+    EXPECT_EQ(outer.probe_idx, every);
+    EXPECT_EQ(outer.build_idx, std::vector<int32_t>(700, -1));
+  }
+}
+
 // ---------- Hash aggregation ----------
 
 // Each row's bits as u64 (int32-class values through uint32_t), so every
@@ -1094,6 +1119,93 @@ TEST(AggregateKernelTest, MoreThanAMillionGroups) {
   for (const AggKeys& k : distinct) {
     SCOPED_TRACE(k.name);
     CheckAggregate(rel, k.cols, aggs);
+  }
+}
+
+// ---------- Whole-table scans ----------
+
+// Answers nothing; installed only so operators record est_rows.
+class NullEstimator : public CardinalityEstimator {
+ public:
+  double EstimateFilterRows(const ColumnSource&, const Predicate&,
+                            int64_t) const override {
+    return 0;
+  }
+  double EstimateColCmpRows(const ColumnSource&, const std::string&, CmpOp,
+                            const std::string&, int64_t) const override {
+    return 0;
+  }
+  double EstimateJoinRows(const std::vector<const Column*>&, int64_t,
+                          const std::vector<const Column*>&, int64_t,
+                          JoinKind) const override {
+    return 0;
+  }
+  double EstimateGroupRows(const ColumnSource&,
+                           const std::vector<std::string>&,
+                           int64_t) const override {
+    return 0;
+  }
+};
+
+// ScanAll borrows the table's own columns, and records exactly what
+// GatherColumns over the identity selection records: every OpStats field,
+// the base-column touches and the tracked bytes, at 1 and 4 threads, with
+// and without an estimator.
+TEST(ScanKernelTest, BorrowsAndCountsLikeAnIdentityGather) {
+  storage::Table t = KernelTable(3000, 13);
+  t.column("str").set_origin(21);
+  t.column("f64").set_origin(22);
+  const std::vector<std::string> cols = {"i32", "date", "i64", "f64", "str"};
+  std::vector<std::pair<std::string, std::string>> named;
+  for (const std::string& c : cols) named.emplace_back(c, c);
+  SelVec all(t.num_rows());
+  for (int32_t r = 0; r < t.num_rows(); ++r) all[r] = r;
+  const NullEstimator estimator;
+  for (Mode mode : Modes()) {
+    for (const bool estimate : {false, true}) {
+      SCOPED_TRACE(std::string(mode.name) + (estimate ? ", estimated" : ""));
+      mode.opts.cardinality_estimator = estimate ? &estimator : nullptr;
+      ScopedExecOptions scope(mode.opts);
+      QueryStats scanned, gathered;
+      const Relation r = ScanAll(t, cols, &scanned);
+      GatherColumns(ColumnSource(t), named, all, &gathered);
+      ASSERT_EQ(r.num_columns(), static_cast<int>(cols.size()));
+      for (int c = 0; c < r.num_columns(); ++c) {
+        EXPECT_EQ(r.name(c), cols[c]);
+        EXPECT_EQ(&r.column(c), &t.column(cols[c])) << cols[c];
+      }
+      EXPECT_EQ(r.num_rows(), t.num_rows());
+      ExpectSameStats(scanned, gathered);
+      EXPECT_EQ(scanned.base_columns, gathered.base_columns);
+      EXPECT_EQ(scanned.peak_intermediate_bytes,
+                gathered.peak_intermediate_bytes);
+      EXPECT_EQ(scanned.live_intermediate_bytes,
+                gathered.live_intermediate_bytes);
+    }
+  }
+}
+
+// Taking a borrowed column hands out an owned copy of it and leaves the
+// table as it was; the relation still counts the column as a copy.
+TEST(ScanKernelTest, TakingABorrowedColumnCopiesIt) {
+  storage::Table t = KernelTable(2000, 14);
+  t.column("str").set_origin(31);
+  t.column("f64").set_origin(32);
+  for (const char* name : {"i32", "i64", "f64", "str"}) {
+    SCOPED_TRACE(name);
+    const Column& src = t.column(name);
+    const std::vector<uint64_t> before = Bits(src);
+    Relation r = ScanAll(t, {name}, nullptr);
+    EXPECT_EQ(r.ValueBytes(), src.size() * storage::TypeWidth(src.type()));
+    const std::unique_ptr<Column> taken = r.TakeColumn(0);
+    ASSERT_NE(taken.get(), &src);
+    EXPECT_EQ(taken->type(), src.type());
+    EXPECT_EQ(taken->dict(), src.dict());
+    EXPECT_EQ(taken->origin(), src.origin());
+    EXPECT_EQ(Bits(*taken), before);
+    EXPECT_EQ(&t.column(name), &src);
+    EXPECT_EQ(Bits(src), before);
+    EXPECT_EQ(&r.column(0), &src);
   }
 }
 

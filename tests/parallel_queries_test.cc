@@ -4,10 +4,14 @@
 // num_threads=1 path with the plain engine and run-to-run determinism at a
 // fixed thread count. Thread counts above the host's core count are
 // exercised deliberately; determinism must not depend on physical cores.
+// No query result, and no distributed node partial, may borrow a column of
+// the database it ran on.
+#include <set>
 #include <thread>
 #include <tuple>
 #include <vector>
 
+#include "cluster/partials.h"
 #include "engine/database.h"
 #include "engine/executor.h"
 #include "exec/exec_options.h"
@@ -16,6 +20,7 @@
 #include "test_util.h"
 #include "tpch/dbgen.h"
 #include "tpch/queries.h"
+#include "tpch/query_utils.h"
 
 namespace wimpi {
 namespace {
@@ -122,6 +127,44 @@ TEST_P(ParallelQueryTest, ParallelRunsAreDeterministic) {
   // Morsel boundaries and merge order are fixed, so two runs at the same
   // thread count agree bit-for-bit no matter how workers were scheduled.
   ExpectRelationsIdentical(second, first);
+}
+
+// Whole-table scans borrow the table's columns (tpch::ScanAll); every plan
+// must end in an operator that writes its own, so that a result outlives
+// the database it came from.
+TEST(BorrowedColumnTest, NoResultOrPartialBorrowsFromTheDatabase) {
+  const engine::Database& db = TestDb(0);
+  std::set<const storage::Column*> base;
+  for (const auto& [name, table] : db.tables()) {
+    for (int c = 0; c < table->schema().num_fields(); ++c) {
+      base.insert(&table->column(c));
+    }
+  }
+  auto expect_owned = [&](const exec::Relation& r) {
+    for (int c = 0; c < r.num_columns(); ++c) {
+      EXPECT_EQ(base.count(&r.column(c)), 0u) << "column " << r.name(c);
+    }
+  };
+  // The check sees a borrow: a scan's columns are the table's.
+  const exec::Relation scan =
+      tpch::ScanAll(db.table("nation"), {"n_name"}, nullptr);
+  ASSERT_EQ(base.count(&scan.column(0)), 1u);
+  for (const int threads : {1, 4}) {
+    SCOPED_TRACE("num_threads=" + std::to_string(threads));
+    engine::Executor ex;
+    ex.set_num_threads(threads);
+    for (int q = 1; q <= 22; ++q) {
+      SCOPED_TRACE("Q" + std::to_string(q));
+      expect_owned(ex.Run(
+          [&](exec::QueryStats* s) { return tpch::RunQuery(q, db, s); }));
+      if (const auto split = tpch::SplitOf(q)) {
+        SCOPED_TRACE("node partial");
+        expect_owned(ex.Run([&](exec::QueryStats* s) {
+          return cluster::RunPartial(*split, db, s);
+        }));
+      }
+    }
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -3,8 +3,8 @@
 # ThreadSanitizer and runs them. Intended for CI: any data race in the
 # thread pool, scheduler, the morsel-parallel operator paths (including the
 # filter morsels, the dictionary pass of string predicates, the hash
-# aggregation's chunk tables, run-path chunks and concatenation, and the
-# partitioned join build), the
+# aggregation's chunk tables, run-path chunks and concatenation, the
+# partitioned join build and the filtered join probe), the
 # range-parallel TPC-H generator, or the profiling/metrics/trace
 # instrumentation fails the script.
 #
@@ -75,8 +75,10 @@ export TSAN_OPTIONS="halt_on_error=1 ${TSAN_OPTIONS:-}"
 "${build_dir}/tests/tbl_io_test"
 # Operator kernels: filter selections written by morsels into slices of one
 # shared buffer, the string predicates' dictionary pass over dictionary
-# morsels, pointer gathers, the partitioned join build and typed join
-# probes, and hash aggregation's chunk tables built on pool workers and
+# morsels, pointer gathers, the partitioned join build (with its per-bucket
+# filter words) and typed join probes (filtered or walking every chain,
+# semi and anti selections written into slices of one shared buffer), and
+# hash aggregation's chunk tables built on pool workers and
 # merged state to state, or on clustered keys grouped run by run and
 # concatenated (every key reader and AggFn, the million-group case
 # included), each at 4 threads

@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <bit>
+#include <limits>
 #include <memory>
+#include <type_traits>
 
 #include "common/logging.h"
 #include "exec/estimator.h"
@@ -15,11 +17,25 @@ namespace {
 
 using storage::Column;
 
+// A bucket's filter word (see join.h): the low byte is a tag set, with bit
+// h >> 61 set for each row linked into the bucket, and the high byte the
+// bucket's chain length, saturating at 255. A saturated length does not
+// count, so its bucket is always walked.
+constexpr uint16_t kSaturated = 0xff00;
+
+inline uint8_t TagBit(uint64_t h) { return uint8_t{1} << (h >> 61); }
+
+inline void AddToFilter(uint16_t& f, uint8_t tag) {
+  f = static_cast<uint16_t>((f | tag) + (f < kSaturated ? 0x100 : 0));
+}
+
 // The parallel build (see JoinWith): `slices` tasks each empty the buckets
-// of one contiguous slice of [0, mask] and link the rows that hash there.
+// of one contiguous slice of [0, mask] and link the rows that hash there,
+// folding them into the buckets' filter words when `filter` is not null.
 template <typename Key>
 void BuildPartitioned(const Key& build, int64_t n_build, uint64_t mask,
-                      int slices, int32_t* head, int32_t* next) {
+                      int slices, int32_t* head, int32_t* next,
+                      uint16_t* filter) {
   const int shift = std::countr_zero(mask + 1);
   auto slice_of = [&](uint32_t b) {
     return static_cast<int>((static_cast<uint64_t>(b) * slices) >> shift);
@@ -35,24 +51,32 @@ void BuildPartitioned(const Key& build, int64_t n_build, uint64_t mask,
   // range of `part`: it hashes them once to count them per slice and once
   // to place them. Morsel m's rows of slice s are [at[m][s], at[m][s+1]).
   // `part` is left uninitialized, so the morsels touch their own pages
-  // first; it takes 8 bytes per row and is the build's only per-row
-  // transient.
+  // first; it takes 8 bytes per row. With a filter, the placing pass also
+  // writes each entry's tag bit into `tags` (a byte per row), so that the
+  // linking does not hash again. These are the build's only per-row
+  // transients.
   const auto part = std::make_unique_for_overwrite<Entry[]>(n_build);
+  std::unique_ptr<uint8_t[]> tags;
+  if (filter != nullptr) {
+    tags = std::make_unique_for_overwrite<uint8_t[]>(n_build);
+  }
   const int morsels = NumMorsels(n_build, slices);
   std::vector<int64_t> at(static_cast<size_t>(morsels) * (slices + 1));
   RunMorsels(n_build, slices, [&](const parallel::Morsel& m) {
-    auto bucket = [&](int64_t i) {
-      return static_cast<uint32_t>(build.Hash(i) & mask);
-    };
     std::vector<int64_t> pos(slices + 1);
-    for (int64_t i = m.begin; i < m.end; ++i) ++pos[slice_of(bucket(i)) + 1];
+    for (int64_t i = m.begin; i < m.end; ++i) {
+      ++pos[slice_of(static_cast<uint32_t>(build.Hash(i) & mask)) + 1];
+    }
     int64_t* start = &at[m.index * (slices + 1)];
     start[0] = m.begin;
     for (int s = 0; s < slices; ++s) start[s + 1] = start[s] + pos[s + 1];
     std::copy(start, start + slices, pos.begin());
     for (int64_t i = m.begin; i < m.end; ++i) {
-      const uint32_t b = bucket(i);
-      part[pos[slice_of(b)]++] = {static_cast<int32_t>(i), b};
+      const uint64_t h = build.Hash(i);
+      const auto b = static_cast<uint32_t>(h & mask);
+      const int64_t p = pos[slice_of(b)]++;
+      part[p] = {static_cast<int32_t>(i), b};
+      if (filter != nullptr) tags[p] = TagBit(h);
     }
   });
   RunChunks(slices, 1, slices, [&](const parallel::Morsel& m) {
@@ -61,14 +85,17 @@ void BuildPartitioned(const Key& build, int64_t n_build, uint64_t mask,
     auto first_bucket = [&](uint64_t s) {
       return (s * n_buckets + slices - 1) / slices;
     };
-    std::fill(head + first_bucket(m.index), head + first_bucket(m.index + 1),
-              -1);
+    const uint64_t lo = first_bucket(m.index);
+    const uint64_t hi = first_bucket(m.index + 1);
+    std::fill(head + lo, head + hi, -1);
+    if (filter != nullptr) std::fill(filter + lo, filter + hi, 0);
     for (int mo = 0; mo < morsels; ++mo) {
       const int64_t* start = &at[mo * (slices + 1) + m.index];
       for (int64_t p = start[0]; p < start[1]; ++p) {
         Entry& e = part[p];
         const int32_t link = head[e.bucket];
         head[e.bucket] = e.row;
+        if (filter != nullptr) AddToFilter(filter[e.bucket], tags[p]);
         e.bucket = static_cast<uint32_t>(link);
       }
     }
@@ -78,6 +105,119 @@ void BuildPartitioned(const Key& build, int64_t n_build, uint64_t mask,
       next[part[p].row] = static_cast<int32_t>(part[p].bucket);
     }
   });
+}
+
+// The finished build side, read-only while probe morsels share it.
+struct JoinTable {
+  const int32_t* head;
+  const int32_t* next;
+  const uint16_t* filter;  // null when every probe row walks its chain
+  uint64_t mask;
+};
+
+// One probe morsel's output: its pairs (inner, left outer) or its selected
+// probe rows (semi, anti, with `build_idx` empty).
+struct ProbePart {
+  std::vector<int32_t> build_idx;
+  std::vector<int32_t> probe_idx;
+  int64_t chain_steps = 0;
+};
+
+// Probes rows [begin, end), compiled once per key reader, join kind and
+// filter use. Inner and left outer joins append their pairs. Semi and anti
+// joins select branch-free: every row id is written into a block of kBlock
+// rows and the write position advances by the match result, and each full
+// block is appended at once, so the selection touches only as much memory
+// as it keeps. Counts the chain entries that a walk of every row's bucket
+// visits, skipped walks included.
+template <JoinKind kKind, bool kFiltered, typename Key>
+void ProbeRange(const Key& build, const Key& probe, const JoinTable& t,
+                int64_t begin, int64_t end, ProbePart* out) {
+  constexpr bool kPairs =
+      kKind == JoinKind::kInner || kKind == JoinKind::kLeftOuter;
+  // Rows are hashed kAhead rows early and their bucket's head and filter
+  // word prefetched, so the loads of consecutive probe rows overlap.
+  constexpr int64_t kAhead = 16;
+  auto stage = [&](int64_t p) {
+    const uint64_t h = probe.Hash(p);
+    if constexpr (kFiltered) __builtin_prefetch(t.filter + (h & t.mask));
+    __builtin_prefetch(t.head + (h & t.mask));
+    return h;
+  };
+  uint64_t hashes[kAhead];
+  for (int64_t p = begin; p < std::min(end, begin + kAhead); ++p) {
+    hashes[p - begin] = stage(p);
+  }
+  constexpr int64_t kBlock = 1024;
+  int32_t block[kBlock];
+  int64_t steps = 0;
+  for (int64_t block_begin = begin; block_begin < end; block_begin += kBlock) {
+    const int64_t block_end = std::min(end, block_begin + kBlock);
+    int64_t w = 0;
+    for (int64_t p = block_begin; p < block_end; ++p) {
+      const auto row = static_cast<int32_t>(p);
+      uint64_t& slot = hashes[(p - begin) % kAhead];
+      const uint64_t h = slot;
+      if (p + kAhead < end) slot = stage(p + kAhead);
+      const uint64_t b = h & t.mask;
+      bool matched = false;
+      if (kFiltered && (t.filter[b] & TagBit(h)) == 0 &&
+          t.filter[b] < kSaturated) {
+        // No row in the bucket has the probe row's tag, so none matches: a
+        // walk would visit the whole chain and find nothing.
+        steps += t.filter[b] >> 8;
+      } else {
+        for (int32_t e = t.head[b]; e >= 0; e = t.next[e]) {
+          ++steps;
+          if (!build.Eq(e, probe, p)) continue;
+          matched = true;
+          if constexpr (kPairs) {
+            out->build_idx.push_back(e);
+            out->probe_idx.push_back(row);
+          } else {
+            break;  // one match decides a semi or anti row
+          }
+        }
+      }
+      if constexpr (kKind == JoinKind::kLeftOuter) {
+        if (!matched) {
+          out->build_idx.push_back(-1);
+          out->probe_idx.push_back(row);
+        }
+      } else if constexpr (!kPairs) {
+        block[w] = row;
+        w += matched == (kKind == JoinKind::kSemi);
+      }
+    }
+    if constexpr (!kPairs) {
+      out->probe_idx.insert(out->probe_idx.end(), block, block + w);
+    }
+  }
+  out->chain_steps = steps;
+}
+
+// Calls fn(kind, filtered) with both as compile-time constants.
+template <typename Fn>
+void WithProbeLoop(JoinKind kind, bool filtered, Fn&& fn) {
+  auto with_filter = [&](auto k) {
+    if (filtered) {
+      fn(k, std::true_type{});
+    } else {
+      fn(k, std::false_type{});
+    }
+  };
+  switch (kind) {
+    case JoinKind::kInner:
+      return with_filter(
+          std::integral_constant<JoinKind, JoinKind::kInner>{});
+    case JoinKind::kSemi:
+      return with_filter(std::integral_constant<JoinKind, JoinKind::kSemi>{});
+    case JoinKind::kAnti:
+      return with_filter(std::integral_constant<JoinKind, JoinKind::kAnti>{});
+    case JoinKind::kLeftOuter:
+      return with_filter(
+          std::integral_constant<JoinKind, JoinKind::kLeftOuter>{});
+  }
 }
 
 template <typename Key>
@@ -97,9 +237,17 @@ JoinResult JoinWith(const Key& build, const Key& probe,
   // tasks and writes every entry of `next`.
   const auto head = std::make_unique_for_overwrite<int32_t[]>(n_buckets);
   const auto next = std::make_unique_for_overwrite<int32_t[]>(n_build);
+  // The filter pays back its build (one more random read-modify-write per
+  // build row, and its pages) only when the probe reads each bucket about
+  // once or more; the build empties it beside `head`.
+  std::unique_ptr<uint16_t[]> filter;
+  if (n_probe >= static_cast<int64_t>(n_buckets)) {
+    filter = std::make_unique_for_overwrite<uint16_t[]>(n_buckets);
+  }
 
   const int bkw = KeyWidth(build_keys);
   const int pkw = KeyWidth(probe_keys);
+  // The modeled table is `head` and `next` alone: the filter is host-only.
   const double table_bytes = static_cast<double>(n_buckets) * 4 +
                              static_cast<double>(n_build) * (4 + bkw);
 
@@ -114,25 +262,30 @@ JoinResult JoinWith(const Key& build, const Key& probe,
     // buffer; each task links its slice's rows morsel by morsel, so in
     // row order; and each morsel writes next[] for its own rows. No two
     // tasks write one chain, and no two morsels write one row's link.
-    // Either way the task that links a bucket first empties it. An empty
-    // build side links nothing and runs no pipeline: its two buckets are
-    // emptied here.
+    // Either way the task that links a bucket first empties it and its
+    // filter word. An empty build side links nothing and runs no
+    // pipeline: its two buckets are emptied here.
     const int build_threads = PlannedThreads(n_build);
+    uint16_t* words = filter.get();
     if (n_build == 0) {
       std::fill_n(head.get(), n_buckets, -1);
+      if (words != nullptr) std::fill_n(words, n_buckets, 0);
     } else if (build_threads == 1) {
       const auto buckets = static_cast<int64_t>(n_buckets);
       RunChunks(buckets, buckets, 1, [&](const parallel::Morsel&) {
         std::fill_n(head.get(), n_buckets, -1);
+        if (words != nullptr) std::fill_n(words, n_buckets, 0);
         for (int64_t i = 0; i < n_build; ++i) {
-          const uint64_t b = build.Hash(i) & mask;
+          const uint64_t h = build.Hash(i);
+          const uint64_t b = h & mask;
           next[i] = head[b];
           head[b] = static_cast<int32_t>(i);
+          if (words != nullptr) AddToFilter(words[b], TagBit(h));
         }
       });
     } else {
       BuildPartitioned(build, n_build, mask, build_threads, head.get(),
-                       next.get());
+                       next.get(), words);
     }
     if (stats != nullptr) {
       OpStats op;
@@ -156,74 +309,19 @@ JoinResult JoinWith(const Key& build, const Key& probe,
 
   JoinResult result;
   double chain_steps = 0;
-  const bool want_pairs =
-      kind == JoinKind::kInner || kind == JoinKind::kLeftOuter;
-
-  // The finished table is read-only from here on: probe morsels share it
-  // and emit per-morsel pair lists that concatenate in morsel order.
-  // Returns the number of chain entries visited.
-  auto probe_range = [&](int64_t begin, int64_t end,
-                         std::vector<int32_t>* build_out,
-                         std::vector<int32_t>* probe_out) {
-    const int32_t* heads = head.get();
-    const int32_t* chain = next.get();
-    // Buckets are hashed kAhead rows early and their heads prefetched, so
-    // the head loads of consecutive probe rows overlap.
-    constexpr int64_t kAhead = 16;
-    uint64_t buckets[kAhead];
-    for (int64_t p = begin; p < std::min(end, begin + kAhead); ++p) {
-      buckets[p - begin] = probe.Hash(p) & mask;
-      __builtin_prefetch(heads + buckets[p - begin]);
-    }
-    int64_t steps = 0;
-    for (int64_t p = begin; p < end; ++p) {
-      const auto row = static_cast<int32_t>(p);
-      uint64_t& slot = buckets[(p - begin) % kAhead];
-      const int32_t first = heads[slot];
-      if (p + kAhead < end) {
-        slot = probe.Hash(p + kAhead) & mask;
-        __builtin_prefetch(heads + slot);
-      }
-      bool matched = false;
-      for (int32_t e = first; e >= 0; e = chain[e]) {
-        ++steps;
-        if (!build.Eq(e, probe, p)) continue;
-        matched = true;
-        if (want_pairs) {
-          build_out->push_back(e);
-          probe_out->push_back(row);
-        } else if (kind == JoinKind::kSemi) {
-          probe_out->push_back(row);
-          break;
-        } else {  // kAnti: keep walking to be sure, but we can stop early
-          break;
-        }
-      }
-      if (!matched) {
-        if (kind == JoinKind::kAnti) {
-          probe_out->push_back(row);
-        } else if (kind == JoinKind::kLeftOuter) {
-          build_out->push_back(-1);
-          probe_out->push_back(row);
-        }
-      }
-    }
-    return steps;
-  };
 
   {
     obs::OpScope probe_scope("hash_probe", n_probe);
     const int probe_threads = PlannedThreads(n_probe);
-    struct ProbePart {
-      std::vector<int32_t> build_idx;
-      std::vector<int32_t> probe_idx;
-      int64_t chain_steps = 0;
-    };
+    const JoinTable table{head.get(), next.get(), filter.get(), mask};
+    // Probe morsels share the table and emit their own output, which
+    // concatenates in morsel order.
     std::vector<ProbePart> parts(NumMorsels(n_probe, probe_threads));
-    RunMorsels(n_probe, probe_threads, [&](const parallel::Morsel& m) {
-      ProbePart& part = parts[m.index];
-      part.chain_steps =
-          probe_range(m.begin, m.end, &part.build_idx, &part.probe_idx);
+    WithProbeLoop(kind, filter != nullptr, [&](auto k, auto filtered) {
+      RunMorsels(n_probe, probe_threads, [&](const parallel::Morsel& m) {
+        ProbeRange<decltype(k)::value, decltype(filtered)::value>(
+            build, probe, table, m.begin, m.end, &parts[m.index]);
+      });
     });
     // The first part becomes the result; the others are appended to it.
     size_t total_b = 0, total_p = 0;
@@ -286,6 +384,10 @@ JoinResult HashJoin(const std::vector<const Column*>& build_keys,
                     JoinKind kind, QueryStats* stats) {
   WIMPI_CHECK(!build_keys.empty());
   WIMPI_CHECK_EQ(build_keys.size(), probe_keys.size());
+  // Row ids are int32_t in the table and in the result.
+  constexpr int64_t kMaxRows = std::numeric_limits<int32_t>::max();
+  WIMPI_CHECK_LE(build_keys[0]->size(), kMaxRows);
+  WIMPI_CHECK_LE(probe_keys[0]->size(), kMaxRows);
   for (size_t i = 0; i < build_keys.size(); ++i) {
     WIMPI_CHECK(build_keys[i]->type() == probe_keys[i]->type())
         << "join key type mismatch at position " << i;

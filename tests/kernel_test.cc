@@ -8,8 +8,9 @@
 // reference (tests/reference_aggregate.cc), bit for bit, on unclustered
 // input (the hash path) and on input clustered on the leading key (the run
 // path), and the partitioned parallel join build must give the one-thread
-// build's result. A whole-table scan must borrow the table's columns and
-// count exactly what the copy it replaces counts.
+// build's result; a join probe that skips a chain through its bucket's
+// filter must count the chain as walked. A whole-table scan must borrow
+// the table's columns and count exactly what the copy it replaces counts.
 #include <algorithm>
 #include <bit>
 #include <cmath>
@@ -29,6 +30,7 @@
 #include "exec/estimator.h"
 #include "exec/exec_options.h"
 #include "exec/filter.h"
+#include "exec/hash_keys.h"
 #include "exec/join.h"
 #include "gtest/gtest.h"
 #include "reference.h"
@@ -558,6 +560,29 @@ JoinResult RefJoin(int64_t n_build, int64_t n_probe,
   return out;
 }
 
+// Value-wise key equality of build row b and probe row p: NaN equals
+// nothing and -0.0 equals +0.0.
+std::function<bool(int64_t, int64_t)> KeyEq(
+    const std::vector<const Column*>& bk,
+    const std::vector<const Column*>& pk) {
+  return [&bk, &pk](int64_t b, int64_t p) {
+    for (size_t i = 0; i < bk.size(); ++i) {
+      switch (bk[i]->type()) {
+        case DataType::kInt64:
+          if (bk[i]->I64Data()[b] != pk[i]->I64Data()[p]) return false;
+          break;
+        case DataType::kFloat64:
+          if (bk[i]->F64Data()[b] != pk[i]->F64Data()[p]) return false;
+          break;
+        default:
+          if (bk[i]->I32Data()[b] != pk[i]->I32Data()[p]) return false;
+          break;
+      }
+    }
+    return true;
+  };
+}
+
 TEST(JoinKernelTest, EveryKeyReaderMatchesReference) {
   const storage::Table build = KernelTable(1500, 13);
   const storage::Table probe = KernelTable(2500, 14);
@@ -587,22 +612,7 @@ TEST(JoinKernelTest, EveryKeyReaderMatchesReference) {
       bk.push_back(&build.column(c));
       pk.push_back(&probe.column(c));
     }
-    auto eq = [&](int64_t b, int64_t p) {
-      for (size_t i = 0; i < bk.size(); ++i) {
-        switch (bk[i]->type()) {
-          case DataType::kInt64:
-            if (bk[i]->I64Data()[b] != pk[i]->I64Data()[p]) return false;
-            break;
-          case DataType::kFloat64:
-            if (bk[i]->F64Data()[b] != pk[i]->F64Data()[p]) return false;
-            break;
-          default:
-            if (bk[i]->I32Data()[b] != pk[i]->I32Data()[p]) return false;
-            break;
-        }
-      }
-      return true;
-    };
+    const auto eq = KeyEq(bk, pk);
     for (const JoinKind kind : {JoinKind::kInner, JoinKind::kSemi,
                                 JoinKind::kAnti, JoinKind::kLeftOuter}) {
       SCOPED_TRACE(static_cast<int>(kind));
@@ -693,6 +703,157 @@ TEST(JoinKernelTest, EmptyBuildSide) {
     const JoinResult outer = HashJoin(bk, pk, JoinKind::kLeftOuter, nullptr);
     EXPECT_EQ(outer.probe_idx, every);
     EXPECT_EQ(outer.build_idx, std::vector<int32_t>(700, -1));
+  }
+}
+
+// A float64 column holding value(r) for each of `rows` rows.
+std::unique_ptr<Column> F64Col(int64_t rows,
+                               const std::function<double(int64_t)>& value) {
+  auto c = std::make_unique<Column>(DataType::kFloat64);
+  for (int64_t r = 0; r < rows; ++r) c->AppendFloat64(value(r));
+  return c;
+}
+
+// The chain entries that a walk of each probe row's bucket visits in the
+// bucket-chained table (RowHash, bit_ceil(2 n_build) buckets, newest row
+// first): a semi or anti row stops at its first match, any other row
+// visits the whole chain.
+double WalkedChainSteps(const std::vector<const Column*>& bk,
+                        const std::vector<const Column*>& pk, JoinKind kind) {
+  const int64_t n_build = bk[0]->size();
+  const uint64_t mask =
+      std::bit_ceil(static_cast<uint64_t>(std::max<int64_t>(n_build, 1)) * 2) -
+      1;
+  std::vector<std::vector<int64_t>> chains(mask + 1);
+  for (int64_t b = n_build - 1; b >= 0; --b) {
+    chains[RowHash(bk, b) & mask].push_back(b);
+  }
+  const auto eq = KeyEq(bk, pk);
+  const bool first_match_decides =
+      kind == JoinKind::kSemi || kind == JoinKind::kAnti;
+  double steps = 0;
+  for (int64_t p = 0; p < pk[0]->size(); ++p) {
+    for (const int64_t b : chains[RowHash(pk, p) & mask]) {
+      ++steps;
+      if (first_match_decides && eq(b, p)) break;
+    }
+  }
+  return steps;
+}
+
+// A probe row whose bucket holds no build row with the row's hash tag skips
+// the walk, and counts the chain that the walk would visit, so
+// `chain_steps` (the probe's rand_count less one per probe row) stay those
+// of a walk of every chain. Every case has 600 build rows (2048 buckets)
+// and probes with 2047 rows, where no filter is built, and with 2348,
+// where one is, at one thread and at four (a partitioned build).
+TEST(JoinKernelTest, ProbeCountsTheChainsItSkips) {
+  constexpr int64_t kBuild = 600;
+  constexpr uint64_t kMask = 2047;
+  auto bucket = [](int32_t k) { return HashI32(k) & kMask; };
+  auto tag = [](int32_t k) { return HashI32(k) >> 61; };
+
+  // Key 7 on 300 build rows saturates its bucket's chain length. The
+  // probe asks for 7, and for keys in 7's bucket whose tag no build row
+  // of the bucket has: those rows walk the saturated chain to its end.
+  auto saturated_build = [](int64_t r) {
+    return r < 300 ? 7 : static_cast<int32_t>(r * 1000);
+  };
+  std::vector<bool> bucket_tags(8);
+  int64_t saturated_len = 0;
+  for (int64_t r = 0; r < kBuild; ++r) {
+    if (bucket(saturated_build(r)) != bucket(7)) continue;
+    bucket_tags[tag(saturated_build(r))] = true;
+    ++saturated_len;
+  }
+  ASSERT_GT(saturated_len, 255);
+  std::vector<int32_t> absent_tag;
+  for (int32_t k = 1'000'000; absent_tag.size() < 40; ++k) {
+    if (bucket(k) == bucket(7) && !bucket_tags[tag(k)]) absent_tag.push_back(k);
+  }
+  // Keys that hit no build row of 0..599 but land in an occupied bucket.
+  std::vector<bool> occupied(kMask + 1);
+  for (int32_t k = 0; k < kBuild; ++k) occupied[bucket(k)] = true;
+  std::vector<int32_t> misses;
+  for (int32_t k = 1'000'000; misses.size() < 2348; ++k) {
+    if (occupied[bucket(k)]) misses.push_back(k);
+  }
+  const double specials[] = {-0.0, 0.0, kNaN};
+
+  struct Case {
+    const char* name;
+    std::function<std::unique_ptr<Column>(int64_t rows)> make_build;
+    std::function<std::unique_ptr<Column>(int64_t rows)> make_probe;
+  };
+  const Case cases[] = {
+      {"duplicate keys",
+       [](int64_t rows) {
+         return KeyCol(rows, [](int64_t r) { return (r * 7) % 100 - 50; });
+       },
+       [](int64_t rows) {
+         return KeyCol(rows, [](int64_t r) { return r % 160 - 60; });
+       }},
+      {"saturated chain",
+       [&](int64_t rows) { return KeyCol(rows, saturated_build); },
+       [&](int64_t rows) {
+         return KeyCol(rows, [&](int64_t r) {
+           return r % 4 == 0   ? 7
+                  : r % 4 == 1 ? absent_tag[r % absent_tag.size()]
+                               : static_cast<int32_t>(r % 700 * 1000);
+         });
+       }},
+      {"every row misses into an occupied bucket",
+       [](int64_t rows) {
+         return KeyCol(rows, [](int64_t r) { return static_cast<int32_t>(r); });
+       },
+       [&](int64_t rows) {
+         return KeyCol(rows, [&](int64_t r) { return misses[r]; });
+       }},
+      // The generic reader: -0.0 and +0.0 are one key, NaN matches nothing.
+      {"float64 zeros and NaN",
+       [&](int64_t rows) {
+         return F64Col(rows, [&](int64_t r) {
+           return r % 5 == 0 ? specials[r % 3]
+                             : static_cast<double>(r % 97) / 2;
+         });
+       },
+       [&](int64_t rows) {
+         return F64Col(rows, [&](int64_t r) {
+           return r % 4 == 0 ? specials[r % 3]
+                             : static_cast<double>(r % 300) / 2 - 10;
+         });
+       }},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    const auto build = c.make_build(kBuild);
+    for (const int64_t probe_rows : {int64_t{2047}, int64_t{2348}}) {
+      SCOPED_TRACE(probe_rows);
+      const auto probe = c.make_probe(probe_rows);
+      const std::vector<const Column*> bk = {build.get()}, pk = {probe.get()};
+      for (const JoinKind kind : {JoinKind::kInner, JoinKind::kSemi,
+                                  JoinKind::kAnti, JoinKind::kLeftOuter}) {
+        SCOPED_TRACE(static_cast<int>(kind));
+        const JoinResult want =
+            RefJoin(kBuild, probe_rows, KeyEq(bk, pk), kind);
+        const double want_steps = WalkedChainSteps(bk, pk, kind);
+        std::vector<QueryStats> stats;
+        for (const Mode& mode : Modes()) {
+          SCOPED_TRACE(mode.name);
+          ScopedExecOptions scope(mode.opts);
+          stats.emplace_back();
+          const JoinResult got = HashJoin(bk, pk, kind, &stats.back());
+          EXPECT_EQ(got.build_idx, want.build_idx);
+          EXPECT_EQ(got.probe_idx, want.probe_idx);
+          ASSERT_EQ(stats.back().ops.size(), 2u);
+          const OpStats& probe_op = stats.back().ops[1];
+          ASSERT_EQ(probe_op.op, "hash_probe");
+          EXPECT_EQ(probe_op.rand_count - static_cast<double>(probe_rows),
+                    want_steps);
+        }
+        ExpectSameStats(stats[0], stats[1]);
+      }
+    }
   }
 }
 
